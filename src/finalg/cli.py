@@ -17,12 +17,9 @@ from pathlib import Path
 from . import hilbert as hilbert_mod
 from .classify import classify_corpus
 from .errors import FinalgError
-from .groebner import groebner_basis, series_of_quotient
-from .hilbert import RationalSeries
-from .isotest import graded_isomorphism, verify_certificate
-from .present import COMMUTATIVE, parse_file
-from .truncated import (DEFAULT_MONOMIAL_CEILING, TruncatedAlgebra,
-                        default_bound)
+from .isotest import fingerprint, graded_isomorphism, verify_certificate
+from .present import parse_file
+from .truncated import DEFAULT_MONOMIAL_CEILING
 
 EXIT_OK = 0
 EXIT_NOT_ISOMORPHIC = 1
@@ -86,28 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_hilbert(args) -> int:
     pres = parse_file(args.file)
-    bound = getattr(args, "max_degree", None)
-    if bound is None:
-        bound = default_bound(pres)
-    T = TruncatedAlgebra(pres, bound,
-                         getattr(args, "monomial_ceiling",
-                                 DEFAULT_MONOMIAL_CEILING))
-    dims = list(T.dims())
-    series = None
-    if pres.mode == COMMUTATIVE:
-        series = series_of_quotient(groebner_basis(pres))
-        if not isinstance(series, RationalSeries):
-            series = None
-    if series is None and pres.declared_series is not None:
-        series = pres.declared_series
-    if series is not None:
-        expected = hilbert_mod.dims_from_series(series, bound)
-        if expected != dims:
-            raise FinalgError(
-                f"declared or computed series expands to {expected}, but the "
-                f"truncated engine found {dims}")
+    fp = fingerprint(pres, getattr(args, "max_degree", None),
+                     monomial_ceiling=getattr(args, "monomial_ceiling",
+                                              DEFAULT_MONOMIAL_CEILING))
+    dims, series = list(fp.dims), fp.series
     if getattr(args, "json", False):
-        payload = {"algebra": pres.name, "bound": bound, "dims": dims,
+        payload = {"algebra": pres.name, "bound": fp.bound, "dims": dims,
                    "series": None}
         if series is not None:
             canon = series.canonical()
@@ -121,8 +102,8 @@ def cmd_hilbert(args) -> int:
     if series is not None:
         print(f"series: {series.canonical()}")
     else:
-        print(f"series: truncated beyond degree {bound}")
-    print("dims (degrees 0..{}): {}".format(bound, " ".join(map(str, dims))))
+        print(f"series: truncated beyond degree {fp.bound}")
+    print("dims (degrees 0..{}): {}".format(fp.bound, " ".join(map(str, dims))))
     return EXIT_OK
 
 

@@ -137,6 +137,14 @@ class RowSpace:
         self.rows: list[np.ndarray] = []
         self.pivots: list[int] = []
 
+    @classmethod
+    def spanned_by(cls, mat: np.ndarray, p: int) -> "RowSpace":
+        """Row space of a 2-d array, reduced by one rref."""
+        R, pivots = rref(mat, p)
+        space = cls(R.shape[1], p)
+        space.rows, space.pivots = list(R), pivots
+        return space
+
     @property
     def dim(self) -> int:
         return len(self.rows)

@@ -278,10 +278,6 @@ class IdealHandle:
     dims: tuple | None = None
     cap: int | None = None
 
-    def combined_basis(self, degree_cap=None) -> GroebnerBasis:
-        """Basis of relations + handle generators (quotient by the ideal)."""
-        return groebner_basis(self.presentation, self.gens, degree_cap)
-
 
 def annihilator(G: GroebnerBasis, ideal_gens, max_degree: int) -> IdealHandle:
     """Degreewise annihilator of the ideal generated by `ideal_gens`.

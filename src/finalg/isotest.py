@@ -403,44 +403,16 @@ def prune_ladder(A: Presentation, B: Presentation, TB: TruncatedAlgebra,
 # ------------------------------------------------------------- the search
 
 def _relation_plans(A: Presentation):
-    """Relations as (max generator position + 1, evaluation terms)."""
-    plans = []
-    for rel in A.relations:
-        terms = []
-        top = 0
-        for mono, coeff in rel.items():
-            if A.mode == COMMUTATIVE:
-                factors = [(i, e) for i, e in enumerate(mono) if e]
-            else:
-                factors = [(i, 1) for i in mono]
-            for i, _ in factors:
-                top = max(top, i + 1)
-            terms.append((coeff, factors))
-        plans.append((top, terms))
+    """A's relations keyed by their highest generator position + 1, the
+    search depth at which every generator they mention has an image."""
     by_depth: dict[int, list] = {}
-    for top, terms in plans:
-        by_depth.setdefault(max(top, 1), []).append(terms)
-    return by_depth
-
-
-def _eval_terms(TB: TruncatedAlgebra, terms, images, powers):
-    out = None
-    for coeff, factors in terms:
-        cur = None
-        for i, e in factors:
-            val = TB._image_power(images, powers, i, e)
-            if cur is None:
-                cur = val
-            else:
-                cur = (cur[0] + val[0],
-                       TB.multiply_vec(cur[0], cur[1], val[0], val[1]))
-        if cur is None:
-            cur = (0, np.array([1], dtype=np.int64))
-        if out is None:
-            out = [cur[0], (coeff * cur[1]) % TB.p]
+    for rel in A.relations:
+        if A.mode == COMMUTATIVE:
+            used = [i for mono in rel for i, e in enumerate(mono) if e]
         else:
-            out[1] = (out[1] + coeff * cur[1]) % TB.p
-    return out
+            used = [i for mono in rel for i in mono]
+        by_depth.setdefault(max(used, default=0) + 1, []).append(rel)
+    return by_depth
 
 
 def graded_isomorphism(A: Presentation, B: Presentation, *,
@@ -531,7 +503,6 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
     plans_by_depth = _relation_plans(A)
     m = len(degrees)
     images: list = [None] * m
-    powers: list = [dict() for _ in range(m)]
     pair_adm = pruned.pairs if pruned is not None else {}
     triple_adm = pruned.triples if pruned is not None else {}
     raw = [None] * m
@@ -561,10 +532,9 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
                 continue
             raw[k] = v
             images[k] = (degrees[k], np.array(v, dtype=np.int64))
-            powers[k] = {}
             ok = True
-            for terms in plans_by_depth.get(k + 1, ()):
-                got = _eval_terms(TB, terms, images, powers)
+            for rel in plans_by_depth.get(k + 1, ()):
+                got = TB.evaluate(rel, A, images)
                 if got is not None and got[1].any():
                     stats["relation_failures"] += 1
                     ok = False

@@ -427,10 +427,6 @@ class Presentation:
     def max_generator_degree(self) -> int:
         return max(self.gens.degrees)
 
-    def max_relation_degree(self) -> int:
-        degs = [poly_degree(r, self.gens, self.mode) for r in self.relations]
-        return max([d for d in degs if d is not None], default=0)
-
 
 _KEYWORDS = ("algebra", "char", "mode", "gen", "rel", "nilradical", "series", "meta")
 

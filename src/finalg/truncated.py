@@ -7,6 +7,13 @@ the monomials of degree n, row reduce the relation consequences, and keep
 the non-pivot monomials as the component basis.  With columns in decreasing
 term order those are precisely the standard monomials.
 
+Every monomial of degree n keeps its normal form, a coordinate vector on
+that basis.  The powers of the augmentation ideal are read off those
+vectors: I^c is spanned by the monomials with at least c generator
+factors, so one rref per degree gives the whole power filtration, and the
+decomposables are I^2.  Multiplication tables serve only products of
+coordinate vectors.
+
 Everything an instance exposes (bases, normal forms, multiplication
 tables, ideal-power filtrations) is exact for degrees within the bound;
 degrees beyond it raise BoundExceededError.  Instances are immutable after
@@ -156,11 +163,6 @@ class TruncatedAlgebra:
     def dims(self) -> list:
         return [len(self._basis[n]) for n in range(self.bound + 1)]
 
-    def nf_row(self, mono) -> np.ndarray:
-        n = mono_degree(mono, self.gens, self.mode)
-        self._check(n)
-        return self._nf[n][mono]
-
     def reduce_poly(self, f: dict) -> dict:
         """Map a polynomial to coordinate vectors, one per occupied degree."""
         comps: dict[int, np.ndarray] = {}
@@ -266,20 +268,25 @@ class TruncatedAlgebra:
         cache[e] = val
         return val
 
-    # ------------------------------------------------- generation test
+    # ------------------------------------------------- ideal powers
+
+    def _factors(self, mono) -> int:
+        """Number of generator factors: exponent sum or word length."""
+        return sum(mono) if self.mode == COMMUTATIVE else len(mono)
+
+    def _nf_rows(self, n: int, monos) -> np.ndarray:
+        """Normal forms of degree-n monomials, one row each."""
+        return np.array([self._nf[n][m] for m in monos],
+                        dtype=np.int64).reshape(len(monos), self.dim(n))
 
     def decomposables(self, n: int) -> RowSpace:
-        """Row space of products of positive-degree elements in degree n."""
+        """Row space of I^2 in degree n, the products of positive-degree
+        elements: the span of the monomials with at least two factors."""
         self._check(n)
         got = self._decomposables.get(n)
         if got is None:
-            got = RowSpace(self.dim(n), self.p)
-            for a in range(1, n):
-                b = n - a
-                T = self.table(a, b)
-                da, db, dc = T.shape
-                if dc and da and db:
-                    got.add_all(T.reshape(da * db, dc))
+            monos = [m for m in self._monos[n] if self._factors(m) >= 2]
+            got = RowSpace.spanned_by(self._nf_rows(n, monos), self.p)
             self._decomposables[n] = got
         return got
 
@@ -296,54 +303,23 @@ class TruncatedAlgebra:
                 return False
         return True
 
-    # ------------------------------------------------------- filtration
-
     def power_filtration_dims(self) -> list:
         """dim of I^c in degrees <= bound, for c = 1..bound.
 
-        I is the augmentation ideal (everything of positive degree); powers
-        are computed componentwise through the multiplication tables.
+        I is the augmentation ideal (everything of positive degree), and
+        I^c is spanned by the monomials with at least c factors.  In each
+        degree the normal forms of the monomials, longest first, are the
+        columns of one rref; its pivot columns are a greedy independent
+        prefix, so the pivots among the monomials with at least c factors
+        count dim I^c_n for every c at once.
         """
-        if self._filtration is not None:
-            return list(self._filtration)
-        D = self.bound
-        spans: list[dict] = [{}]  # spans[c][n] for c >= 1
-        level = {}
-        for n in range(1, D + 1):
-            rs = RowSpace(self.dim(n), self.p)
-            rs.add_all(np.eye(self.dim(n), dtype=np.int64))
-            level[n] = rs
-        spans.append(level)
-        dims = [sum(rs.dim for rs in level.values())]
-        for c in range(2, D + 1):
-            prev = spans[c - 1]
-            level = {}
-            total = 0
-            for n in range(c, D + 1):
-                rs = RowSpace(self.dim(n), self.p)
-                for a in range(1, n):
-                    b = n - a
-                    src = prev.get(b)
-                    if src is None or src.dim == 0 or self.dim(n) == 0:
-                        continue
-                    T = self.table(a, b)
-                    for i in range(self.dim(a)):
-                        block = (src.matrix() @ T[i]) % self.p
-                        rs.add_all(block)
-                level[n] = rs
-                total += rs.dim
-            spans.append(level)
-            dims.append(total)
-        self._filtration = dims
-        return list(dims)
-
-
-def build(P: Presentation, bound: int | None = None,
-          monomial_ceiling: int = DEFAULT_MONOMIAL_CEILING) -> TruncatedAlgebra:
-    """Construct the truncated model (bound defaults to max(2w, 10))."""
-    return TruncatedAlgebra(P, bound, monomial_ceiling)
-
-
-def component_basis(T: TruncatedAlgebra, n: int) -> list:
-    """Monomial basis of the degree-n component."""
-    return T.basis(n)
+        if self._filtration is None:
+            dims = [0] * self.bound
+            for n in range(1, self.bound + 1):
+                monos = sorted(self._monos[n], key=self._factors, reverse=True)
+                _, pivots = rref(self._nf_rows(n, monos).T, self.p)
+                for col in pivots:
+                    for c in range(self._factors(monos[col])):
+                        dims[c] += 1
+            self._filtration = dims
+        return list(self._filtration)

@@ -51,6 +51,27 @@ def brute_rank(rows, p: int) -> int:
     return rank
 
 
+def brute_basis(rows, p: int) -> list:
+    """Rows, reduced mod p, that enlarge the span of the rows before them.
+
+    The span is kept as its full point set, grown by every multiple of
+    each new row, so the cost is exponential in the rank only, not in the
+    number of rows.
+    """
+    basis = []
+    span = None
+    for row in rows:
+        vec = tuple(int(x) % p for x in row)
+        if span is None:
+            span = {(0,) * len(vec)}
+        if vec in span:
+            continue
+        basis.append(vec)
+        span = {tuple((s + c * x) % p for s, x in zip(pt, vec))
+                for pt in span for c in range(p)}
+    return basis
+
+
 def naive_division(num, den, max_degree: int):
     """Power series coefficients of num/den by long division.
 

@@ -54,6 +54,17 @@ def test_hilbert_missing_file_exit_2(capsys):
     assert err
 
 
+def test_hilbert_declared_series_contradiction_exit_2(capsys, tmp_path):
+    # the computed series of one free degree-1 generator is 1 / 1-t
+    bad = tmp_path / "bad.alg"
+    bad.write_text("algebra b\nchar 2\nmode commutative\ngen x 1\n"
+                   "series 1 / 1-t^2\n")
+    code, out, err = run(capsys, ["hilbert", str(bad)])
+    assert code == 2
+    assert "contradicts" in err
+    assert out == ""
+
+
 def test_iso_isomorphic_pair(capsys):
     code, out, _ = run(capsys, ["iso", c8("c4"), c8("c8")])
     assert code == 0

@@ -6,7 +6,8 @@ import pytest
 from finalg.errors import ResourceLimitError
 from finalg.present import parse
 from finalg.truncated import TruncatedAlgebra, default_bound, truncation_bound
-from tests.conftest import free_algebra_dims
+from tests.conftest import (brute_basis, free_algebra_dims,
+                            random_presentation)
 
 
 LAMBDA_TENSOR = """
@@ -152,6 +153,77 @@ def test_power_filtration_frozen(corpus):
     # I^c collects every component of degree >= c
     want = [sum(n + 1 for n in range(c, 11)) for c in range(1, 11)]
     assert T.power_filtration_dims() == want
+
+
+ASSOC_P3 = """
+algebra assoc
+char 3
+mode associative
+gen x 1
+gen u 2
+gen v 2
+rel x*x+u+2*v
+rel u*v-v*u
+"""
+
+EXTERIOR_P3 = """
+algebra ext
+char 3
+mode commutative
+gen x 1
+gen y 1
+gen u 2
+gen v 2
+rel x*y+u+2*v
+rel u^2-x*y*v
+"""
+
+
+def test_power_filtration_and_decomposables_frozen_beyond_p2():
+    # associative words, and exterior degree-1 generators at p = 3
+    T = TruncatedAlgebra(parse(ASSOC_P3), 6)
+    assert T.power_filtration_dims() == [24, 22, 18, 11, 4, 1]
+    assert [T.decomposables(n).matrix().tolist() for n in range(1, 5)] == [
+        [], [[1, 2]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]
+    T = TruncatedAlgebra(parse(EXTERIOR_P3), 6)
+    assert T.power_filtration_dims() == [7, 4, 1, 0, 0, 0]
+    assert [T.decomposables(n).matrix().tolist() for n in range(1, 5)] == [
+        [], [[1, 2]], [[1, 0], [0, 1]], [[1]]]
+
+
+def _ideal_powers_by_products(T):
+    """Bases of I^c_n for c = 1..bound: I^1_n is all of A_n, and I^c_n is
+    spanned by the products a*v, a in the basis of A_a for a >= 1 and v in
+    the basis of I^(c-1)_(n-a)."""
+    D = T.bound
+    level = {n: list(np.eye(T.dim(n), dtype=np.int64))
+             for n in range(1, D + 1)}
+    powers = [level]
+    for c in range(2, D + 1):
+        prev, level = level, {}
+        for n in range(c, D + 1):
+            rows = [T.multiply_vec(a, unit, n - a, v)
+                    for a in range(1, n)
+                    for unit in np.eye(T.dim(a), dtype=np.int64)
+                    for v in prev.get(n - a, [])]
+            level[n] = brute_basis(rows, T.p)
+        powers.append(level)
+    return powers
+
+
+def test_power_filtration_matches_products_of_random_presentations():
+    rng = random.Random(7103)
+    for _ in range(20):
+        pres = random_presentation(rng)
+        T = TruncatedAlgebra(pres, 6)
+        powers = _ideal_powers_by_products(T)
+        want = [sum(len(b) for b in level.values()) for level in powers]
+        assert T.power_filtration_dims() == want
+        for n, basis in powers[1].items():  # I^2, the decomposables
+            dec = T.decomposables(n)
+            assert dec.dim == len(basis)
+            assert all(dec.contains(v) for v in basis)
 
 
 def test_power_filtration_separates_equal_series(corpus):
