@@ -11,11 +11,11 @@ The decision procedure:
    relation of A vanishes on it and the images generate B, so testing the
    two conditions over the whole candidate space decides the question.
 3. Optional subset pruning (commutative mode): before the full search,
-   small subsets of generators are screened with three necessary
-   conditions on the ideal they generate, quotient Hilbert series,
-   relations surviving elimination, and annihilator dimensions.  Surviving
-   image lists then drive the enumeration; every test is a necessary
-   condition for extendability, so pruning never changes the verdict.
+   subsets of at most three generators are screened with two necessary
+   conditions on the ideal they generate, relations surviving elimination
+   and the quotient Hilbert series.  Surviving image lists then drive the
+   enumeration; every test is a necessary condition for extendability, so
+   pruning never changes the verdict.
 
 Search exhaustion refutes soundly in every mode: an isomorphism would
 itself appear as some enumerated tuple passing both checks.  A successful
@@ -36,8 +36,7 @@ import numpy as np
 
 from . import hilbert
 from .errors import FinalgError, MismatchError, ResourceLimitError
-from .groebner import (annihilator, eliminate, groebner_basis,
-                       series_of_quotient)
+from .groebner import eliminate, groebner_basis, series_of_quotient
 from .hilbert import RationalSeries, TruncatedSeries, count_nonzero_vectors
 from .present import COMMUTATIVE, Presentation, format_poly
 from .truncated import (DEFAULT_MONOMIAL_CEILING, TruncatedAlgebra,
@@ -99,28 +98,35 @@ class Fingerprint:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _exact_series(P: Presentation, pair_ceiling=None):
+def _exact_series(P: Presentation, T: TruncatedAlgebra):
     """Exact rational series when obtainable, else None.
 
     Commutative: from a complete Groebner basis (resource failures fall
-    back to None).  Either mode: a declared series line, validated against
-    the engine before use.
+    back to None).  Either mode: a declared series line, which must agree
+    with the computed one.  Whatever is returned has been checked against
+    the truncated dims of T, so an inconsistency raises here and nowhere
+    else.
     """
-    computed = None
+    series = None
     if P.mode == COMMUTATIVE:
         try:
-            kwargs = {} if pair_ceiling is None else {"pair_ceiling": pair_ceiling}
-            G = groebner_basis(P, **kwargs)
-            computed = series_of_quotient(G)
+            series = series_of_quotient(groebner_basis(P))
         except ResourceLimitError:
-            computed = None
+            series = None
     if P.declared_series is not None:
-        if computed is not None and not hilbert.equal(computed, P.declared_series):
+        if series is not None and not hilbert.equal(series, P.declared_series):
             raise FinalgError(
                 f"presentation {P.name}: declared series {P.declared_series} "
-                f"contradicts the computed series {computed.canonical()}")
-        return P.declared_series if computed is None else computed
-    return computed
+                f"contradicts the computed series {series.canonical()}")
+        if series is None:
+            series = P.declared_series
+    if series is not None:
+        expected = hilbert.dims_from_series(series, T.bound)
+        if T.dims() != expected:
+            raise FinalgError(
+                f"presentation {P.name}: series expansion {expected} does not "
+                f"match truncated dims {T.dims()}; engine inconsistency")
+    return series
 
 
 def fingerprint(P: Presentation, bound: int | None = None,
@@ -129,14 +135,7 @@ def fingerprint(P: Presentation, bound: int | None = None,
     """Invariants of P at the bound (default: the presentation's own)."""
     if T is None:
         T = TruncatedAlgebra(P, bound, monomial_ceiling)
-    series = _exact_series(P)
-    dims = tuple(T.dims())
-    if series is not None:
-        expected = hilbert.dims_from_series(series, T.bound)
-        if list(dims) != expected:
-            raise FinalgError(
-                f"presentation {P.name}: series expansion {expected} does not "
-                f"match truncated dims {list(dims)}; engine inconsistency")
+    series = _exact_series(P, T)
     nilrad = None
     if P.nilradical:
         sub = Presentation(name=P.name + "_modnil", p=P.p, mode=P.mode,
@@ -151,7 +150,7 @@ def fingerprint(P: Presentation, bound: int | None = None,
             nilrad = tuple(TruncatedAlgebra(sub, T.bound, monomial_ceiling).dims())
     return Fingerprint(p=P.p, mode=P.mode, bound=T.bound,
                        gen_degrees=tuple(sorted(P.gens.degrees)),
-                       dims=dims,
+                       dims=tuple(T.dims()),
                        filtration_dims=tuple(T.power_filtration_dims()),
                        series=series, nilrad=nilrad)
 
@@ -206,7 +205,7 @@ def _var_poly(P: Presentation, i: int) -> dict:
 
 
 class _PruneData:
-    """Admissible image tuples for generator subsets of size <= cap."""
+    """Admissible image tuples for generator subsets of size <= 3."""
 
     def __init__(self):
         self.singles: dict = {}    # i -> list of vector tuples, candidate order
@@ -214,42 +213,41 @@ class _PruneData:
         self.triples: dict = {}    # (i, j, k) -> set
         self.stats: dict = {}
         self.empty_subset = None
-        self.capped = False
 
 
-ALL_PRUNE_TESTS = ("series", "relations", "annihilator")
+# a pair or triple subset with more candidate tuples than this keeps them all
+_CANDIDATE_CEILING = 50_000
+
+
+def _stage_stat(**extra) -> dict:
+    # eliminated_annihilator is always 0; bench/tracing.py sums it per stage
+    return {"subsets": 0, "tested": 0, "eliminated_series": 0,
+            "eliminated_relations": 0, "eliminated_annihilator": 0,
+            "surviving": 0, **extra}
 
 
 def prune_ladder(A: Presentation, B: Presentation, TB: TruncatedAlgebra,
-                 cand_lists, *, subset_cap: int = 3, elim_cap: int | None = None,
-                 ann_cap: int | None = None, candidate_ceiling: int = 50_000,
-                 pair_ceiling: int | None = None,
-                 enabled_tests=ALL_PRUNE_TESTS) -> _PruneData | None:
-    """Screen small generator subsets with the three ideal tests.
+                 cand_lists) -> _PruneData | None:
+    """Screen generator subsets of size <= 3 with two ideal tests: A's
+    relations among the subset's generators must vanish on the images,
+    and the quotient by the images must have the series of A's quotient.
 
     Returns admissibility tables, or None when the ground Groebner bases
     are out of reach (pruning then silently turns off).  Every test is a
     necessary condition, so a failing candidate can never take part in an
-    isomorphism; subsets or stages skipped on resource caps simply keep
-    all candidates.
+    isomorphism; subsets skipped on the candidate ceiling, and tests
+    skipped on resource limits, simply keep all candidates.
     """
     data = _PruneData()
-    enabled = frozenset(enabled_tests)
     if A.mode != COMMUTATIVE:
         return None
-    try:
-        kwargs = {} if pair_ceiling is None else {"pair_ceiling": pair_ceiling}
-        gb_A = groebner_basis(A, **kwargs)
-        gb_B = groebner_basis(B, **kwargs)
+    try:  # the ground bases must be in reach, else pruning turns off
+        groebner_basis(A)
+        groebner_basis(B)
     except ResourceLimitError:
         return None
     m = len(A.gens)
-    w = max(truncation_bound(A), truncation_bound(B))
-    if elim_cap is None:
-        elim_cap = 2 * w
-    if ann_cap is None:
-        ann_cap = min(TB.bound - max(B.gens.degrees + A.gens.degrees), 2 * w)
-        ann_cap = max(ann_cap, 0)
+    elim_cap = 2 * max(truncation_bound(A), truncation_bound(B))
     series_cache: dict = {}
 
     def b_quotient_series(vpolys):
@@ -257,7 +255,7 @@ def prune_ladder(A: Presentation, B: Presentation, TB: TruncatedAlgebra,
         if key not in series_cache:
             try:
                 series_cache[key] = series_of_quotient(
-                    groebner_basis(B, list(vpolys), **kwargs))
+                    groebner_basis(B, list(vpolys)))
             except ResourceLimitError:
                 series_cache[key] = None
         return series_cache[key]
@@ -272,54 +270,35 @@ def prune_ladder(A: Presentation, B: Presentation, TB: TruncatedAlgebra,
         return hilbert.equal_truncated(sa, sb, cap)
 
     def a_side(subset):
-        vars_ = [_var_poly(A, i) for i in subset]
-        qa, rels, ann = None, [], None
-        if "series" in enabled:
-            try:
-                qa = series_of_quotient(groebner_basis(A, vars_, **kwargs))
-            except ResourceLimitError:
-                qa = None
-        if "relations" in enabled:
-            try:
-                rels, _ = eliminate(A, subset, degree_cap=elim_cap, **kwargs)
-            except ResourceLimitError:
-                rels = []
-        if "annihilator" in enabled:
-            try:
-                ann = annihilator(gb_A, vars_, ann_cap).dims
-            except ResourceLimitError:
-                ann = None
-        return qa, rels, ann
+        try:
+            qa = series_of_quotient(
+                groebner_basis(A, [_var_poly(A, i) for i in subset]))
+        except ResourceLimitError:
+            qa = None
+        try:
+            rels, _ = eliminate(A, subset, degree_cap=elim_cap)
+        except ResourceLimitError:
+            rels = []
+        return qa, rels
 
     def test_candidate(subset, vecs, a_data, stat):
-        qa, rels, ann_a = a_data
+        qa, rels = a_data
         images = {i: (A.gens.degrees[i], np.array(v, dtype=np.int64))
                   for i, v in zip(subset, vecs)}
         full = [images.get(i, (A.gens.degrees[i], None)) for i in range(m)]
-        if "relations" in enabled:
-            for rel in rels:
-                got = TB.evaluate(rel, A, full)
-                if got is not None and got[1].any():
-                    stat["eliminated_relations"] += 1
-                    return False
-        vpolys = [TB.poly_of_vec(d, v) for d, v in (images[i] for i in subset)]
-        if "annihilator" in enabled and ann_a is not None:
-            try:
-                ann_b = annihilator(gb_B, vpolys, ann_cap).dims
-            except ResourceLimitError:
-                ann_b = None
-            if ann_b is not None and ann_b != ann_a:
-                stat["eliminated_annihilator"] += 1
+        for rel in rels:
+            got = TB.evaluate(rel, A, full)
+            if got is not None and got[1].any():
+                stat["eliminated_relations"] += 1
                 return False
-        if "series" in enabled and not series_match(qa, b_quotient_series(vpolys)):
+        vpolys = [TB.poly_of_vec(d, v) for d, v in (images[i] for i in subset)]
+        if not series_match(qa, b_quotient_series(vpolys)):
             stat["eliminated_series"] += 1
             return False
         return True
 
     # stage 1: single generators
-    stage_stat = {"subsets": 0, "tested": 0, "eliminated_series": 0,
-                  "eliminated_relations": 0, "eliminated_annihilator": 0,
-                  "surviving": 0}
+    stage_stat = _stage_stat()
     for i in range(m):
         a_data = a_side((i,))
         stage_stat["subsets"] += 1
@@ -337,15 +316,12 @@ def prune_ladder(A: Presentation, B: Presentation, TB: TruncatedAlgebra,
     data.stats["stage1"] = stage_stat
 
     # stage 2: pairs built from surviving singles
-    if subset_cap >= 2 and m >= 2:
-        stage_stat = {"subsets": 0, "tested": 0, "eliminated_series": 0,
-                      "eliminated_relations": 0, "eliminated_annihilator": 0,
-                      "surviving": 0, "skipped_on_cap": 0}
+    if m >= 2:
+        stage_stat = _stage_stat(skipped_on_cap=0)
         for i, j in itertools.combinations(range(m), 2):
             n_cand = len(data.singles[i]) * len(data.singles[j])
-            if n_cand > candidate_ceiling:
+            if n_cand > _CANDIDATE_CEILING:
                 stage_stat["skipped_on_cap"] += 1
-                data.capped = True
                 continue
             stage_stat["subsets"] += 1
             a_data = a_side((i, j))
@@ -364,24 +340,20 @@ def prune_ladder(A: Presentation, B: Presentation, TB: TruncatedAlgebra,
         data.stats["stage2"] = stage_stat
 
     # stage 3: triples whose sub-pairs all survived
-    if subset_cap >= 3 and m >= 3:
-        stage_stat = {"subsets": 0, "tested": 0, "eliminated_series": 0,
-                      "eliminated_relations": 0, "eliminated_annihilator": 0,
-                      "surviving": 0, "skipped_on_cap": 0}
+    if m >= 3:
+        stage_stat = _stage_stat(skipped_on_cap=0)
         for i, j, k in itertools.combinations(range(m), 3):
             pij = data.pairs.get((i, j))
             pik = data.pairs.get((i, k))
             pjk = data.pairs.get((j, k))
             if pij is None or pik is None or pjk is None:
                 stage_stat["skipped_on_cap"] += 1
-                data.capped = True
                 continue
             cands = [(vi, vj, vk) for (vi, vj) in sorted(pij)
                      for vk in data.singles[k]
                      if (vi, vk) in pik and (vj, vk) in pjk]
-            if len(cands) > candidate_ceiling:
+            if len(cands) > _CANDIDATE_CEILING:
                 stage_stat["skipped_on_cap"] += 1
-                data.capped = True
                 continue
             stage_stat["subsets"] += 1
             a_data = a_side((i, j, k))
@@ -415,12 +387,62 @@ def _relation_plans(A: Presentation):
     return by_depth
 
 
+def _admissible(k: int, v, raw, pair_adm, triple_adm) -> bool:
+    for i in range(k):
+        adm = pair_adm.get((i, k))
+        if adm is not None and (raw[i], v) not in adm:
+            return False
+    for i, j in itertools.combinations(range(k), 2):
+        adm = triple_adm.get((i, j, k))
+        if adm is not None and (raw[i], raw[j], v) not in adm:
+            return False
+    return True
+
+
+def _search(k: int, A: Presentation, TB: TruncatedAlgebra, cand_lists,
+            plans_by_depth, pruned, images, raw, stats):
+    """Depth-first over candidate images from generator k on; returns the
+    first tuple whose relations vanish and whose images generate B.
+
+    Each relation is checked as soon as every generator it mentions has
+    an image, cutting whole subtrees instead of waiting for full tuples.
+    A module-level function rather than a closure, so that a call leaves
+    no reference cycle holding the engine.
+    """
+    if k == len(cand_lists):
+        stats["enumerated"] += 1
+        if not TB.generates(images):
+            stats["generation_failures"] += 1
+            return None
+        return [img[1].copy() for img in images]
+    deg = A.gens.degrees[k]
+    for v in cand_lists[k]:
+        if pruned and not _admissible(k, v, raw, *pruned):
+            continue
+        raw[k] = v
+        images[k] = (deg, np.array(v, dtype=np.int64))
+        ok = True
+        for rel in plans_by_depth.get(k + 1, ()):
+            got = TB.evaluate(rel, A, images)
+            if got is not None and got[1].any():
+                stats["relation_failures"] += 1
+                ok = False
+                break
+        if ok:
+            found = _search(k + 1, A, TB, cand_lists, plans_by_depth, pruned,
+                            images, raw, stats)
+            if found is not None:
+                return found
+    raw[k] = None
+    images[k] = None
+    return None
+
+
 def graded_isomorphism(A: Presentation, B: Presentation, *,
                        max_degree: int | None = None, prune: bool = True,
-                       use_fingerprints: bool = True, subset_cap: int = 3,
-                       monomial_ceiling: int = DEFAULT_MONOMIAL_CEILING,
-                       pair_ceiling: int | None = None,
-                       prune_tests=ALL_PRUNE_TESTS) -> IsoVerdict:
+                       use_fingerprints: bool = True,
+                       monomial_ceiling: int = DEFAULT_MONOMIAL_CEILING
+                       ) -> IsoVerdict:
     """Decide graded isomorphism; see the module docstring for the plan."""
     t0 = time.monotonic()
     if A.p != B.p:
@@ -453,9 +475,13 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
     stats["candidate_space"] = candidate_space_size(
         A.p, [d for d, z in zip(comp_dims, gen_is_zero) if not z])
 
-    fa = fingerprint(A, T=TA)
-    fb = fingerprint(B, T=TB)
-    exact_series = fa.series is not None and fb.series is not None
+    if use_fingerprints:
+        fa = fingerprint(A, T=TA)
+        fb = fingerprint(B, T=TB)
+        sa, sb = fa.series, fb.series
+    else:
+        sa, sb = _exact_series(A, TA), _exact_series(B, TB)
+    exact_series = sa is not None and sb is not None
     stats["exact_series"] = exact_series
     if use_fingerprints:
         equal_fp, why = compare_fingerprints(fa, fb)
@@ -465,7 +491,7 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
         stats["fingerprint"] = "equal"
     else:
         stats["fingerprint"] = "skipped"
-    if exact_series and not hilbert.equal(fa.series, fb.series):
+    if exact_series and not hilbert.equal(sa, sb):
         return done(IsoVerdict("not-isomorphic", "Hilbert series differ"))
 
     if stats["candidate_space"] == 0:
@@ -488,67 +514,22 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
 
     pruned = None
     if prune and A.mode == COMMUTATIVE:
-        pruned = prune_ladder(A, B, TB, cand_lists, subset_cap=subset_cap,
-                              pair_ceiling=pair_ceiling,
-                              enabled_tests=prune_tests)
-        if pruned is not None:
-            stats["pruned_by_stage"] = pruned.stats
-            if pruned.empty_subset is not None:
+        ladder = prune_ladder(A, B, TB, cand_lists)
+        if ladder is not None:
+            stats["pruned_by_stage"] = ladder.stats
+            if ladder.empty_subset is not None:
                 return done(IsoVerdict(
                     "not-isomorphic",
                     "subset admissibility empty for generators "
-                    + _subset_label(A, pruned.empty_subset)))
-            cand_lists = [pruned.singles[i] for i in range(len(degrees))]
+                    + _subset_label(A, ladder.empty_subset)))
+            cand_lists = [ladder.singles[i] for i in range(len(degrees))]
+            if ladder.pairs or ladder.triples:
+                pruned = (ladder.pairs, ladder.triples)
 
-    plans_by_depth = _relation_plans(A)
     m = len(degrees)
-    images: list = [None] * m
-    pair_adm = pruned.pairs if pruned is not None else {}
-    triple_adm = pruned.triples if pruned is not None else {}
-    raw = [None] * m
-
-    def admissible(k: int, v) -> bool:
-        for i in range(k):
-            adm = pair_adm.get((i, k))
-            if adm is not None and (raw[i], v) not in adm:
-                return False
-        for i, j in itertools.combinations(range(k), 2):
-            adm = triple_adm.get((i, j, k))
-            if adm is not None and (raw[i], raw[j], v) not in adm:
-                return False
-        return True
-
-    # each relation is checked as soon as every generator it mentions has
-    # an image, cutting whole subtrees instead of waiting for full tuples
-    def search(k: int):
-        if k == m:
-            stats["enumerated"] += 1
-            if not TB.generates(images):
-                stats["generation_failures"] += 1
-                return None
-            return [img[1].copy() for img in images]
-        for v in cand_lists[k]:
-            if (pair_adm or triple_adm) and not admissible(k, v):
-                continue
-            raw[k] = v
-            images[k] = (degrees[k], np.array(v, dtype=np.int64))
-            ok = True
-            for rel in plans_by_depth.get(k + 1, ()):
-                got = TB.evaluate(rel, A, images)
-                if got is not None and got[1].any():
-                    stats["relation_failures"] += 1
-                    ok = False
-                    break
-            if ok:
-                found = search(k + 1)
-                if found is not None:
-                    return found
-        raw[k] = None
-        images[k] = None
-        return None
-
     try:
-        found = search(0)
+        found = _search(0, A, TB, cand_lists, _relation_plans(A), pruned,
+                        [None] * m, [None] * m, stats)
     except ResourceLimitError as exc:
         return done(IsoVerdict("inconclusive", f"resource limit: {exc}"))
 

@@ -147,45 +147,45 @@ def mono_divides(u, w) -> bool:
     return all(a <= b for a, b in zip(u, w))
 
 
+def _exponent_walk(i, left, acc, degrees, ext, out):
+    if i == len(degrees):
+        if left == 0:
+            out.append(tuple(acc))
+        return
+    top = left // degrees[i]
+    if ext[i]:
+        top = min(top, 1)
+    for e in range(top + 1):
+        acc.append(e)
+        _exponent_walk(i + 1, left - e * degrees[i], acc, degrees, ext, out)
+        acc.pop()
+
+
+def _word_walk(left, acc, degrees, out):
+    if left == 0:
+        out.append(tuple(acc))
+        return
+    for i, d in enumerate(degrees):
+        if d <= left:
+            acc.append(i)
+            _word_walk(left - d, acc, degrees, out)
+            acc.pop()
+
+
 def monomials_of_degree(gens: GeneratorSet, n: int, mode: str, p: int):
     """All monomials of total degree n, listed in decreasing order."""
     if n < 0:
         return []
     if n == 0:
         return [mono_one(gens, mode)]
+    # the walks are module-level, not recursive closures, so a call leaves
+    # no reference cycle behind
     out = []
-    m = len(gens)
     if mode == COMMUTATIVE:
-        ext = exterior_mask(gens, p, mode)
-
-        def walk(i, left, acc):
-            if i == m:
-                if left == 0:
-                    out.append(tuple(acc))
-                return
-            d = gens.degrees[i]
-            top = left // d
-            if ext[i]:
-                top = min(top, 1)
-            for e in range(top + 1):
-                acc.append(e)
-                walk(i + 1, left - e * d, acc)
-                acc.pop()
-
-        walk(0, n, [])
+        _exponent_walk(0, n, [], gens.degrees, exterior_mask(gens, p, mode),
+                       out)
     else:
-        def walk(left, acc):
-            if left == 0:
-                out.append(tuple(acc))
-                return
-            for i in range(m):
-                d = gens.degrees[i]
-                if d <= left:
-                    acc.append(i)
-                    walk(left - d, acc)
-                    acc.pop()
-
-        walk(n, [])
+        _word_walk(n, [], gens.degrees, out)
     out.sort(key=lambda mm: mono_key(mm, gens, mode), reverse=True)
     return out
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import time
@@ -5,12 +6,13 @@ import time
 import pytest
 
 import finalg
-from finalg.errors import MismatchError
+from finalg.errors import FinalgError, MismatchError
 from finalg.hilbert import expand
 from finalg.isotest import (candidate_space_size, compare_fingerprints,
                             fingerprint, graded_isomorphism, pair_bound,
                             verify_certificate)
 from finalg.present import parse
+from finalg.truncated import TruncatedAlgebra
 from tests.conftest import disguise, random_presentation
 
 FREE2 = "algebra free2\nchar 2\nmode commutative\ngen x 1\ngen y 1\n"
@@ -172,21 +174,83 @@ def test_associative_exhaustion_refutes():
     assert verdict.outcome == "not-isomorphic"
 
 
-def test_prune_test_toggles_keep_verdict(corpus):
-    pairs = [("d8", "c4c2"), ("c4", "c8"), ("c2c2", "d8")]
-    for a, b in pairs:
-        base = graded_isomorphism(corpus[a], corpus[b])
-        for dropped in ("series", "relations", "annihilator"):
-            tests = tuple(t for t in ("series", "relations", "annihilator")
-                          if t != dropped)
-            got = graded_isomorphism(corpus[a], corpus[b], prune_tests=tests)
-            assert got.outcome == base.outcome, (a, b, dropped)
+def _comm(p, gens, *rels):
+    """A commutative presentation from "name:degree" generators and rels."""
+    lines = [f"algebra a\nchar {p}\nmode commutative"]
+    lines += [f"gen {g.split(':')[0]} {g.split(':')[1]}" for g in gens.split()]
+    lines += [f"rel {r}" for r in rels]
+    return parse("\n".join(lines) + "\n")
 
 
-def test_subset_cap_levels(corpus):
-    for cap in (1, 2, 3):
-        v = graded_isomorphism(corpus["d8"], corpus["c4c2"], subset_cap=cap)
-        assert v.outcome == "not-isomorphic"
+# (A, B, expected, surviving count per ladder stage).  The counts are
+# those the ladder gave with its annihilator test, which the series test
+# makes redundant, so dropping it must not move them.  The non-isomorphic
+# pairs share every fingerprint invariant, so only the ladder or the
+# search can refute them: x^2 has a nonzero square-zero element in the
+# generators' degree, x*y does not; x*y+z^2 is irreducible at p = 2, x*y
+# is not.
+LADDER_PAIRS = [
+    (_comm(2, "x:1 y:1", "x^2"), _comm(2, "x:1 y:1", "x*y"),
+     "not-isomorphic", {"stage1": 0}),
+    (_comm(2, "x:1 y:1 z:1", "x*y+z^2"), _comm(2, "x:1 y:1 z:1", "x*y"),
+     "not-isomorphic", {"stage1": 15, "stage2": 28, "stage3": 0}),
+    (_comm(3, "x:2 y:2", "x^2"), _comm(3, "x:2 y:2", "x*y"),
+     "not-isomorphic", {"stage1": 0}),
+    # disguised by x -> x + y
+    (_comm(2, "x:1 y:1", "x*y"), _comm(2, "x:1 y:1", "x*y+y^2"),
+     "isomorphic", {"stage1": 4, "stage2": 2}),
+]
+
+
+@pytest.mark.parametrize("A, B, expected, surviving", LADDER_PAIRS,
+                         ids=["sq-vs-prod-2x1-p2", "quadric-3x1-p2",
+                              "sq-vs-prod-2x2-p3", "prod-2x1-p2-disguised"])
+def test_ladder_verdicts_and_survivors(A, B, expected, surviving):
+    D = pair_bound(A, B)
+    assert fingerprint(A, D).digest() == fingerprint(B, D).digest()
+    pruned = graded_isomorphism(A, B)
+    stages = pruned.statistics["pruned_by_stage"]
+    assert {k: st["surviving"] for k, st in stages.items()} == surviving
+    assert all(st["eliminated_annihilator"] == 0 for st in stages.values())
+    brute = graded_isomorphism(A, B, prune=False, use_fingerprints=False)
+    assert pruned.outcome == brute.outcome == expected
+    if expected == "not-isomorphic":
+        assert pruned.reason.startswith("subset admissibility empty")
+        assert brute.reason == "search exhausted"
+
+
+def test_calls_leave_no_reference_cycles(corpus):
+    # the engine of a call must be freed by reference counting alone
+    assoc_a = parse("algebra a\nchar 2\nmode associative\ngen x 1\n"
+                    "gen y 1\nrel x*y\n")
+    assoc_b = parse("algebra b\nchar 2\nmode associative\ngen x 1\n"
+                    "gen y 1\nrel y*x\n")
+    gc.collect()
+    gc.disable()
+    try:
+        verdict = graded_isomorphism(corpus["q8"], corpus["q8"])
+        assert verdict.statistics["pruned_by_stage"] is not None
+        assert graded_isomorphism(assoc_a, assoc_b).certificate is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_brute_path_skips_the_filtration(corpus, monkeypatch):
+    def fail(self):
+        raise AssertionError("power filtration computed")
+    monkeypatch.setattr(TruncatedAlgebra, "power_filtration_dims", fail)
+    verdict = graded_isomorphism(corpus["q8"], corpus["q8"], prune=False,
+                                 use_fingerprints=False)
+    assert verdict.outcome == "isomorphic"
+
+
+def test_brute_path_checks_declared_series():
+    # x alone is free, dims 1, 1, 1, ...; the declared series says 1, 2, 4
+    bad = parse("algebra a\nchar 2\nmode associative\ngen x 1\n"
+                "series 1 / 1-2t\n")
+    with pytest.raises(FinalgError, match="does not match"):
+        graded_isomorphism(bad, bad, prune=False, use_fingerprints=False)
 
 
 def test_disguised_presentations_found_isomorphic():
