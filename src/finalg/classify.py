@@ -5,7 +5,8 @@ shared working bound; only entries in the same bucket are compared
 pairwise.  Pairs are processed in sorted label order and merged with a
 union-find, so the resulting partition does not depend on input order.
 Cross-bucket pairs are reported as refuted by the invariant digest
-without running the search.
+without running the search.  The pair runs reuse the invariants that
+bucketing memoized on each presentation.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 from .errors import FinalgError, ParseError
 from .isotest import fingerprint, graded_isomorphism
 from .present import Presentation, parse_file
-from .truncated import default_bound
+from .truncated import DEFAULT_MONOMIAL_CEILING, default_bound
 
 __all__ = ["CorpusEntry", "CorpusReport", "classify_corpus"]
 
@@ -95,7 +96,9 @@ def _load_entries(paths) -> list:
 
 
 def classify_corpus(paths, *, max_degree: int | None = None,
-                    prune: bool = True) -> CorpusReport:
+                    prune: bool = True,
+                    monomial_ceiling: int = DEFAULT_MONOMIAL_CEILING
+                    ) -> CorpusReport:
     """Classify the presentations behind `paths` up to graded isomorphism."""
     entries = _load_entries(paths)
     usable = [e for e in entries if e.presentation is not None]
@@ -111,7 +114,8 @@ def classify_corpus(paths, *, max_degree: int | None = None,
     buckets: dict = {}
     for entry in usable:
         try:
-            fp = fingerprint(entry.presentation, bound=bound)
+            fp = fingerprint(entry.presentation, bound=bound,
+                             monomial_ceiling=monomial_ceiling)
         except FinalgError as exc:
             entry.error = str(exc)
             continue
@@ -139,7 +143,8 @@ def classify_corpus(paths, *, max_degree: int | None = None,
                     continue
                 verdict = graded_isomorphism(
                     by_label[a].presentation, by_label[b].presentation,
-                    max_degree=bound, prune=prune)
+                    max_degree=bound, prune=prune,
+                    monomial_ceiling=monomial_ceiling)
                 pairs_run += 1
                 evidence.append({
                     "left": a, "right": b, "outcome": verdict.outcome,

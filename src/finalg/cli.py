@@ -27,10 +27,22 @@ EXIT_ERROR = 2
 EXIT_INCONCLUSIVE = 3
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     # SUPPRESS keeps subcommand defaults from clobbering values that were
     # already parsed in the global position
-    parser.add_argument("--max-degree", type=int, default=argparse.SUPPRESS,
+    parser.add_argument("--max-degree", type=_positive_int,
+                        default=argparse.SUPPRESS,
                         metavar="D", help="working degree bound")
     parser.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit machine-readable JSON")
@@ -151,9 +163,11 @@ def cmd_classify(args) -> int:
         return EXIT_ERROR
     paths = sorted(str(p) for p in root.iterdir()
                    if p.is_file() and p.suffix == ".alg")
-    report = classify_corpus(paths,
-                             max_degree=getattr(args, "max_degree", None),
-                             prune=not getattr(args, "no_prune", False))
+    report = classify_corpus(
+        paths, max_degree=getattr(args, "max_degree", None),
+        prune=not getattr(args, "no_prune", False),
+        monomial_ceiling=getattr(args, "monomial_ceiling",
+                                 DEFAULT_MONOMIAL_CEILING))
     payload = report.to_json()
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")

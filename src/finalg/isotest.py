@@ -66,14 +66,16 @@ def pair_bound(A: Presentation, B: Presentation, override: int | None = None) ->
 
 # ------------------------------------------------------------ fingerprints
 
-@dataclass
+@dataclass(frozen=True)
 class Fingerprint:
     """Screening invariants of one presented algebra at a working bound.
 
     `gen_degrees` is recorded for reporting but never compared, since
-    presentations need not be minimal.  `nilrad` compares only when both
-    sides declare nilradical generators; it is file-supplied data, not a
-    derived invariant, so it also stays out of the digest.
+    presentations need not be minimal; neither is `zero_generators`, which
+    flags the generators that are zero in the algebra (those above the
+    bound count as nonzero).  `nilrad` compares only when both sides
+    declare nilradical generators; it is file-supplied data, not a derived
+    invariant, so it also stays out of the digest.
     """
 
     p: int
@@ -84,6 +86,7 @@ class Fingerprint:
     filtration_dims: tuple
     series: object | None          # RationalSeries when exact, else None
     nilrad: object | None = None   # RationalSeries | tuple of dims | None
+    zero_generators: tuple = ()
 
     def digest(self) -> str:
         if self.series is not None:
@@ -98,21 +101,43 @@ class Fingerprint:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _exact_series(P: Presentation, T: TruncatedAlgebra):
+def _memoized(P: Presentation, key, compute):
+    """The entry `key` of P's memo (see `Presentation`), computed on first
+    use.  A compute that raises stores nothing, so the error is raised
+    again on every call."""
+    memo = P._memo
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _series_from_basis(P: Presentation, extra=()):
+    """Series of the quotient by P's relations and `extra`, from a
+    Groebner basis; None in associative mode or when the basis is out of
+    reach."""
+    if P.mode != COMMUTATIVE:
+        return None
+    try:
+        return series_of_quotient(groebner_basis(P, list(extra)))
+    except ResourceLimitError:
+        return None
+
+
+def _ground_series(P: Presentation):
+    """`_series_from_basis(P)`, memoized; None also says that the ground
+    Groebner basis is out of reach."""
+    return _memoized(P, "ground_series", lambda: _series_from_basis(P))
+
+
+def _exact_series(P: Presentation, T: TruncatedAlgebra, ground):
     """Exact rational series when obtainable, else None.
 
-    Commutative: from a complete Groebner basis (resource failures fall
-    back to None).  Either mode: a declared series line, which must agree
-    with the computed one.  Whatever is returned has been checked against
-    the truncated dims of T, so an inconsistency raises here and nowhere
-    else.
+    `ground` is the series from P's ground Groebner basis, or None.  Either
+    mode may add a declared series line, which must agree with it.
+    Whatever is returned has been checked against the truncated dims of T,
+    so an inconsistency raises here and nowhere else.
     """
-    series = None
-    if P.mode == COMMUTATIVE:
-        try:
-            series = series_of_quotient(groebner_basis(P))
-        except ResourceLimitError:
-            series = None
+    series = ground
     if P.declared_series is not None:
         if series is not None and not hilbert.equal(series, P.declared_series):
             raise FinalgError(
@@ -129,30 +154,66 @@ def _exact_series(P: Presentation, T: TruncatedAlgebra):
     return series
 
 
+def _gen_mono(P: Presentation, i: int):
+    """The monomial of generator i."""
+    if P.mode == COMMUTATIVE:
+        return tuple(1 if k == i else 0 for k in range(len(P.gens)))
+    return (i,)
+
+
+def _zero_generators(P: Presentation, T: TruncatedAlgebra) -> tuple:
+    """Which generators are zero in the algebra, as far as T's bound sees.
+    A generator in T's standard basis is a basis vector, so only the
+    others need reducing."""
+    flags = []
+    for i, d in enumerate(P.gens.degrees):
+        mono = _gen_mono(P, i)
+        flags.append(d <= T.bound and mono not in T.basis(d)
+                     and T.element({mono: 1}) is None)
+    return tuple(flags)
+
+
+def _fingerprint_key(bound: int, monomial_ceiling: int) -> tuple:
+    return ("fingerprint", bound, monomial_ceiling)
+
+
 def fingerprint(P: Presentation, bound: int | None = None,
                 T: TruncatedAlgebra | None = None,
                 monomial_ceiling: int = DEFAULT_MONOMIAL_CEILING) -> Fingerprint:
-    """Invariants of P at the bound (default: the presentation's own)."""
-    if T is None:
-        T = TruncatedAlgebra(P, bound, monomial_ceiling)
-    series = _exact_series(P, T)
+    """Invariants of P at the bound (default: the presentation's own).
+
+    Computed once per bound and monomial ceiling and kept in P's memo.  An
+    engine `T` of P fixes both and is used when they are not memoized yet.
+    """
+    if T is not None:
+        bound, monomial_ceiling = T.bound, T.monomial_ceiling
+    elif bound is None:
+        bound = default_bound(P)
+
+    def compute():
+        TP = T if T is not None else TruncatedAlgebra(P, bound,
+                                                      monomial_ceiling)
+        return _compute_fingerprint(P, TP)
+    return _memoized(P, _fingerprint_key(bound, monomial_ceiling), compute)
+
+
+def _compute_fingerprint(P: Presentation, T: TruncatedAlgebra) -> Fingerprint:
+    series = _exact_series(P, T, _ground_series(P))
     nilrad = None
     if P.nilradical:
         sub = Presentation(name=P.name + "_modnil", p=P.p, mode=P.mode,
                            gens=P.gens,
                            relations=P.relations + P.nilradical)
-        if P.mode == COMMUTATIVE:
-            try:
-                nilrad = series_of_quotient(groebner_basis(sub))
-            except ResourceLimitError:
-                nilrad = None
+        nilrad = _series_from_basis(sub)
         if nilrad is None:
-            nilrad = tuple(TruncatedAlgebra(sub, T.bound, monomial_ceiling).dims())
+            nilrad = tuple(TruncatedAlgebra(sub, T.bound,
+                                            T.monomial_ceiling).dims())
     return Fingerprint(p=P.p, mode=P.mode, bound=T.bound,
                        gen_degrees=tuple(sorted(P.gens.degrees)),
                        dims=tuple(T.dims()),
                        filtration_dims=tuple(T.power_filtration_dims()),
-                       series=series, nilrad=nilrad)
+                       series=series, nilrad=nilrad,
+                       zero_generators=_zero_generators(P, T))
 
 
 def compare_fingerprints(fa: Fingerprint, fb: Fingerprint):
@@ -200,10 +261,6 @@ def _subset_label(A: Presentation, subset) -> str:
     return "(" + ", ".join(A.gens.names[i] for i in subset) + ")"
 
 
-def _var_poly(P: Presentation, i: int) -> dict:
-    return {tuple(1 if k == i else 0 for k in range(len(P.gens))): 1}
-
-
 class _PruneData:
     """Admissible image tuples for generator subsets of size <= 3."""
 
@@ -217,6 +274,23 @@ class _PruneData:
 
 # a pair or triple subset with more candidate tuples than this keeps them all
 _CANDIDATE_CEILING = 50_000
+
+
+def _quotient_series(P: Presentation, polys):
+    """Memoized series of P's quotient by the ideal the polys generate;
+    None when its Groebner basis is out of reach."""
+    key = tuple(sorted(format_poly(f, P.gens, P.mode, P.p) for f in polys))
+    return _memoized(P, ("quotient_series", key),
+                     lambda: _series_from_basis(P, polys))
+
+
+def _eliminated(P: Presentation, subset, elim_cap: int) -> tuple:
+    """P's relations among the subset's generators, up to elim_cap; none
+    when the elimination is out of reach."""
+    try:
+        return tuple(eliminate(P, subset, degree_cap=elim_cap)[0])
+    except ResourceLimitError:
+        return ()
 
 
 def _stage_stat(**extra) -> dict:
@@ -236,29 +310,18 @@ def prune_ladder(A: Presentation, B: Presentation, TB: TruncatedAlgebra,
     are out of reach (pruning then silently turns off).  Every test is a
     necessary condition, so a failing candidate can never take part in an
     isomorphism; subsets skipped on the candidate ceiling, and tests
-    skipped on resource limits, simply keep all candidates.
+    skipped on resource limits, simply keep all candidates.  Quotient
+    series and eliminated relations are kept in the memos of A and B, so
+    a later pair with either side reuses them.
     """
     data = _PruneData()
     if A.mode != COMMUTATIVE:
         return None
-    try:  # the ground bases must be in reach, else pruning turns off
-        groebner_basis(A)
-        groebner_basis(B)
-    except ResourceLimitError:
+    # the ground bases must be in reach, else pruning turns off
+    if _ground_series(A) is None or _ground_series(B) is None:
         return None
     m = len(A.gens)
     elim_cap = 2 * max(truncation_bound(A), truncation_bound(B))
-    series_cache: dict = {}
-
-    def b_quotient_series(vpolys):
-        key = tuple(sorted(format_poly(v, B.gens, B.mode, B.p) for v in vpolys))
-        if key not in series_cache:
-            try:
-                series_cache[key] = series_of_quotient(
-                    groebner_basis(B, list(vpolys)))
-            except ResourceLimitError:
-                series_cache[key] = None
-        return series_cache[key]
 
     def series_match(sa, sb) -> bool:
         if sa is None or sb is None:
@@ -270,16 +333,9 @@ def prune_ladder(A: Presentation, B: Presentation, TB: TruncatedAlgebra,
         return hilbert.equal_truncated(sa, sb, cap)
 
     def a_side(subset):
-        try:
-            qa = series_of_quotient(
-                groebner_basis(A, [_var_poly(A, i) for i in subset]))
-        except ResourceLimitError:
-            qa = None
-        try:
-            rels, _ = eliminate(A, subset, degree_cap=elim_cap)
-        except ResourceLimitError:
-            rels = []
-        return qa, rels
+        return (_quotient_series(A, [{_gen_mono(A, i): 1} for i in subset]),
+                _memoized(A, ("eliminated", subset, elim_cap),
+                          lambda: _eliminated(A, subset, elim_cap)))
 
     def test_candidate(subset, vecs, a_data, stat):
         qa, rels = a_data
@@ -292,7 +348,7 @@ def prune_ladder(A: Presentation, B: Presentation, TB: TruncatedAlgebra,
                 stat["eliminated_relations"] += 1
                 return False
         vpolys = [TB.poly_of_vec(d, v) for d, v in (images[i] for i in subset)]
-        if not series_match(qa, b_quotient_series(vpolys)):
+        if not series_match(qa, _quotient_series(B, vpolys)):
             stat["eliminated_series"] += 1
             return False
         return True
@@ -460,27 +516,31 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
         return verdict
 
     try:
-        TA = TruncatedAlgebra(A, D, monomial_ceiling)
+        # A's engine serves only its invariants, which its memo may hold;
+        # the brute path computes everything afresh
+        TA = (None if use_fingerprints
+              and _fingerprint_key(D, monomial_ceiling) in A._memo
+              else TruncatedAlgebra(A, D, monomial_ceiling))
         TB = TruncatedAlgebra(B, D, monomial_ceiling)
     except ResourceLimitError as exc:
         return done(IsoVerdict("inconclusive", f"resource limit: {exc}"))
 
     degrees = A.gens.degrees
     comp_dims = [TB.dim(d) for d in degrees]
+    if use_fingerprints:
+        fa = fingerprint(A, D, TA, monomial_ceiling)
+        fb = fingerprint(B, D, TB, monomial_ceiling)
+        sa, sb = fa.series, fb.series
+        gen_is_zero = fa.zero_generators
+    else:
+        sa = _exact_series(A, TA, _series_from_basis(A))
+        sb = _exact_series(B, TB, _series_from_basis(B))
+        gen_is_zero = _zero_generators(A, TA)
     # a graded isomorphism is injective, so a generator that is nonzero in
     # A needs a nonzero image, while one that collapses to zero in A (a
     # non-minimal presentation) is forced to the zero image
-    gen_is_zero = [TA.element(A.parse_poly(name)) is None
-                   for name in A.gens.names]
     stats["candidate_space"] = candidate_space_size(
         A.p, [d for d, z in zip(comp_dims, gen_is_zero) if not z])
-
-    if use_fingerprints:
-        fa = fingerprint(A, T=TA)
-        fb = fingerprint(B, T=TB)
-        sa, sb = fa.series, fb.series
-    else:
-        sa, sb = _exact_series(A, TA), _exact_series(B, TB)
     exact_series = sa is not None and sb is not None
     stats["exact_series"] = exact_series
     if use_fingerprints:

@@ -390,7 +390,15 @@ def parse_poly(text: str, gens: GeneratorSet, mode: str, p: int,
 
 @dataclass(frozen=True)
 class Presentation:
-    """Immutable finitely presented graded algebra."""
+    """Immutable finitely presented graded algebra.
+
+    Each instance carries `_memo`, a private dict in which `isotest`
+    keeps the invariants it derives from this object, so they are
+    computed once per object.  It is not a field: equality, `repr` and
+    `dataclasses.replace` ignore it, and a replaced copy starts empty.
+    It holds plain values only, never an engine or a Groebner basis, so
+    it keeps nothing large alive and makes no reference cycle.
+    """
 
     name: str
     p: int
@@ -407,6 +415,7 @@ class Presentation:
             raise ValueError(f"unknown mode {self.mode!r}")
         if len(self.gens) == 0:
             raise ValueError("a presentation needs at least one generator")
+        object.__setattr__(self, "_memo", {})
 
     # small conveniences so call sites stay short
     def mono_degree(self, m):

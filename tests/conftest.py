@@ -9,6 +9,7 @@ do not lean on the code under test.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from pathlib import Path
@@ -70,6 +71,23 @@ def brute_basis(rows, p: int) -> list:
         span = {tuple((s + c * x) % p for s, x in zip(pt, vec))
                 for pt in span for c in range(p)}
     return basis
+
+
+def memo_values(P: Presentation) -> list:
+    """Every value in P's invariant memo, with nested tuples, lists and
+    dicts opened up, and the dataclass fields of the values held."""
+    out, todo = [], list(P._memo.values())
+    while todo:
+        value = todo.pop()
+        out.append(value)
+        if isinstance(value, dict):
+            todo += list(value.keys()) + list(value.values())
+        elif isinstance(value, (tuple, list)):
+            todo += list(value)
+        elif dataclasses.is_dataclass(value):
+            todo += [getattr(value, f.name)
+                     for f in dataclasses.fields(value)]
+    return out
 
 
 def naive_division(num, den, max_degree: int):

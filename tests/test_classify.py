@@ -2,8 +2,10 @@ import json
 import random
 
 from finalg.classify import classify_corpus
+from finalg.groebner import GroebnerBasis
 from finalg.isotest import verify_certificate
-from tests.conftest import CORPUS4, CORPUS8
+from finalg.truncated import TruncatedAlgebra
+from tests.conftest import CORPUS4, CORPUS8, memo_values
 
 
 def corpus_paths(root):
@@ -21,6 +23,36 @@ def test_div8_seven_classes_with_cyclic_merge():
     assert report.totals["classes"] == 7
     merged = [cls for cls in report.classes if len(cls) > 1]
     assert merged == [["c4_ring", "c8_ring"]]
+
+
+def test_pairs_reuse_the_entries_invariants(monkeypatch):
+    # each entry's engine is built once, for its fingerprint; a pair run
+    # builds only its target's engine
+    original = TruncatedAlgebra.__init__
+    builds = []
+
+    def counting(self, *args, **kwargs):
+        builds.append(args[0].name)
+        original(self, *args, **kwargs)
+    monkeypatch.setattr(TruncatedAlgebra, "__init__", counting)
+    report = classify_corpus(corpus_paths(CORPUS8))
+    assert report.totals["pairs_run"] > 0
+    assert len(builds) <= report.totals["entries"] + report.totals["pairs_run"]
+    for entry in report.entries:
+        assert not any(isinstance(v, (TruncatedAlgebra, GroebnerBasis))
+                       for v in memo_values(entry.presentation))
+
+
+def test_monomial_ceiling_reaches_every_entry():
+    # at ceiling 5 the two-generator rings fail in degree 5 and 10, where
+    # they have 6 monomials; the one-generator ring has one per degree
+    report = classify_corpus(corpus_paths(CORPUS4), monomial_ceiling=5)
+    errors = {e.label: e.error for e in report.entries}
+    assert errors["c2_ring"] is None
+    for label in ("c2xc2_ring", "c4_ring"):
+        assert "ceiling is 5" in errors[label]
+    assert report.classes == [["c2_ring"]]
+    assert report.totals["pairs_run"] == 0
 
 
 def test_partition_covers_parsed_entries():

@@ -169,6 +169,27 @@ def test_monomial_ceiling_flag(capsys):
     assert "ceiling" in err or "monomial" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["hilbert", c8("c2")],
+    ["iso", c8("c2"), c8("c2")],
+    ["classify", str(CORPUS4)],
+])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_degree_below_one_exit_2(capsys, argv, value):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--max-degree", value])
+    assert info.value.code == 2
+    assert "--max-degree: must be at least 1" in capsys.readouterr().err
+
+
+def test_classify_monomial_ceiling_flag(capsys):
+    code, out, _ = run(capsys, ["classify", str(CORPUS4),
+                                "--monomial-ceiling", "5"])
+    assert code == 0
+    assert "classes: 1" in out
+    assert out.count("ceiling is 5") == 2
+
+
 def test_unknown_command_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

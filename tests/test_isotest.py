@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import random
@@ -6,14 +7,16 @@ import time
 import pytest
 
 import finalg
+from finalg.classify import classify_corpus
 from finalg.errors import FinalgError, MismatchError
+from finalg.groebner import GroebnerBasis
 from finalg.hilbert import expand
 from finalg.isotest import (candidate_space_size, compare_fingerprints,
                             fingerprint, graded_isomorphism, pair_bound,
                             verify_certificate)
 from finalg.present import parse
 from finalg.truncated import TruncatedAlgebra
-from tests.conftest import disguise, random_presentation
+from tests.conftest import CORPUS8, disguise, memo_values, random_presentation
 
 FREE2 = "algebra free2\nchar 2\nmode commutative\ngen x 1\ngen y 1\n"
 
@@ -202,9 +205,12 @@ LADDER_PAIRS = [
 ]
 
 
+LADDER_IDS = ["sq-vs-prod-2x1-p2", "quadric-3x1-p2", "sq-vs-prod-2x2-p3",
+              "prod-2x1-p2-disguised"]
+
+
 @pytest.mark.parametrize("A, B, expected, surviving", LADDER_PAIRS,
-                         ids=["sq-vs-prod-2x1-p2", "quadric-3x1-p2",
-                              "sq-vs-prod-2x2-p3", "prod-2x1-p2-disguised"])
+                         ids=LADDER_IDS)
 def test_ladder_verdicts_and_survivors(A, B, expected, surviving):
     D = pair_bound(A, B)
     assert fingerprint(A, D).digest() == fingerprint(B, D).digest()
@@ -231,9 +237,91 @@ def test_calls_leave_no_reference_cycles(corpus):
         verdict = graded_isomorphism(corpus["q8"], corpus["q8"])
         assert verdict.statistics["pruned_by_stage"] is not None
         assert graded_isomorphism(assoc_a, assoc_b).certificate is not None
+        report = classify_corpus(sorted(CORPUS8.glob("*.alg")))
+        assert report.totals["pairs_run"] > 0
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _fresh(P):
+    """A copy of P with an empty memo."""
+    return dataclasses.replace(P)
+
+
+def test_memo_holds_plain_values_only(corpus):
+    q8, d8 = _fresh(corpus["q8"]), _fresh(corpus["d8"])
+    assert graded_isomorphism(q8, q8).outcome == "isomorphic"
+    assert graded_isomorphism(q8, d8).outcome == "not-isomorphic"
+    A, B = (_fresh(P) for P in LADDER_PAIRS[1][:2])
+    assert graded_isomorphism(A, B).statistics["pruned_by_stage"]
+    for P in (q8, d8, A, B):
+        values = memo_values(P)
+        assert values
+        assert not any(isinstance(v, (TruncatedAlgebra, GroebnerBasis,
+                                      finalg.Presentation))
+                       for v in values)
+
+
+@pytest.mark.parametrize("pair", LADDER_PAIRS + [None],
+                         ids=LADDER_IDS + ["q8-d8"])
+def test_second_call_repeats_the_verdict(pair, corpus):
+    A, B = (_fresh(P) for P in (pair[:2] if pair else
+                                (corpus["q8"], corpus["d8"])))
+    first = graded_isomorphism(A, B)
+    assert A._memo and B._memo
+    for again in (graded_isomorphism(A, B), graded_isomorphism(A, _fresh(B))):
+        assert again.outcome == first.outcome
+        assert again.reason == first.reason
+        assert again.certificate == first.certificate
+        assert (again.statistics["pruned_by_stage"]
+                == first.statistics["pruned_by_stage"])
+
+
+def test_memo_keeps_the_ceiling_apart(corpus):
+    P = _fresh(corpus["c2c2c2"])
+    assert graded_isomorphism(P, P).outcome == "isomorphic"
+    verdict = graded_isomorphism(P, P, monomial_ceiling=5)
+    assert verdict.outcome == "inconclusive"
+    assert verdict.reason.startswith("resource limit")
+    with pytest.raises(FinalgError, match="ceiling is 5"):
+        fingerprint(P, monomial_ceiling=5)
+
+
+def test_contradicting_series_raises_on_every_call():
+    # x*y = 0 on two degree-1 generators has series (1+t)/(1-t)
+    bad = parse("algebra a\nchar 2\nmode commutative\ngen x 1\ngen y 1\n"
+                "rel x*y\nseries 1 / 1-2t\n")
+    for _ in range(2):
+        with pytest.raises(FinalgError, match="contradicts"):
+            graded_isomorphism(bad, bad)
+        with pytest.raises(FinalgError, match="contradicts"):
+            fingerprint(bad)
+    assert not any(isinstance(v, finalg.Fingerprint)
+                   for v in memo_values(bad))
+
+
+def test_replace_starts_with_an_empty_memo(corpus):
+    P = _fresh(corpus["q8"])
+    fp = fingerprint(P)
+    assert fingerprint(P) is fp
+    Q = dataclasses.replace(P)
+    assert Q._memo == {}
+    assert Q == P and repr(Q) == repr(P)
+    assert fingerprint(Q) is not fp and fingerprint(Q) == fp
+
+
+def test_zero_generator_maps_to_zero():
+    # z = 0 in A, so A is B with a redundant generator; both paths force
+    # z to the zero image and leave it out of the candidate space
+    A = _comm(3, "x:2 y:2 z:2", "z", "y*x")
+    B = _comm(3, "x:2 y:2", "x*y")
+    assert fingerprint(A).zero_generators == (False, False, True)
+    for kwargs in ({}, {"prune": False, "use_fingerprints": False}):
+        verdict = graded_isomorphism(A, B, **kwargs)
+        assert verdict.outcome == "isomorphic"
+        assert verdict.certificate == {"x": "x", "y": "y", "z": "0"}
+        assert verdict.statistics["candidate_space"] == 8 * 8
 
 
 def test_brute_path_skips_the_filtration(corpus, monkeypatch):
