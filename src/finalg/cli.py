@@ -48,7 +48,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="emit machine-readable JSON")
     parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="reserved; all algorithms are deterministic")
-    parser.add_argument("--monomial-ceiling", type=int,
+    parser.add_argument("--monomial-ceiling", type=_positive_int,
                         default=argparse.SUPPRESS, metavar="N",
                         help="abort when a graded component would need more "
                              "than N monomials")

@@ -2,9 +2,10 @@
 
 The decision procedure:
 
-1. Compare cheap invariants (dimension sequences, exact series when they
-   are computable, ideal-power filtration dims, declared nilradical
-   quotient data).  Any mismatch refutes.
+1. Compare invariants, cheapest first: the dimension sequences, and only
+   when they agree, the exact series when they are computable, the
+   ideal-power filtration dims and declared nilradical quotient data.
+   Any mismatch refutes.
 2. Enumerate candidate generator images: the i-th generator of A can only
    map to a nonzero element of the matching graded component of B, a
    finite set.  A tuple extends to an isomorphism exactly when every
@@ -129,13 +130,13 @@ def _ground_series(P: Presentation):
     return _memoized(P, "ground_series", lambda: _series_from_basis(P))
 
 
-def _exact_series(P: Presentation, T: TruncatedAlgebra, ground):
+def _exact_series(P: Presentation, dims, ground):
     """Exact rational series when obtainable, else None.
 
     `ground` is the series from P's ground Groebner basis, or None.  Either
     mode may add a declared series line, which must agree with it.
-    Whatever is returned has been checked against the truncated dims of T,
-    so an inconsistency raises here and nowhere else.
+    Whatever is returned has been checked against P's truncated `dims`
+    (degrees 0..bound), so an inconsistency raises here and nowhere else.
     """
     series = ground
     if P.declared_series is not None:
@@ -146,11 +147,11 @@ def _exact_series(P: Presentation, T: TruncatedAlgebra, ground):
         if series is None:
             series = P.declared_series
     if series is not None:
-        expected = hilbert.dims_from_series(series, T.bound)
-        if T.dims() != expected:
+        expected = hilbert.dims_from_series(series, len(dims) - 1)
+        if list(dims) != expected:
             raise FinalgError(
                 f"presentation {P.name}: series expansion {expected} does not "
-                f"match truncated dims {T.dims()}; engine inconsistency")
+                f"match truncated dims {list(dims)}; engine inconsistency")
     return series
 
 
@@ -173,8 +174,19 @@ def _zero_generators(P: Presentation, T: TruncatedAlgebra) -> tuple:
     return tuple(flags)
 
 
-def _fingerprint_key(bound: int, monomial_ceiling: int) -> tuple:
-    return ("fingerprint", bound, monomial_ceiling)
+def _dims(P: Presentation, T: TruncatedAlgebra | None, bound: int,
+          monomial_ceiling: int) -> tuple:
+    """P's graded dims in degrees 0..bound, memoized; T, P's engine at the
+    bound and ceiling, is read only when they are not memoized yet."""
+    return _memoized(P, ("dims", bound, monomial_ceiling),
+                     lambda: tuple(T.dims()))
+
+
+def _zero_flags(P: Presentation, T: TruncatedAlgebra | None, bound: int,
+                monomial_ceiling: int) -> tuple:
+    """`_zero_generators(P, T)`, memoized like `_dims`."""
+    return _memoized(P, ("zero_generators", bound, monomial_ceiling),
+                     lambda: _zero_generators(P, T))
 
 
 def fingerprint(P: Presentation, bound: int | None = None,
@@ -182,8 +194,10 @@ def fingerprint(P: Presentation, bound: int | None = None,
                 monomial_ceiling: int = DEFAULT_MONOMIAL_CEILING) -> Fingerprint:
     """Invariants of P at the bound (default: the presentation's own).
 
-    Computed once per bound and monomial ceiling and kept in P's memo.  An
-    engine `T` of P fixes both and is used when they are not memoized yet.
+    Computed once per bound and monomial ceiling and kept in P's memo,
+    where its dims and zero-generator flags also have entries of their own
+    (`graded_isomorphism` reads the dims before anything else).  An engine
+    `T` of P fixes both and is used when they are not memoized yet.
     """
     if T is not None:
         bound, monomial_ceiling = T.bound, T.monomial_ceiling
@@ -194,11 +208,12 @@ def fingerprint(P: Presentation, bound: int | None = None,
         TP = T if T is not None else TruncatedAlgebra(P, bound,
                                                       monomial_ceiling)
         return _compute_fingerprint(P, TP)
-    return _memoized(P, _fingerprint_key(bound, monomial_ceiling), compute)
+    return _memoized(P, ("fingerprint", bound, monomial_ceiling), compute)
 
 
 def _compute_fingerprint(P: Presentation, T: TruncatedAlgebra) -> Fingerprint:
-    series = _exact_series(P, T, _ground_series(P))
+    dims = _dims(P, T, T.bound, T.monomial_ceiling)
+    series = _exact_series(P, dims, _ground_series(P))
     nilrad = None
     if P.nilradical:
         sub = Presentation(name=P.name + "_modnil", p=P.p, mode=P.mode,
@@ -210,10 +225,14 @@ def _compute_fingerprint(P: Presentation, T: TruncatedAlgebra) -> Fingerprint:
                                             T.monomial_ceiling).dims())
     return Fingerprint(p=P.p, mode=P.mode, bound=T.bound,
                        gen_degrees=tuple(sorted(P.gens.degrees)),
-                       dims=tuple(T.dims()),
+                       dims=dims,
                        filtration_dims=tuple(T.power_filtration_dims()),
                        series=series, nilrad=nilrad,
-                       zero_generators=_zero_generators(P, T))
+                       zero_generators=_zero_flags(P, T, T.bound,
+                                                   T.monomial_ceiling))
+
+
+_DIMS_DIFFER = "dimension sequence differs within the bound"
 
 
 def compare_fingerprints(fa: Fingerprint, fb: Fingerprint):
@@ -221,7 +240,7 @@ def compare_fingerprints(fa: Fingerprint, fb: Fingerprint):
     if fa.bound != fb.bound:
         raise MismatchError("fingerprints computed at different bounds")
     if fa.dims != fb.dims:
-        return False, "dimension sequence differs within the bound"
+        return False, _DIMS_DIFFER
     if fa.series is not None and fb.series is not None:
         if not hilbert.equal(fa.series, fb.series):
             return False, "Hilbert series differ"
@@ -516,10 +535,12 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
         return verdict
 
     try:
-        # A's engine serves only its invariants, which its memo may hold;
-        # the brute path computes everything afresh
-        TA = (None if use_fingerprints
-              and _fingerprint_key(D, monomial_ceiling) in A._memo
+        # A's engine serves only its dims and zero flags, which its memo
+        # may hold (`fingerprint` builds one again if it needs it); the
+        # brute path computes everything afresh
+        TA = (None if use_fingerprints and all(
+                  (kind, D, monomial_ceiling) in A._memo
+                  for kind in ("dims", "zero_generators"))
               else TruncatedAlgebra(A, D, monomial_ceiling))
         TB = TruncatedAlgebra(B, D, monomial_ceiling)
     except ResourceLimitError as exc:
@@ -528,19 +549,31 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
     degrees = A.gens.degrees
     comp_dims = [TB.dim(d) for d in degrees]
     if use_fingerprints:
-        fa = fingerprint(A, D, TA, monomial_ceiling)
-        fb = fingerprint(B, D, TB, monomial_ceiling)
-        sa, sb = fa.series, fb.series
-        gen_is_zero = fa.zero_generators
+        dims_a = _dims(A, TA, D, monomial_ceiling)
+        dims_b = _dims(B, TB, D, monomial_ceiling)
+        gen_is_zero = _zero_flags(A, TA, D, monomial_ceiling)
+        # a declared series is checked on every call, whatever the dims
+        for P, dims in ((A, dims_a), (B, dims_b)):
+            if P.declared_series is not None:
+                _exact_series(P, dims, _ground_series(P))
     else:
-        sa = _exact_series(A, TA, _series_from_basis(A))
-        sb = _exact_series(B, TB, _series_from_basis(B))
+        sa = _exact_series(A, TA.dims(), _series_from_basis(A))
+        sb = _exact_series(B, TB.dims(), _series_from_basis(B))
         gen_is_zero = _zero_generators(A, TA)
     # a graded isomorphism is injective, so a generator that is nonzero in
     # A needs a nonzero image, while one that collapses to zero in A (a
     # non-minimal presentation) is forced to the zero image
     stats["candidate_space"] = candidate_space_size(
         A.p, [d for d, z in zip(comp_dims, gen_is_zero) if not z])
+    if use_fingerprints:
+        # dims first: the series, the filtration and the nilradical data
+        # are computed only when the dims agree
+        if dims_a != dims_b:
+            stats["fingerprint"] = f"mismatch: {_DIMS_DIFFER}"
+            return done(IsoVerdict("not-isomorphic", _DIMS_DIFFER))
+        fa = fingerprint(A, D, TA, monomial_ceiling)
+        fb = fingerprint(B, D, TB, monomial_ceiling)
+        sa, sb = fa.series, fb.series
     exact_series = sa is not None and sb is not None
     stats["exact_series"] = exact_series
     if use_fingerprints:

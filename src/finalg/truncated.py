@@ -31,6 +31,10 @@ from .present import (COMMUTATIVE, Presentation, mono_degree, mono_mul,
                       term_mul_poly)
 
 DEFAULT_MONOMIAL_CEILING = 200_000
+# Most cells (cofactor rows x monomials) one degree's relation matrix may
+# have, about 80 MB as int64.  The monomial ceiling alone does not bound
+# memory: the rows grow with every cofactor of every relation.
+RELATION_CELL_BUDGET = 10_000_000
 
 
 def truncation_bound(P: Presentation) -> int:
@@ -74,36 +78,53 @@ class TruncatedAlgebra:
 
     # ------------------------------------------------------------- build
 
-    def _relation_rows(self, n: int, monos: list, index: dict) -> np.ndarray:
-        P = self.presentation
+    def _relation_row_count(self, n: int) -> int:
+        """Number of cofactor multiples of the relations in degree n, an
+        upper bound on the rows of its relation matrix, counted from the
+        monomial lists of degrees <= n."""
+        P, monos = self.presentation, self._monos
+        count = 0
+        for rel in P.relations:
+            r = P.poly_degree(rel)
+            if r is None or r > n:
+                continue
+            if self.mode == COMMUTATIVE:
+                count += len(monos[n - r])
+            else:
+                count += sum(len(monos[a]) * len(monos[n - r - a])
+                             for a in range(n - r + 1))
+        return count
+
+    def _relation_rows(self, n: int, index: dict) -> np.ndarray:
+        P, monos = self.presentation, self._monos
+        width = len(monos[n])
         rows = []
         for rel in P.relations:
             r = P.poly_degree(rel)
             if r is None or r > n:
                 continue
             if self.mode == COMMUTATIVE:
-                for cof in P.monomials_of_degree(n - r):
+                for cof in monos[n - r]:
                     poly = term_mul_poly(1, cof, rel, self.gens, self.mode, self.p)
                     if poly:
-                        rows.append(self._poly_row(poly, index, len(monos)))
+                        rows.append(self._poly_row(poly, index, width))
             else:
                 for a in range(n - r + 1):
-                    b = n - r - a
-                    for u in P.monomials_of_degree(a):
+                    for u in monos[a]:
                         left = term_mul_poly(1, u, rel, self.gens, self.mode, self.p)
                         if not left:
                             continue
-                        for v in P.monomials_of_degree(b):
+                        for v in monos[n - r - a]:
                             poly = {}
                             for mm, cc in left.items():
                                 sg, mono = mono_mul(mm, v, self.gens, self.mode, self.p)
                                 if sg:
                                     poly[mono] = (poly.get(mono, 0) + sg * cc) % self.p
-                            row = self._poly_row(poly, index, len(monos))
+                            row = self._poly_row(poly, index, width)
                             if row.any():
                                 rows.append(row)
         if not rows:
-            return np.zeros((0, len(monos)), dtype=np.int64)
+            return np.zeros((0, width), dtype=np.int64)
         return np.array(rows, dtype=np.int64)
 
     @staticmethod
@@ -121,8 +142,15 @@ class TruncatedAlgebra:
                 raise ResourceLimitError(
                     f"degree {n} has {len(monos)} monomials, ceiling is "
                     f"{self.monomial_ceiling}; lower the bound or raise the ceiling")
+            self._monos.append(monos)
+            rows = self._relation_row_count(n)
+            if rows * len(monos) > RELATION_CELL_BUDGET:
+                raise ResourceLimitError(
+                    f"degree {n} needs {rows} relation rows over {len(monos)} "
+                    f"monomials, more than the cell budget of "
+                    f"{RELATION_CELL_BUDGET}; lower the bound")
             index = {m: j for j, m in enumerate(monos)}
-            R, pivots = rref(self._relation_rows(n, monos, index), self.p)
+            R, pivots = rref(self._relation_rows(n, index), self.p)
             pivot_set = set(pivots)
             basis = [m for j, m in enumerate(monos) if j not in pivot_set]
             bindex = {m: i for i, m in enumerate(basis)}
@@ -139,7 +167,6 @@ class TruncatedAlgebra:
                     if R[rno, j]:
                         vec[bindex[m]] = (-R[rno, j]) % self.p
                 nf[monos[col]] = vec
-            self._monos.append(monos)
             self._basis.append(basis)
             self._basis_index.append(bindex)
             self._nf.append(nf)

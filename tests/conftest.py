@@ -25,6 +25,13 @@ CORPUS8 = ROOT / "corpus" / "div8"
 
 FIXTURE_NAMES = ["c2", "c4", "c8", "c2c2", "c4c2", "c2c2c2", "d8", "q8"]
 
+# Three degree-1 words modulo z and x*y: 3^n monomials in degree n, under
+# the monomial ceiling at the default bound 10, but n * 3^(n-1) +
+# (n-1) * 3^(n-2) cofactor rows, so the relation matrix has 6561 x 2187
+# (1.4e7) cells in degree 7 and 76545 x 19683 (1.5e9) in degree 9.
+WIDE = ("algebra wide\nchar 2\nmode associative\ngen x 1\ngen y 1\n"
+        "gen z 1\nrel z\nrel x*y\n")
+
 
 @pytest.fixture(scope="session")
 def corpus():

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from finalg.cli import main
-from tests.conftest import CORPUS4, CORPUS8
+from tests.conftest import CORPUS4, CORPUS8, WIDE
 
 
 def c8(name):
@@ -169,17 +169,29 @@ def test_monomial_ceiling_flag(capsys):
     assert "ceiling" in err or "monomial" in err
 
 
+# each argv ends in the flag under test: --max-degree, then --monomial-ceiling
 @pytest.mark.parametrize("argv", [
-    ["hilbert", c8("c2")],
-    ["iso", c8("c2"), c8("c2")],
-    ["classify", str(CORPUS4)],
+    ["hilbert", c8("c2"), "--max-degree"],
+    ["iso", c8("c2"), c8("c2"), "--max-degree"],
+    ["classify", str(CORPUS4), "--max-degree"],
+    ["hilbert", c8("c2"), "--monomial-ceiling"],
+    ["iso", c8("c2"), c8("c2"), "--monomial-ceiling"],
+    ["classify", str(CORPUS4), "--monomial-ceiling"],
 ])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_max_degree_below_one_exit_2(capsys, argv, value):
     with pytest.raises(SystemExit) as info:
-        main(argv + ["--max-degree", value])
+        main(argv + [value])
     assert info.value.code == 2
-    assert "--max-degree: must be at least 1" in capsys.readouterr().err
+    assert f"{argv[-1]}: must be at least 1" in capsys.readouterr().err
+
+
+def test_hilbert_relation_cell_budget_exit_2(capsys, tmp_path):
+    path = tmp_path / "wide.alg"
+    path.write_text(WIDE)
+    code, _, err = run(capsys, ["hilbert", str(path)])
+    assert code == 2
+    assert "cell budget" in err
 
 
 def test_classify_monomial_ceiling_flag(capsys):

@@ -16,7 +16,8 @@ from finalg.isotest import (candidate_space_size, compare_fingerprints,
                             verify_certificate)
 from finalg.present import parse
 from finalg.truncated import TruncatedAlgebra
-from tests.conftest import CORPUS8, disguise, memo_values, random_presentation
+from tests.conftest import (CORPUS8, WIDE, disguise, memo_values,
+                            random_presentation)
 
 FREE2 = "algebra free2\nchar 2\nmode commutative\ngen x 1\ngen y 1\n"
 
@@ -311,6 +312,17 @@ def test_replace_starts_with_an_empty_memo(corpus):
     assert fingerprint(Q) is not fp and fingerprint(Q) == fp
 
 
+def test_relation_cell_budget_makes_the_verdict_inconclusive():
+    wide = parse(WIDE)
+    start = time.monotonic()
+    verdict = graded_isomorphism(wide, wide)
+    assert time.monotonic() - start < 10
+    assert verdict.outcome == "inconclusive"
+    assert verdict.reason == (
+        "resource limit: degree 7 needs 6561 relation rows over 2187 "
+        "monomials, more than the cell budget of 10000000; lower the bound")
+
+
 def test_zero_generator_maps_to_zero():
     # z = 0 in A, so A is B with a redundant generator; both paths force
     # z to the zero image and leave it out of the candidate space
@@ -322,6 +334,63 @@ def test_zero_generator_maps_to_zero():
         assert verdict.outcome == "isomorphic"
         assert verdict.certificate == {"x": "x", "y": "y", "z": "0"}
         assert verdict.statistics["candidate_space"] == 8 * 8
+
+
+def _counting(monkeypatch, owner, name):
+    """Patch owner.name to record its calls in the list returned."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_dims_refute_before_the_rest_of_the_fingerprint(corpus, monkeypatch):
+    filtrations = _counting(monkeypatch, TruncatedAlgebra,
+                            "power_filtration_dims")
+    bases = _counting(monkeypatch, finalg.groebner, "buchberger")
+    builds = _counting(monkeypatch, TruncatedAlgebra, "__init__")
+    A, B = _fresh(corpus["c2"]), _fresh(corpus["c2c2"])
+    for _ in range(2):
+        verdict = graded_isomorphism(A, B)
+        assert verdict.outcome == "not-isomorphic"
+        assert verdict.reason == "dimension sequence differs within the bound"
+        assert verdict.statistics["fingerprint"] == (
+            "mismatch: dimension sequence differs within the bound")
+        # x may go to any of the 2^2 - 1 nonzero degree-1 elements
+        assert verdict.statistics["candidate_space"] == 3
+    assert filtrations == [] and bases == []
+    assert len(builds) == 3   # the second call reads A's dims from its memo
+    assert not any(isinstance(v, finalg.Fingerprint)
+                   for v in memo_values(A) + memo_values(B))
+
+
+def test_declared_series_is_checked_even_when_the_dims_differ(corpus):
+    # x*y = 0 has series (1+t)/(1-t), not 1/(1-2t), and dims 1, 2, 2, ...
+    # where c2 has 1, 1, 1, ...
+    bad = parse("algebra a\nchar 2\nmode commutative\ngen x 1\ngen y 1\n"
+                "rel x*y\nseries 1 / 1-2t\n")
+    for A, B in ((bad, corpus["c2"]), (corpus["c2"], bad)):
+        for _ in range(2):
+            with pytest.raises(FinalgError, match="contradicts"):
+                graded_isomorphism(A, B)
+
+
+def test_exact_series_is_reported_when_the_series_are_compared(corpus):
+    assoc = parse("algebra a\nchar 2\nmode associative\ngen x 1\n")
+    cases = [
+        ((corpus["c2"], corpus["c2c2"]), {}, None),     # dims differ
+        ((corpus["d8"], corpus["c4c2"]), {}, True),
+        ((assoc, assoc), {}, False),
+        ((corpus["c2"], corpus["c2c2"]),
+         {"prune": False, "use_fingerprints": False}, True),
+    ]
+    for (A, B), kwargs, expected in cases:
+        stats = graded_isomorphism(A, B, **kwargs).statistics
+        assert stats.get("exact_series") == expected, (A.name, B.name)
 
 
 def test_brute_path_skips_the_filtration(corpus, monkeypatch):
