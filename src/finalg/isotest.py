@@ -174,17 +174,24 @@ def _zero_generators(P: Presentation, T: TruncatedAlgebra) -> tuple:
     return tuple(flags)
 
 
-def _dims(P: Presentation, T: TruncatedAlgebra | None, bound: int,
-          monomial_ceiling: int) -> tuple:
-    """P's graded dims in degrees 0..bound, memoized; T, P's engine at the
-    bound and ceiling, is read only when they are not memoized yet."""
-    return _memoized(P, ("dims", bound, monomial_ceiling),
-                     lambda: tuple(T.dims()))
+def _dims(P: Presentation, engine, bound: int, monomial_ceiling: int,
+          upto: int) -> tuple:
+    """P's graded dims in degrees 0..upto.  P's memo keeps the longest
+    prefix read so far at the bound and ceiling; `engine()` returns P's
+    engine there and is called only to read past that prefix."""
+    key = ("dims", bound, monomial_ceiling)
+    known = P._memo.get(key, ())
+    if len(known) <= upto:
+        T = engine()
+        known += tuple(T.dim(n) for n in range(len(known), upto + 1))
+        P._memo[key] = known
+    return known[:upto + 1]
 
 
 def _zero_flags(P: Presentation, T: TruncatedAlgebra | None, bound: int,
                 monomial_ceiling: int) -> tuple:
-    """`_zero_generators(P, T)`, memoized like `_dims`."""
+    """`_zero_generators(P, T)`, memoized per bound and ceiling; T, P's
+    engine there, is read only when they are not memoized yet."""
     return _memoized(P, ("zero_generators", bound, monomial_ceiling),
                      lambda: _zero_generators(P, T))
 
@@ -196,8 +203,9 @@ def fingerprint(P: Presentation, bound: int | None = None,
 
     Computed once per bound and monomial ceiling and kept in P's memo,
     where its dims and zero-generator flags also have entries of their own
-    (`graded_isomorphism` reads the dims before anything else).  An engine
-    `T` of P fixes both and is used when they are not memoized yet.
+    (`graded_isomorphism` reads the dims before anything else, and only as
+    far as they agree).  An engine `T` of P fixes both and is used when
+    they are not memoized yet.
     """
     if T is not None:
         bound, monomial_ceiling = T.bound, T.monomial_ceiling
@@ -212,7 +220,7 @@ def fingerprint(P: Presentation, bound: int | None = None,
 
 
 def _compute_fingerprint(P: Presentation, T: TruncatedAlgebra) -> Fingerprint:
-    dims = _dims(P, T, T.bound, T.monomial_ceiling)
+    dims = _dims(P, lambda: T, T.bound, T.monomial_ceiling, T.bound)
     series = _exact_series(P, dims, _ground_series(P))
     nilrad = None
     if P.nilradical:
@@ -535,27 +543,36 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
         return verdict
 
     try:
-        # A's engine serves only its dims and zero flags, which its memo
-        # may hold (`fingerprint` builds one again if it needs it); the
-        # brute path computes everything afresh
-        TA = (None if use_fingerprints and all(
-                  (kind, D, monomial_ceiling) in A._memo
-                  for kind in ("dims", "zero_generators"))
+        # A's engine serves only its zero flags and dims, which its memo
+        # may hold: with the flags memoized it is built only if the dims
+        # are read past the memoized prefix (`fingerprint` builds one
+        # again if it needs it); the brute path computes everything afresh
+        TA = (None if use_fingerprints
+              and ("zero_generators", D, monomial_ceiling) in A._memo
               else TruncatedAlgebra(A, D, monomial_ceiling))
         TB = TruncatedAlgebra(B, D, monomial_ceiling)
     except ResourceLimitError as exc:
         return done(IsoVerdict("inconclusive", f"resource limit: {exc}"))
 
+    def engine_a() -> TruncatedAlgebra:
+        # TA is None only when A's memo holds its zero flags, which a
+        # successful build of this engine wrote, so this one raises no
+        # resource limit
+        nonlocal TA
+        if TA is None:
+            TA = TruncatedAlgebra(A, D, monomial_ceiling)
+        return TA
+
     degrees = A.gens.degrees
     comp_dims = [TB.dim(d) for d in degrees]
     if use_fingerprints:
-        dims_a = _dims(A, TA, D, monomial_ceiling)
-        dims_b = _dims(B, TB, D, monomial_ceiling)
         gen_is_zero = _zero_flags(A, TA, D, monomial_ceiling)
-        # a declared series is checked on every call, whatever the dims
-        for P, dims in ((A, dims_a), (B, dims_b)):
+        sides = ((A, engine_a), (B, lambda: TB))
+        # a declared series is checked on every call, against all the dims
+        for P, engine in sides:
             if P.declared_series is not None:
-                _exact_series(P, dims, _ground_series(P))
+                _exact_series(P, _dims(P, engine, D, monomial_ceiling, D),
+                              _ground_series(P))
     else:
         sa = _exact_series(A, TA.dims(), _series_from_basis(A))
         sb = _exact_series(B, TB.dims(), _series_from_basis(B))
@@ -566,11 +583,16 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
     stats["candidate_space"] = candidate_space_size(
         A.p, [d for d, z in zip(comp_dims, gen_is_zero) if not z])
     if use_fingerprints:
-        # dims first: the series, the filtration and the nilradical data
-        # are computed only when the dims agree
-        if dims_a != dims_b:
-            stats["fingerprint"] = f"mismatch: {_DIMS_DIFFER}"
-            return done(IsoVerdict("not-isomorphic", _DIMS_DIFFER))
+        # dims first, degree by degree up to the first difference; the
+        # series, the filtration and the nilradical data are computed only
+        # when all the dims agree
+        for n in range(D + 1):
+            da, db = (_dims(P, engine, D, monomial_ceiling, n)[n]
+                      for P, engine in sides)
+            if da != db:
+                stats["fingerprint"] = f"mismatch: {_DIMS_DIFFER}"
+                stats["first_dims_difference"] = n
+                return done(IsoVerdict("not-isomorphic", _DIMS_DIFFER))
         fa = fingerprint(A, D, TA, monomial_ceiling)
         fb = fingerprint(B, D, TB, monomial_ceiling)
         sa, sb = fa.series, fb.series

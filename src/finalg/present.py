@@ -148,20 +148,29 @@ def mono_divides(u, w) -> bool:
 
 
 def _exponent_walk(i, left, acc, degrees, ext, out):
-    if i == len(degrees):
-        if left == 0:
-            out.append(tuple(acc))
+    """Exponent vectors of degree `left` in generators 0..i, completed by
+    `acc`, the exponents of the later generators, last first.  Walking from
+    the last generator to the first with exponents ascending lists them in
+    decreasing term order; the first generator's exponent is what is left."""
+    if i == 0:
+        e, rest = divmod(left, degrees[0])
+        if not rest and (e <= 1 or not ext[0]):
+            out.append((e, *reversed(acc)))
         return
     top = left // degrees[i]
     if ext[i]:
         top = min(top, 1)
     for e in range(top + 1):
         acc.append(e)
-        _exponent_walk(i + 1, left - e * degrees[i], acc, degrees, ext, out)
+        _exponent_walk(i - 1, left - e * degrees[i], acc, degrees, ext, out)
         acc.pop()
 
 
 def _word_walk(left, acc, degrees, out):
+    """Words of degree `left` after the prefix `acc`.  Taking generators
+    first to last lists them in decreasing term order, since two words of
+    one degree first differ at a position both have: neither is a proper
+    prefix of the other."""
     if left == 0:
         out.append(tuple(acc))
         return
@@ -182,11 +191,10 @@ def monomials_of_degree(gens: GeneratorSet, n: int, mode: str, p: int):
     # no reference cycle behind
     out = []
     if mode == COMMUTATIVE:
-        _exponent_walk(0, n, [], gens.degrees, exterior_mask(gens, p, mode),
-                       out)
+        _exponent_walk(len(gens) - 1, n, [], gens.degrees,
+                       exterior_mask(gens, p, mode), out)
     else:
         _word_walk(n, [], gens.degrees, out)
-    out.sort(key=lambda mm: mono_key(mm, gens, mode), reverse=True)
     return out
 
 

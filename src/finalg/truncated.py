@@ -14,11 +14,17 @@ factors, so one rref per degree gives the whole power filtration, and the
 decomposables are I^2.  Multiplication tables serve only products of
 coordinate vectors.
 
+Construction lists the monomials of every degree and checks the
+resource limits of every degree, but each component is reduced on first
+use, so a caller that reads only low degrees pays only for those.
+
 Everything an instance exposes (bases, normal forms, multiplication
 tables, ideal-power filtrations) is exact for degrees within the bound;
 degrees beyond it raise BoundExceededError.  Instances are immutable after
 construction apart from internal caches, so sharing one across threads for
-reads is safe.
+reads is safe: a degree's normal forms are stored last, after its basis,
+and a reader reduces every degree whose normal forms it does not see, so
+two threads may reduce a degree twice but both get the same result.
 """
 
 from __future__ import annotations
@@ -27,8 +33,7 @@ import numpy as np
 
 from .errors import BoundExceededError, ResourceLimitError
 from .gfp import RowSpace, rref
-from .present import (COMMUTATIVE, Presentation, mono_degree, mono_mul,
-                      term_mul_poly)
+from .present import COMMUTATIVE, Presentation, mono_degree, mono_mul
 
 DEFAULT_MONOMIAL_CEILING = 200_000
 # Most cells (cofactor rows x monomials) one degree's relation matrix may
@@ -67,14 +72,29 @@ class TruncatedAlgebra:
         self.mode = presentation.mode
         self.gens = presentation.gens
         self.monomial_ceiling = monomial_ceiling
+        # (degree, relation) of every nonzero relation
+        self._relations = [(presentation.poly_degree(rel), rel)
+                           for rel in presentation.relations if rel]
         self._monos: list[list] = []
-        self._basis: list[list] = []
-        self._basis_index: list[dict] = []
-        self._nf: list[dict] = []
         self._tables: dict = {}
         self._decomposables: dict = {}
         self._filtration: list[int] | None = None
-        self._build()
+        for n in range(bound + 1):
+            monos = presentation.monomials_of_degree(n)
+            if len(monos) > monomial_ceiling:
+                raise ResourceLimitError(
+                    f"degree {n} has {len(monos)} monomials, ceiling is "
+                    f"{monomial_ceiling}; lower the bound or raise the ceiling")
+            self._monos.append(monos)
+            rows = self._relation_row_count(n)
+            if rows * len(monos) > RELATION_CELL_BUDGET:
+                raise ResourceLimitError(
+                    f"degree {n} needs {rows} relation rows over {len(monos)} "
+                    f"monomials, more than the cell budget of "
+                    f"{RELATION_CELL_BUDGET}; lower the bound")
+        # filled per degree by _reduce_degree; None until then
+        self._basis: list = [None] * (bound + 1)
+        self._nf: list = [None] * (bound + 1)
 
     # ------------------------------------------------------------- build
 
@@ -82,11 +102,10 @@ class TruncatedAlgebra:
         """Number of cofactor multiples of the relations in degree n, an
         upper bound on the rows of its relation matrix, counted from the
         monomial lists of degrees <= n."""
-        P, monos = self.presentation, self._monos
+        monos = self._monos
         count = 0
-        for rel in P.relations:
-            r = P.poly_degree(rel)
-            if r is None or r > n:
+        for r, _ in self._relations:
+            if r > n:
                 continue
             if self.mode == COMMUTATIVE:
                 count += len(monos[n - r])
@@ -95,88 +114,68 @@ class TruncatedAlgebra:
                              for a in range(n - r + 1))
         return count
 
-    def _relation_rows(self, n: int, index: dict) -> np.ndarray:
-        P, monos = self.presentation, self._monos
-        width = len(monos[n])
-        rows = []
-        for rel in P.relations:
-            r = P.poly_degree(rel)
-            if r is None or r > n:
+    def _relation_rows(self, n: int) -> np.ndarray:
+        """The nonzero cofactor multiples of the relations in degree n, one
+        row each over the degree-n monomials.  Distinct cofactors give
+        distinct rows in commutative mode; in associative mode a word that
+        holds a relation's monomial twice would repeat a row, so each row
+        is kept once."""
+        monos, p, gens, mode = self._monos, self.p, self.gens, self.mode
+        index = {m: j for j, m in enumerate(monos[n])}
+        rows: dict = {}   # (column, value) pairs -> None, in first-seen order
+        for r, rel in self._relations:
+            if r > n:
                 continue
-            if self.mode == COMMUTATIVE:
+            terms = [(m, c % p) for m, c in rel.items() if c % p]
+            if not terms:
+                continue
+            if mode == COMMUTATIVE:
                 for cof in monos[n - r]:
-                    poly = term_mul_poly(1, cof, rel, self.gens, self.mode, self.p)
-                    if poly:
-                        rows.append(self._poly_row(poly, index, width))
+                    row = []
+                    for m, c in terms:
+                        sign, mm = mono_mul(cof, m, gens, mode, p)
+                        if sign:
+                            row.append((index[mm], (sign * c) % p))
+                    if row:
+                        rows[tuple(row)] = None
             else:
                 for a in range(n - r + 1):
                     for u in monos[a]:
-                        left = term_mul_poly(1, u, rel, self.gens, self.mode, self.p)
-                        if not left:
-                            continue
                         for v in monos[n - r - a]:
-                            poly = {}
-                            for mm, cc in left.items():
-                                sg, mono = mono_mul(mm, v, self.gens, self.mode, self.p)
-                                if sg:
-                                    poly[mono] = (poly.get(mono, 0) + sg * cc) % self.p
-                            row = self._poly_row(poly, index, width)
-                            if row.any():
-                                rows.append(row)
-        if not rows:
-            return np.zeros((0, width), dtype=np.int64)
-        return np.array(rows, dtype=np.int64)
+                            rows[tuple((index[u + m + v], c)
+                                       for m, c in terms)] = None
+        R = np.zeros((len(rows), len(index)), dtype=np.int64)
+        at = [(i, j, c) for i, row in enumerate(rows) for j, c in row]
+        if at:
+            i, j, c = zip(*at)
+            R[i, j] = c
+        return R
 
-    @staticmethod
-    def _poly_row(poly: dict, index: dict, width: int) -> np.ndarray:
-        row = np.zeros(width, dtype=np.int64)
-        for m, c in poly.items():
-            row[index[m]] = c
-        return row
-
-    def _build(self):
-        P = self.presentation
-        for n in range(self.bound + 1):
-            monos = P.monomials_of_degree(n)
-            if len(monos) > self.monomial_ceiling:
-                raise ResourceLimitError(
-                    f"degree {n} has {len(monos)} monomials, ceiling is "
-                    f"{self.monomial_ceiling}; lower the bound or raise the ceiling")
-            self._monos.append(monos)
-            rows = self._relation_row_count(n)
-            if rows * len(monos) > RELATION_CELL_BUDGET:
-                raise ResourceLimitError(
-                    f"degree {n} needs {rows} relation rows over {len(monos)} "
-                    f"monomials, more than the cell budget of "
-                    f"{RELATION_CELL_BUDGET}; lower the bound")
-            index = {m: j for j, m in enumerate(monos)}
-            R, pivots = rref(self._relation_rows(n, index), self.p)
-            pivot_set = set(pivots)
-            basis = [m for j, m in enumerate(monos) if j not in pivot_set]
-            bindex = {m: i for i, m in enumerate(basis)}
-            nf = {}
-            for m in basis:
-                vec = np.zeros(len(basis), dtype=np.int64)
-                vec[bindex[m]] = 1
-                nf[m] = vec
-            for rno, col in enumerate(pivots):
-                vec = np.zeros(len(basis), dtype=np.int64)
-                for j, m in enumerate(monos):
-                    if j in pivot_set or j == col:
-                        continue
-                    if R[rno, j]:
-                        vec[bindex[m]] = (-R[rno, j]) % self.p
-                nf[monos[col]] = vec
-            self._basis.append(basis)
-            self._basis_index.append(bindex)
-            self._nf.append(nf)
+    def _reduce_degree(self, n: int):
+        """Row reduce degree n's relation rows: the non-pivot monomials are
+        its basis, and every monomial's normal form is a row of one matrix,
+        the identity on the basis and minus the reduced row elsewhere."""
+        monos = self._monos[n]
+        R, pivots = rref(self._relation_rows(n), self.p)
+        pivot_set = set(pivots)
+        free = [j for j in range(len(monos)) if j not in pivot_set]
+        forms = np.zeros((len(monos), len(free)), dtype=np.int64)
+        forms[free, range(len(free))] = 1
+        forms[pivots] = (-R[:, free]) % self.p
+        self._basis[n] = [monos[j] for j in free]
+        # rows are copied out so that the matrix is freed here: keeping
+        # views of it raised the hard-pairs benchmark's peak RSS by 0.6 MB
+        self._nf[n] = {m: row.copy() for m, row in zip(monos, forms)}
 
     # --------------------------------------------------------- accessors
 
     def _check(self, n: int):
+        """Raise past the bound; reduce degree n on its first use."""
         if not 0 <= n <= self.bound:
             raise BoundExceededError(
                 f"degree {n} outside the truncation bound {self.bound}")
+        if self._nf[n] is None:
+            self._reduce_degree(n)
 
     def dim(self, n: int) -> int:
         self._check(n)
@@ -188,7 +187,7 @@ class TruncatedAlgebra:
         return list(self._basis[n])
 
     def dims(self) -> list:
-        return [len(self._basis[n]) for n in range(self.bound + 1)]
+        return [self.dim(n) for n in range(self.bound + 1)]
 
     def reduce_poly(self, f: dict) -> dict:
         """Map a polynomial to coordinate vectors, one per occupied degree."""
@@ -303,6 +302,7 @@ class TruncatedAlgebra:
 
     def _nf_rows(self, n: int, monos) -> np.ndarray:
         """Normal forms of degree-n monomials, one row each."""
+        self._check(n)
         return np.array([self._nf[n][m] for m in monos],
                         dtype=np.int64).reshape(len(monos), self.dim(n))
 

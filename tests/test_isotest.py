@@ -15,7 +15,7 @@ from finalg.isotest import (candidate_space_size, compare_fingerprints,
                             fingerprint, graded_isomorphism, pair_bound,
                             verify_certificate)
 from finalg.present import parse
-from finalg.truncated import TruncatedAlgebra
+from finalg.truncated import DEFAULT_MONOMIAL_CEILING, TruncatedAlgebra
 from tests.conftest import (CORPUS8, WIDE, disguise, memo_values,
                             random_presentation)
 
@@ -448,3 +448,50 @@ def test_statistics_contract(corpus):
                   "wall_time_ms", "bound"):
         assert field in stats
     assert stats["candidate_space"] == 3 * 3 * 7
+
+
+def test_dims_refutation_reduces_only_the_degrees_compared(corpus,
+                                                           monkeypatch):
+    # c2 and c2c2 differ in degree 1, so each engine reduces degrees 0
+    # and 1 out of 0..10, and the dims memos stop there too
+    widths = []
+    rref = finalg.truncated.rref
+
+    def counted(mat, p):
+        widths.append(mat.shape[1])
+        return rref(mat, p)
+    monkeypatch.setattr(finalg.truncated, "rref", counted)
+    A, B = _fresh(corpus["c2"]), _fresh(corpus["c2c2"])
+    verdict = graded_isomorphism(A, B)
+    assert verdict.statistics["bound"] == 10
+    assert verdict.statistics["first_dims_difference"] == 1
+    assert sorted(widths) == [1, 1, 1, 2]   # degrees 0 and 1 of each side
+    assert A._memo[("dims", 10, DEFAULT_MONOMIAL_CEILING)] == (1, 1)
+    assert B._memo[("dims", 10, DEFAULT_MONOMIAL_CEILING)] == (1, 2)
+    # a pair whose dims agree reads on past the memoized prefix
+    same = graded_isomorphism(A, _fresh(corpus["c2"]))
+    assert same.outcome == "isomorphic"
+    assert "first_dims_difference" not in same.statistics
+    assert A._memo[("dims", 10, DEFAULT_MONOMIAL_CEILING)] == (1,) * 11
+
+
+def test_first_dims_difference_names_the_degree(corpus):
+    # q8 and d8 agree in degrees 0 and 1 (1, 2) and differ in degree 2
+    verdict = graded_isomorphism(corpus["q8"], corpus["d8"])
+    assert verdict.reason == "dimension sequence differs within the bound"
+    assert verdict.statistics["first_dims_difference"] == 2
+    for A, B in (("d8", "d8"), ("d8", "c4c2"), ("c2", "c4")):
+        stats = graded_isomorphism(corpus[A], corpus[B]).statistics
+        assert "first_dims_difference" not in stats, (A, B)
+
+
+def test_cell_budget_is_named_even_when_degree_1_differs():
+    # WIDE has dims 1, 2, ... and exceeds the cell budget in degree 7;
+    # the budget is checked before any degree is compared
+    wide, line = parse(WIDE), parse("algebra l\nchar 2\nmode associative\n"
+                                    "gen x 1\n")
+    for A, B in ((wide, line), (line, wide)):
+        verdict = graded_isomorphism(A, B)
+        assert verdict.outcome == "inconclusive"
+        assert "cell budget of 10000000" in verdict.reason
+        assert "first_dims_difference" not in verdict.statistics

@@ -131,6 +131,29 @@ def test_monomials_of_degree_associative():
     gens = make_gens([("x", 1), ("y", 1)])
     words = monomials_of_degree(gens, 3, ASSOCIATIVE, 2)
     assert len(words) == 8  # free words of length 3 on two letters
+    # the walk lists words strictly descending in the canonical order,
+    # which the truncated engine's columns rely on without sorting
+    for pairs in ([("x", 1), ("y", 1)], [("x", 1), ("y", 2), ("z", 1)]):
+        gens = make_gens(pairs)
+        for deg in range(1, 7):
+            keys = [finalg.present.mono_key(m, gens, ASSOCIATIVE)
+                    for m in monomials_of_degree(gens, deg, ASSOCIATIVE, 2)]
+            assert all(a > b for a, b in zip(keys, keys[1:])), deg
+
+
+def test_monomials_of_degree_exterior_order():
+    # x and y are exterior at p = 3: no squares, and the listing is
+    # strictly descending, last generator's exponent ascending first
+    gens = make_gens([("x", 1), ("y", 1), ("u", 2)])
+    assert monomials_of_degree(gens, 3, COMMUTATIVE, 3) == [
+        (1, 0, 1), (0, 1, 1)]
+    assert monomials_of_degree(gens, 4, COMMUTATIVE, 3) == [
+        (1, 1, 1), (0, 0, 2)]
+    for deg in range(1, 9):
+        monos = monomials_of_degree(gens, deg, COMMUTATIVE, 3)
+        assert all(max(m[:2]) <= 1 for m in monos)
+        keys = [finalg.present.mono_key(m, gens, COMMUTATIVE) for m in monos]
+        assert all(a > b for a, b in zip(keys, keys[1:])), deg
 
 
 def test_substitute_is_multiplicative():

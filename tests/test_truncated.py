@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -247,3 +248,60 @@ def test_deterministic_rebuild(corpus):
         for n in range(7):
             assert T1.basis(n) == T2.basis(n)
         assert np.array_equal(T1.table(1, 1), T2.table(1, 1))
+
+
+def _random_associative(rng):
+    """Up to three generators of degree <= 2 and up to two homogeneous
+    relations of degree <= 3 and at most three terms, in associative
+    mode."""
+    p = rng.choice([2, 3])
+    names = ["x", "y", "z"][:rng.randint(1, 3)]
+    free = parse(f"algebra a\nchar {p}\nmode associative\n" + "".join(
+        f"gen {n} {rng.randint(1, 2)}\n" for n in names))
+    relations = []
+    for _ in range(rng.randint(0, 2)):
+        words = free.monomials_of_degree(rng.randint(min(free.gens.degrees), 3))
+        chosen = rng.sample(words, min(len(words), rng.randint(1, 3)))
+        relations.append({w: rng.randrange(1, p) for w in chosen})
+    return dataclasses.replace(free, relations=tuple(relations))
+
+
+def test_forcing_order_does_not_change_the_engine(corpus):
+    # each degree is reduced on first use; reducing them top down must
+    # give the engine that reducing them bottom up gives
+    rng = random.Random(6131)
+    presentations = list(corpus.values())
+    presentations += [random_presentation(rng) for _ in range(12)]
+    presentations += [_random_associative(rng) for _ in range(12)]
+    for pres in presentations:
+        bound = 6 if pres.mode == "associative" else 8
+        up, down = TruncatedAlgebra(pres, bound), TruncatedAlgebra(pres, bound)
+        for n in range(bound + 1):
+            up.dim(n)
+        for n in reversed(range(bound + 1)):
+            down.dim(n)
+        assert up.dims() == down.dims()
+        for n in range(bound + 1):
+            assert up.basis(n) == down.basis(n)
+            for m in pres.monomials_of_degree(n):
+                assert np.array_equal(up.reduce_poly({m: 1})[n],
+                                      down.reduce_poly({m: 1})[n])
+            if n >= 1:
+                assert np.array_equal(up.decomposables(n).matrix(),
+                                      down.decomposables(n).matrix())
+        for a in range(1, bound):
+            assert np.array_equal(up.table(a, bound - a),
+                                  down.table(a, bound - a))
+        assert up.power_filtration_dims() == down.power_filtration_dims()
+
+
+def test_associative_relation_rows_are_kept_once():
+    # xy occurs twice in xyxy...: one row per word holding xy, while the
+    # cell budget still counts every (left, right) cofactor pair
+    T = TruncatedAlgebra(parse("algebra a\nchar 2\nmode associative\n"
+                               "gen x 1\ngen y 1\nrel x*y\n"), 10)
+    assert T._relation_row_count(10) == 2304
+    rows = T._relation_rows(10)
+    assert rows.shape == (1013, 1024)
+    assert len({r.tobytes() for r in rows}) == 1013
+    assert T.dim(10) == 11   # the words y^a x^b

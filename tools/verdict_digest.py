@@ -1,0 +1,115 @@
+"""Digest of finalg's verdicts on a fixed set of pairs, to compare two trees.
+
+Usage: python3 tools/verdict_digest.py ROOT [KEY ...]
+
+Imports the package from ROOT/src and the benchmark's generators from
+ROOT/bench/gen.py, writes nothing under ROOT, and decides:
+
+- batch 0 of the screen-stream, hard-pairs and classify-corpus workloads
+  for seeds 1, 2 and 3, each side written out and parsed back as the
+  benchmark does;
+- the acceptance-5 stream (seed 52525, 200 ordered pairs, every fifth
+  pair disguised), pruned and by the brute-force oracle;
+- every ordered pair of corpus/div4 and corpus/div8 files of equal
+  characteristic and mode, over presentations parsed once, so later pairs
+  read what earlier ones memoized.
+
+A record is the outcome, reason, certificate and statistics of a verdict
+(for a classify run, each evidence record and each entry).  Statistics
+leave out `wall_time_ms` and every KEY named on the command line.  One
+line per group and one total give the record count and a sha256 over the
+records; equal lines on two trees mean equal verdicts.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+
+def _digest(records) -> str:
+    blob = json.dumps(records, sort_keys=True, default=str)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def main(argv) -> int:
+    if not argv:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    root = Path(argv[0]).resolve()
+    dropped = {"wall_time_ms", *argv[1:]}
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    import finalg
+    import gen
+    if Path(finalg.__file__).resolve().parent != root / "src" / "finalg":
+        print(f"error: imported finalg from {finalg.__file__}", file=sys.stderr)
+        return 2
+
+    def record(outcome, reason, certificate, stats):
+        return {"outcome": outcome, "reason": reason,
+                "certificate": certificate,
+                "statistics": {k: v for k, v in stats.items()
+                               if k not in dropped}}
+
+    def verdict(A, B, **kwargs):
+        v = finalg.graded_isomorphism(A, B, **kwargs)
+        return record(v.outcome, v.reason, v.certificate, v.statistics)
+
+    def reparsed(P):
+        return finalg.parse(finalg.serialize(P))
+
+    corpus = [root / "corpus" / "div4", root / "corpus" / "div8"]
+    composition, oracle = gen.screen_composition(), gen.screen_oracle()
+    groups: dict = {}
+    for seed in (1, 2, 3):
+        for name, pairs in (
+                ("screen-stream", gen.screen_stream(seed, 0, composition, oracle)),
+                ("hard-pairs", gen.hard_pairs(seed, 0))):
+            groups.setdefault(name, []).extend(
+                verdict(reparsed(A), reparsed(B)) for _, A, B, _ in pairs)
+        with tempfile.TemporaryDirectory() as tmp:
+            files = gen.write_corpus(gen.classify_corpus(seed, 0, corpus),
+                                     Path(tmp))
+            report = finalg.classify_corpus(
+                [Path(tmp) / f["file"] for f in files])
+        groups.setdefault("classify-corpus", []).extend(
+            [record(ev["outcome"], ev["reason"], ev["certificate"],
+                    {k: v for k, v in ev.items()
+                     if k not in ("outcome", "reason", "certificate")})
+             for ev in report.evidence]
+            + [record(None, e.error, None, {**e.to_json(), "path": None})
+               for e in report.entries])
+
+    rng = random.Random(52525)
+    for k in range(200):
+        if k % 5 == 2:
+            A = gen.random_presentation(rng, f"iso_a{k}")
+            B = gen.disguise(A, rng, f"iso_b{k}")
+        else:
+            A = gen.random_presentation(rng, f"rnd_a{k}")
+            B = gen.random_presentation(rng, f"rnd_b{k}")
+            while B.p != A.p:
+                B = gen.random_presentation(rng, f"rnd_b{k}")
+        groups.setdefault("acceptance-5", []).extend(
+            [verdict(A, B),
+             verdict(A, B, prune=False, use_fingerprints=False)])
+
+    files = [finalg.parse_file(path) for d in corpus
+             for path in sorted(d.glob("*.alg"))]
+    groups["corpus-pairs"] = [verdict(A, B) for A in files for B in files
+                              if (A.p, A.mode) == (B.p, B.mode)]
+
+    for name, records in groups.items():
+        print(f"{name} {len(records)} {_digest(records)}")
+    every = [r for records in groups.values() for r in records]
+    print(f"total {len(every)} {_digest(every)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
