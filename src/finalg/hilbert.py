@@ -1,9 +1,13 @@
 """Hilbert series of graded algebras as exact integer rational functions.
 
 A series is stored as a pair of integer polynomials in t (coefficient
-tuples, index = power).  Canonical form is gcd-reduced with coprime integer
-contents and a positive denominator constant term.  Degreewise dimensions
-come from the recurrence
+tuples, index = power), not necessarily in lowest terms.  Two series are
+compared by cross-multiplication (`equal`); canonical form (gcd-reduced,
+coprime integer contents, positive denominator constant term) is computed
+only to display a series or to digest it.  `==` on a `RationalSeries`, and
+so on a `Fingerprint` holding one, compares representations and is no
+series-equality test; nothing in the package uses it as one.  Degreewise
+dimensions come from the recurrence
 
     P^(0) = P,   dim A_n = P^(n)(0),   P^(n+1) = (P^(n) - dim A_n) / t,
 
@@ -342,7 +346,9 @@ def monomial_ideal_numerator(gens, weights) -> IntPoly:
 
 
 def quotient_series(lead_exponents, weights, exterior_mask) -> RationalSeries:
-    """Series of a graded quotient from leading monomials.
+    """Series of a graded quotient from leading monomials, over the
+    denominator prod(1 - t^w) and not reduced to lowest terms: compare it
+    with `equal`, and call `.canonical()` to display or digest it.
 
     exterior_mask flags variables with an implicit square-zero; their squares
     join the monomial ideal and the denominator keeps the plain 1 - t^w
@@ -358,4 +364,4 @@ def quotient_series(lead_exponents, weights, exterior_mask) -> RationalSeries:
     den = (1,)
     for w in weights:
         den = poly_mul(den, poly_sub((1,), (0,) * w + (1,)))
-    return RationalSeries(num, den).canonical()
+    return RationalSeries(num, den)

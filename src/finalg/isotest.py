@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import hilbert
+from . import gfp, hilbert
 from .errors import FinalgError, MismatchError, ResourceLimitError
 from .groebner import eliminate, groebner_basis, series_of_quotient
-from .hilbert import RationalSeries, TruncatedSeries, count_nonzero_vectors
+from .hilbert import RationalSeries, count_nonzero_vectors
 from .present import COMMUTATIVE, Presentation, format_poly
 from .truncated import (DEFAULT_MONOMIAL_CEILING, TruncatedAlgebra,
                         default_bound, truncation_bound)
@@ -339,7 +339,9 @@ def prune_ladder(A: Presentation, B: Presentation, TB: TruncatedAlgebra,
     isomorphism; subsets skipped on the candidate ceiling, and tests
     skipped on resource limits, simply keep all candidates.  Quotient
     series and eliminated relations are kept in the memos of A and B, so
-    a later pair with either side reuses them.
+    a later pair with either side reuses them; B's are keyed by the span
+    of the images in each degree, so image tuples with the same span share
+    one Groebner basis.
     """
     data = _PruneData()
     if A.mode != COMMUTATIVE:
@@ -353,11 +355,7 @@ def prune_ladder(A: Presentation, B: Presentation, TB: TruncatedAlgebra,
     def series_match(sa, sb) -> bool:
         if sa is None or sb is None:
             return True  # resource-capped: keep the candidate
-        if isinstance(sa, RationalSeries) and isinstance(sb, RationalSeries):
-            return hilbert.equal(sa, sb)
-        cap = min(sa.bound if isinstance(sa, TruncatedSeries) else TB.bound,
-                  sb.bound if isinstance(sb, TruncatedSeries) else TB.bound)
-        return hilbert.equal_truncated(sa, sb, cap)
+        return hilbert.equal(sa, sb)
 
     def a_side(subset):
         return (_quotient_series(A, [{_gen_mono(A, i): 1} for i in subset]),
@@ -374,8 +372,14 @@ def prune_ladder(A: Presentation, B: Presentation, TB: TruncatedAlgebra,
             if got is not None and got[1].any():
                 stat["eliminated_relations"] += 1
                 return False
-        vpolys = [TB.poly_of_vec(d, v) for d, v in (images[i] for i in subset)]
-        if not series_match(qa, _quotient_series(B, vpolys)):
+        # the images generate the ideal their span in each degree does, so
+        # the Groebner input is one rref per degree (zero images drop out)
+        by_degree: dict = {}
+        for d, v in images.values():
+            by_degree.setdefault(d, []).append(v)
+        span = [TB.poly_of_vec(d, row) for d, vs in sorted(by_degree.items())
+                for row in gfp.rref(vs, B.p)[0]]
+        if not series_match(qa, _quotient_series(B, span)):
             stat["eliminated_series"] += 1
             return False
         return True

@@ -146,3 +146,7 @@ def test_quotient_series_against_box_walk():
         got = dims_from_series(series, 8)
         want = quotient_monomial_dims(degrees, leads, exterior, 8)
         assert got == want, (degrees, exterior, leads)
+        # returned unreduced: the same series as its lowest terms
+        canon = series.canonical()
+        assert equal(series, canon)
+        assert dims_from_series(canon, 8) == got

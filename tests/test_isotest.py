@@ -226,6 +226,31 @@ def test_ladder_verdicts_and_survivors(A, B, expected, surviving):
         assert brute.reason == "search exhausted"
 
 
+def test_ladder_runs_one_groebner_basis_per_span(monkeypatch):
+    # at p = 3 degree-1 generators are exterior; every one of the 8 nonzero
+    # images of x or y passes stage 1, and every pair of them reaches the
+    # series test of stage 2, where the 16 dependent pairs fail.  The
+    # images span 4 lines and the plane, so with A's subsets (x), (y) and
+    # (x, y) 3 + 5 bases carry extra ideal generators (ground bases and
+    # eliminations carry none)
+    A = _comm(3, "x:1 y:1")
+    B = _comm(3, "x:1 y:1")
+    with_extra = []
+    buchberger = finalg.groebner.buchberger
+
+    def counted(P, extra=(), *args, **kwargs):
+        if extra:
+            with_extra.append("A" if P is A else "B")
+        return buchberger(P, extra, *args, **kwargs)
+    monkeypatch.setattr(finalg.groebner, "buchberger", counted)
+    verdict = graded_isomorphism(A, B)
+    assert verdict.outcome == "isomorphic"
+    stages = verdict.statistics["pruned_by_stage"]
+    assert [(st["tested"], st["eliminated_series"], st["surviving"])
+            for st in stages.values()] == [(16, 0, 16), (64, 16, 48)]
+    assert (with_extra.count("A"), with_extra.count("B")) == (3, 5)
+
+
 def test_calls_leave_no_reference_cycles(corpus):
     # the engine of a call must be freed by reference counting alone
     assoc_a = parse("algebra a\nchar 2\nmode associative\ngen x 1\n"
@@ -433,6 +458,50 @@ def test_pruned_matches_brute_on_random_pairs():
         pruned = graded_isomorphism(A, B)
         brute = graded_isomorphism(A, B, prune=False, use_fingerprints=False)
         assert pruned.outcome == brute.outcome, (A, B)
+
+
+def _random_p3(rng: random.Random, gens, degrees, name: str):
+    """A commutative p = 3 presentation on `gens` with one sparse random
+    relation in each of the `degrees`."""
+    gens = finalg.GeneratorSet.from_pairs(gens)
+    relations = []
+    for deg in degrees:
+        monos = finalg.present.monomials_of_degree(gens, deg,
+                                                   finalg.COMMUTATIVE, 3)
+        rel = {m: rng.randrange(1, 3) for m in monos if rng.random() < 0.5}
+        if rel:
+            relations.append(rel)
+    return finalg.Presentation(name=name, p=3, mode=finalg.COMMUTATIVE,
+                               gens=gens, relations=tuple(relations))
+
+
+def test_pruned_matches_brute_where_the_ladder_runs():
+    # two or three generators, two of one degree, so that distinct lists of
+    # images span the same space in a degree; the pairs that pass every
+    # fingerprint reach the ladder, and about a third of all pairs are
+    # disguised copies
+    shapes = [(("x", 2), ("y", 2)), (("x", 1), ("y", 1), ("z", 2)),
+              (("x", 2), ("y", 2), ("z", 1))]
+    rng = random.Random(3)
+    outcomes = []
+    for i in range(40):
+        gens = rng.choice(shapes)
+        degrees = sorted(rng.choice([3, 4, 4, 5, 6])
+                         for _ in range(rng.randint(1, 2)))
+        A = _random_p3(rng, gens, degrees, f"a{i}")
+        B = (disguise(A, rng, name=f"d{i}") if rng.random() < 0.3
+             else _random_p3(rng, gens, degrees, f"b{i}"))
+        pruned = graded_isomorphism(A, B)
+        if pruned.statistics["pruned_by_stage"] is None:
+            continue
+        brute = graded_isomorphism(A, B, prune=False, use_fingerprints=False)
+        assert pruned.outcome == brute.outcome, (A, B)
+        outcomes.append((pruned.outcome, pruned.reason))
+    assert len(outcomes) >= 25
+    assert outcomes.count(("isomorphic", None)) >= 15
+    refuted = [r for o, r in outcomes if o == "not-isomorphic"]
+    assert len(refuted) >= 5
+    assert all(r.startswith("subset admissibility empty") for r in refuted)
 
 
 def test_max_degree_override(corpus):
