@@ -81,30 +81,6 @@ def rank(mat, p: int) -> int:
     return len(rref(mat, p)[1])
 
 
-def solve_membership(span, v, p: int):
-    """Express v as a combination of the rows of span, or return None.
-
-    The returned coefficient vector c satisfies c @ span == v mod p and is
-    the deterministic solution with all free coefficients set to zero.
-    """
-    A = as_matrix(span, p)
-    b = np.mod(np.asarray(v, dtype=np.int64).ravel(), p)
-    if A.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64) if not b.any() else None
-    if A.shape[1] != b.shape[0]:
-        raise ValueError("span width and vector length differ")
-    # solve span^T c = v by row reduction of the augmented system
-    aug = np.concatenate([A.T, b.reshape(-1, 1)], axis=1)
-    R, pivots = rref(aug, p)
-    ncoef = A.shape[0]
-    if ncoef in pivots:
-        return None  # pivot in the augmented column: inconsistent
-    c = np.zeros(ncoef, dtype=np.int64)
-    for row, col in enumerate(pivots):
-        c[col] = R[row, ncoef]
-    return c
-
-
 def nullspace(mat, p: int) -> np.ndarray:
     """Basis of the right kernel {x : mat @ x = 0}, one vector per row.
 
@@ -183,10 +159,6 @@ class RowSpace:
         self.rows.insert(pos, v)
         self.pivots.insert(pos, c)
         return True
-
-    def add_all(self, vectors) -> None:
-        for v in vectors:
-            self.add(v)
 
     def matrix(self) -> np.ndarray:
         if not self.rows:

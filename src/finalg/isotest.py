@@ -12,11 +12,14 @@ The decision procedure:
    relation of A vanishes on it and the images generate B, so testing the
    two conditions over the whole candidate space decides the question.
 3. Optional subset pruning (commutative mode): before the full search,
-   subsets of at most three generators are screened with two necessary
-   conditions on the ideal they generate, relations surviving elimination
-   and the quotient Hilbert series.  Surviving image lists then drive the
-   enumeration; every test is a necessary condition for extendability, so
-   pruning never changes the verdict.
+   one pass over subset sizes 1, 2 and 3 screens generator subsets with
+   two necessary conditions on the ideal they generate, relations
+   surviving elimination and the quotient Hilbert series, and fills one
+   table of admissible image tuples per subset.  A larger subset is
+   screened only when its shorter subsets were and at most
+   `_CANDIDATE_CEILING` of its tuples have admissible sub-tuples.  The
+   search reads the table directly; every test is a necessary condition
+   for extendability, so pruning never changes the verdict.
 
 Search exhaustion refutes soundly in every mode: an isomorphism would
 itself appear as some enumerated tuple passing both checks.  A successful
@@ -32,6 +35,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -149,6 +153,11 @@ def _exact_series(P: Presentation, dims, ground):
     if series is not None:
         expected = hilbert.dims_from_series(series, len(dims) - 1)
         if list(dims) != expected:
+            if ground is None:
+                raise FinalgError(
+                    f"presentation {P.name}: declared series "
+                    f"{P.declared_series} contradicts the truncated dims "
+                    f"{list(dims)}; its expansion {expected} does not match")
             raise FinalgError(
                 f"presentation {P.name}: series expansion {expected} does not "
                 f"match truncated dims {list(dims)}; engine inconsistency")
@@ -288,18 +297,8 @@ def _subset_label(A: Presentation, subset) -> str:
     return "(" + ", ".join(A.gens.names[i] for i in subset) + ")"
 
 
-class _PruneData:
-    """Admissible image tuples for generator subsets of size <= 3."""
-
-    def __init__(self):
-        self.singles: dict = {}    # i -> list of vector tuples, candidate order
-        self.pairs: dict = {}      # (i, j) -> set of (vec, vec)
-        self.triples: dict = {}    # (i, j, k) -> set
-        self.stats: dict = {}
-        self.empty_subset = None
-
-
-# a pair or triple subset with more candidate tuples than this keeps them all
+# a subset of two or three generators with more candidate tuples than this
+# is not screened, so its generators keep all their candidates
 _CANDIDATE_CEILING = 50_000
 
 
@@ -327,23 +326,46 @@ def _stage_stat(**extra) -> dict:
             "surviving": 0, **extra}
 
 
+def _extensions(table: dict, subset) -> list | None:
+    """The image tuples of a subset of two or three generators whose
+    sub-tuples one generator shorter are all admissible, in the order of
+    the head's table and then of the last generator's, listed up to one
+    past the ceiling; None when one of those shorter subsets was not
+    screened."""
+    shorter = [subset[:i] + subset[i + 1:] for i in range(len(subset))]
+    if any(s not in table for s in shorter):
+        return None
+    # dropping the last generator leaves the head itself
+    tails = [table[s] for s in shorter[:-1]]
+    found = (t + v for t in table[subset[:-1]] for v in table[subset[-1:]]
+             if all(t[:i] + t[i + 1:] + v in adm for i, adm in enumerate(tails)))
+    return list(itertools.islice(found, _CANDIDATE_CEILING + 1))
+
+
 def prune_ladder(A: Presentation, B: Presentation, TB: TruncatedAlgebra,
-                 cand_lists) -> _PruneData | None:
+                 cand_lists) -> SimpleNamespace | None:
     """Screen generator subsets of size <= 3 with two ideal tests: A's
     relations among the subset's generators must vanish on the images,
     and the quotient by the images must have the series of A's quotient.
 
-    Returns admissibility tables, or None when the ground Groebner bases
-    are out of reach (pruning then silently turns off).  Every test is a
-    necessary condition, so a failing candidate can never take part in an
-    isomorphism; subsets skipped on the candidate ceiling, and tests
-    skipped on resource limits, simply keep all candidates.  Quotient
-    series and eliminated relations are kept in the memos of A and B, so
-    a later pair with either side reuses them; B's are keyed by the span
-    of the images in each degree, so image tuples with the same span share
-    one Groebner basis.
+    One pass over subset sizes fills `table`, which maps each screened
+    subset to its admissible image tuples in a dict used as an ordered set
+    (single generators in candidate order).  Only tuples whose sub-tuples
+    one generator shorter are admissible are tested, and a larger subset
+    is screened only when its shorter subsets were and it has at most
+    `_CANDIDATE_CEILING` such tuples.  `stats` has one entry per size;
+    `empty_subset` is the subset left without admissible tuples, if any,
+    where the ladder stops.
+
+    Returns None when the ground Groebner bases are out of reach (pruning
+    then silently turns off).  Every test is a necessary condition, so a
+    failing candidate can never take part in an isomorphism; subsets not
+    screened, and tests skipped on resource limits, simply keep all
+    candidates.  Quotient series and eliminated relations are kept in the
+    memos of A and B, so a later pair with either side reuses them; B's
+    are keyed by the span of the images in each degree, so image tuples
+    with the same span share one Groebner basis.
     """
-    data = _PruneData()
     if A.mode != COMMUTATIVE:
         return None
     # the ground bases must be in reach, else pruning turns off
@@ -351,11 +373,6 @@ def prune_ladder(A: Presentation, B: Presentation, TB: TruncatedAlgebra,
         return None
     m = len(A.gens)
     elim_cap = 2 * max(truncation_bound(A), truncation_bound(B))
-
-    def series_match(sa, sb) -> bool:
-        if sa is None or sb is None:
-            return True  # resource-capped: keep the candidate
-        return hilbert.equal(sa, sb)
 
     def a_side(subset):
         return (_quotient_series(A, [{_gen_mono(A, i): 1} for i in subset]),
@@ -379,84 +396,36 @@ def prune_ladder(A: Presentation, B: Presentation, TB: TruncatedAlgebra,
             by_degree.setdefault(d, []).append(v)
         span = [TB.poly_of_vec(d, row) for d, vs in sorted(by_degree.items())
                 for row in gfp.rref(vs, B.p)[0]]
-        if not series_match(qa, _quotient_series(B, span)):
+        qb = _quotient_series(B, span)
+        # a series out of reach keeps the candidate
+        if qa is not None and qb is not None and not hilbert.equal(qa, qb):
             stat["eliminated_series"] += 1
             return False
         return True
 
-    # stage 1: single generators
-    stage_stat = _stage_stat()
-    for i in range(m):
-        a_data = a_side((i,))
-        stage_stat["subsets"] += 1
-        keep = []
-        for v in cand_lists[i]:
-            stage_stat["tested"] += 1
-            if test_candidate((i,), (v,), a_data, stage_stat):
-                keep.append(v)
-        stage_stat["surviving"] += len(keep)
-        data.singles[i] = keep
-        if not keep:
-            data.empty_subset = (i,)
-            data.stats["stage1"] = stage_stat
-            return data
-    data.stats["stage1"] = stage_stat
-
-    # stage 2: pairs built from surviving singles
-    if m >= 2:
-        stage_stat = _stage_stat(skipped_on_cap=0)
-        for i, j in itertools.combinations(range(m), 2):
-            n_cand = len(data.singles[i]) * len(data.singles[j])
-            if n_cand > _CANDIDATE_CEILING:
-                stage_stat["skipped_on_cap"] += 1
-                continue
-            stage_stat["subsets"] += 1
-            a_data = a_side((i, j))
-            keep = set()
-            for vi in data.singles[i]:
-                for vj in data.singles[j]:
-                    stage_stat["tested"] += 1
-                    if test_candidate((i, j), (vi, vj), a_data, stage_stat):
-                        keep.add((vi, vj))
-            stage_stat["surviving"] += len(keep)
-            data.pairs[(i, j)] = keep
+    ladder = SimpleNamespace(table={}, stats={}, empty_subset=None)
+    for size in range(1, min(m, 3) + 1):
+        stat = ladder.stats[f"stage{size}"] = (
+            _stage_stat() if size == 1 else _stage_stat(skipped_on_cap=0))
+        for subset in itertools.combinations(range(m), size):
+            if size == 1:
+                cands = [(v,) for v in cand_lists[subset[0]]]
+            else:
+                cands = _extensions(ladder.table, subset)
+                if cands is None or len(cands) > _CANDIDATE_CEILING:
+                    stat["skipped_on_cap"] += 1
+                    continue
+            stat["subsets"] += 1
+            stat["tested"] += len(cands)
+            a_data = a_side(subset)
+            keep = dict.fromkeys(c for c in cands
+                                 if test_candidate(subset, c, a_data, stat))
+            stat["surviving"] += len(keep)
+            ladder.table[subset] = keep
             if not keep:
-                data.empty_subset = (i, j)
-                data.stats["stage2"] = stage_stat
-                return data
-        data.stats["stage2"] = stage_stat
-
-    # stage 3: triples whose sub-pairs all survived
-    if m >= 3:
-        stage_stat = _stage_stat(skipped_on_cap=0)
-        for i, j, k in itertools.combinations(range(m), 3):
-            pij = data.pairs.get((i, j))
-            pik = data.pairs.get((i, k))
-            pjk = data.pairs.get((j, k))
-            if pij is None or pik is None or pjk is None:
-                stage_stat["skipped_on_cap"] += 1
-                continue
-            cands = [(vi, vj, vk) for (vi, vj) in sorted(pij)
-                     for vk in data.singles[k]
-                     if (vi, vk) in pik and (vj, vk) in pjk]
-            if len(cands) > _CANDIDATE_CEILING:
-                stage_stat["skipped_on_cap"] += 1
-                continue
-            stage_stat["subsets"] += 1
-            a_data = a_side((i, j, k))
-            keep = set()
-            for vi, vj, vk in cands:
-                stage_stat["tested"] += 1
-                if test_candidate((i, j, k), (vi, vj, vk), a_data, stage_stat):
-                    keep.add((vi, vj, vk))
-            stage_stat["surviving"] += len(keep)
-            data.triples[(i, j, k)] = keep
-            if not keep:
-                data.empty_subset = (i, j, k)
-                data.stats["stage3"] = stage_stat
-                return data
-        data.stats["stage3"] = stage_stat
-    return data
+                ladder.empty_subset = subset
+                return ladder
+    return ladder
 
 
 # ------------------------------------------------------------- the search
@@ -474,25 +443,15 @@ def _relation_plans(A: Presentation):
     return by_depth
 
 
-def _admissible(k: int, v, raw, pair_adm, triple_adm) -> bool:
-    for i in range(k):
-        adm = pair_adm.get((i, k))
-        if adm is not None and (raw[i], v) not in adm:
-            return False
-    for i, j in itertools.combinations(range(k), 2):
-        adm = triple_adm.get((i, j, k))
-        if adm is not None and (raw[i], raw[j], v) not in adm:
-            return False
-    return True
-
-
 def _search(k: int, A: Presentation, TB: TruncatedAlgebra, cand_lists,
-            plans_by_depth, pruned, images, raw, stats):
+            plans_by_depth, checks, images, raw, stats):
     """Depth-first over candidate images from generator k on; returns the
     first tuple whose relations vanish and whose images generate B.
 
     Each relation is checked as soon as every generator it mentions has
-    an image, cutting whole subtrees instead of waiting for full tuples.
+    an image, cutting whole subtrees instead of waiting for full tuples;
+    so is each screened subset, listed in `checks[k]` as the pair (its
+    generators before k, its admissible image tuples) when k is its last.
     A module-level function rather than a closure, so that a call leaves
     no reference cycle holding the engine.
     """
@@ -503,8 +462,10 @@ def _search(k: int, A: Presentation, TB: TruncatedAlgebra, cand_lists,
             return None
         return [img[1].copy() for img in images]
     deg = A.gens.degrees[k]
+    screened = checks[k]
     for v in cand_lists[k]:
-        if pruned and not _admissible(k, v, raw, *pruned):
+        if screened and any(tuple([raw[i] for i in head]) + (v,) not in adm
+                            for head, adm in screened):
             continue
         raw[k] = v
         images[k] = (deg, np.array(v, dtype=np.int64))
@@ -516,7 +477,7 @@ def _search(k: int, A: Presentation, TB: TruncatedAlgebra, cand_lists,
                 ok = False
                 break
         if ok:
-            found = _search(k + 1, A, TB, cand_lists, plans_by_depth, pruned,
+            found = _search(k + 1, A, TB, cand_lists, plans_by_depth, checks,
                             images, raw, stats)
             if found is not None:
                 return found
@@ -631,7 +592,8 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
         for dim, zero in zip(comp_dims, gen_is_zero)
     ]
 
-    pruned = None
+    m = len(degrees)
+    checks = [[] for _ in range(m)]
     if prune and A.mode == COMMUTATIVE:
         ladder = prune_ladder(A, B, TB, cand_lists)
         if ladder is not None:
@@ -641,13 +603,16 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
                     "not-isomorphic",
                     "subset admissibility empty for generators "
                     + _subset_label(A, ladder.empty_subset)))
-            cand_lists = [ladder.singles[i] for i in range(len(degrees))]
-            if ladder.pairs or ladder.triples:
-                pruned = (ladder.pairs, ladder.triples)
+            # the screened singles are the candidate lists; a larger subset
+            # is checked at the depth of its last generator
+            for subset, adm in ladder.table.items():
+                if len(subset) == 1:
+                    cand_lists[subset[0]] = [v for v, in adm]
+                else:
+                    checks[subset[-1]].append((subset[:-1], adm))
 
-    m = len(degrees)
     try:
-        found = _search(0, A, TB, cand_lists, _relation_plans(A), pruned,
+        found = _search(0, A, TB, cand_lists, _relation_plans(A), checks,
                         [None] * m, [None] * m, stats)
     except ResourceLimitError as exc:
         return done(IsoVerdict("inconclusive", f"resource limit: {exc}"))
@@ -674,7 +639,8 @@ def verify_certificate(A: Presentation, B: Presentation, certificate: dict,
     """Re-check a certificate: relations vanish and the images generate.
 
     `certificate` maps each A generator name to a polynomial string over
-    B's generators.  Independent of the search that produced it.
+    B's generators, whose monomials must all have the generator's degree.
+    Independent of the search that produced it.
     """
     if A.p != B.p or A.mode != B.mode:
         return False
@@ -685,13 +651,11 @@ def verify_certificate(A: Presentation, B: Presentation, certificate: dict,
     images = []
     for name, deg in zip(A.gens.names, A.gens.degrees):
         poly = B.parse_poly(certificate[name])
-        got = TB.element(poly)
-        if got is None:
-            images.append((deg, np.zeros(TB.dim(deg), dtype=np.int64)))
-            continue
-        if got[0] != deg:
+        if any(B.mono_degree(mono) != deg for mono in poly):
             return False
-        images.append(got)
+        got = TB.element(poly)
+        images.append(got if got is not None
+                      else (deg, np.zeros(TB.dim(deg), dtype=np.int64)))
     for rel in A.relations:
         out = TB.evaluate(rel, A, images)
         if out is not None and out[1].any():

@@ -65,6 +65,20 @@ def test_hilbert_declared_series_contradiction_exit_2(capsys, tmp_path):
     assert out == ""
 
 
+def test_hilbert_declared_series_against_dims_exit_2(capsys, tmp_path):
+    # no series is computed in associative mode, so the declared one is
+    # checked against the dims 1 1 1 ... of one free degree-1 generator
+    bad = tmp_path / "bad.alg"
+    bad.write_text("algebra b\nchar 2\nmode associative\ngen x 1\n"
+                   "series 1 / 1-2t\n")
+    code, out, err = run(capsys, ["hilbert", str(bad)])
+    assert code == 2
+    assert "declared series 1 / 1-2t" in err
+    assert "contradicts the truncated dims" in err
+    assert "engine inconsistency" not in err
+    assert out == ""
+
+
 def test_iso_isomorphic_pair(capsys):
     code, out, _ = run(capsys, ["iso", c8("c4"), c8("c8")])
     assert code == 0

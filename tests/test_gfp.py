@@ -53,25 +53,6 @@ def test_rref_idempotent():
         assert np.array_equal(R1, R2)
 
 
-def test_solve_membership():
-    rng = random.Random(7)
-    for _ in range(80):
-        p = rng.choice([2, 3, 5])
-        span = np.array([[rng.randrange(p) for _ in range(4)]
-                         for _ in range(3)], dtype=np.int64)
-        coeffs = [rng.randrange(p) for _ in range(3)]
-        v = (np.array(coeffs) @ span) % p
-        got = gfp.solve_membership(span, v, p)
-        assert got is not None
-        assert np.array_equal((got @ span) % p, v)
-
-
-def test_solve_membership_outside():
-    span = [[1, 0, 0], [0, 1, 0]]
-    assert gfp.solve_membership(span, [0, 0, 1], 2) is None
-    assert gfp.solve_membership(span, [1, 1, 0], 2) is not None
-
-
 def test_nullspace_properties():
     rng = random.Random(13)
     for _ in range(80):

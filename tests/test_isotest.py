@@ -137,6 +137,9 @@ def test_verify_certificate_examples():
     # wrong degree is rejected before any algebra happens
     c4 = parse("algebra c\nchar 2\nmode commutative\ngen x 1\ngen y 2\nrel x^2\n")
     assert not verify_certificate(c4, c4, {"x": "y", "y": "y"})
+    # so is an image that is not homogeneous, or lies above the bound
+    assert not verify_certificate(c4, c4, {"x": "x + y", "y": "y"})
+    assert not verify_certificate(c4, c4, {"x": "y^6", "y": "y"})
 
 
 def test_mode_and_characteristic_mismatch(corpus):
@@ -249,6 +252,36 @@ def test_ladder_runs_one_groebner_basis_per_span(monkeypatch):
     assert [(st["tested"], st["eliminated_series"], st["surviving"])
             for st in stages.values()] == [(16, 0, 16), (64, 16, 48)]
     assert (with_extra.count("A"), with_extra.count("B")) == (3, 5)
+
+
+# (A, B, ceiling, expected, enumerated leaves, (subsets, tested,
+# surviving, skipped_on_cap) of stages 2 and 3).  At ceiling 24 the 15
+# surviving singles of x*y+z^2 give every pair more than 24 tuples, and the
+# triple is skipped because its pairs were; the free algebra's 21 singles
+# give each pair 49 tuples, and its 42 admissible pairs per subset give the
+# triple 210, over 100
+CEILING_PAIRS = [
+    (_comm(2, "x:1 y:1 z:1", "x*y+z^2"), _comm(2, "x:1 y:1 z:1", "x*y"), 24,
+     "not-isomorphic", 5, [(0, 0, 0, 3), (0, 0, 0, 1)]),
+    (_comm(2, "x:1 y:1 z:1"), _comm(2, "x:1 y:1 z:1"), 100,
+     "isomorphic", 2, [(3, 147, 126, 0), (0, 0, 0, 1)]),
+]
+
+
+@pytest.mark.parametrize("A, B, ceiling, expected, leaves, stages",
+                         CEILING_PAIRS, ids=["quadric-3x1-p2", "free-3x1-p2"])
+def test_ladder_skips_subsets_over_the_candidate_ceiling(
+        monkeypatch, A, B, ceiling, expected, leaves, stages):
+    monkeypatch.setattr(finalg.isotest, "_CANDIDATE_CEILING", ceiling)
+    verdict = graded_isomorphism(A, B)
+    assert verdict.outcome == expected
+    if expected == "not-isomorphic":
+        assert verdict.reason == "search exhausted"
+    assert verdict.statistics["enumerated"] == leaves
+    by_stage = verdict.statistics["pruned_by_stage"]
+    assert "skipped_on_cap" not in by_stage["stage1"]
+    assert [(st["subsets"], st["tested"], st["surviving"], st["skipped_on_cap"])
+            for st in (by_stage["stage2"], by_stage["stage3"])] == stages
 
 
 def test_calls_leave_no_reference_cycles(corpus):
