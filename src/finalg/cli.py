@@ -46,8 +46,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         metavar="D", help="working degree bound")
     parser.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit machine-readable JSON")
-    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="reserved; all algorithms are deterministic")
     parser.add_argument("--monomial-ceiling", type=_positive_int,
                         default=argparse.SUPPRESS, metavar="N",
                         help="abort when a graded component would need more "
@@ -69,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_i.add_argument("file_a")
     p_i.add_argument("file_b")
     p_i.add_argument("--no-prune", action="store_true",
-                     help="disable subset pruning")
+                     help="disable candidate pruning")
     p_i.add_argument("--certificate", action="store_true",
                      help="independently re-verify and print the certificate")
     p_i.add_argument("--oracle", action="store_true",

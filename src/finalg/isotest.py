@@ -3,23 +3,24 @@
 The decision procedure:
 
 1. Compare invariants, cheapest first: the dimension sequences, and only
-   when they agree, the exact series when they are computable, the
-   ideal-power filtration dims and declared nilradical quotient data.
-   Any mismatch refutes.
+   when they agree, the exact series when they are computable and the
+   ideal-power filtration dims.  Any mismatch refutes.  A file's
+   `nilradical` lines are not compared: nothing checks that they name
+   the nilradical.
 2. Enumerate candidate generator images: the i-th generator of A can only
    map to a nonzero element of the matching graded component of B, a
    finite set.  A tuple extends to an isomorphism exactly when every
    relation of A vanishes on it and the images generate B, so testing the
    two conditions over the whole candidate space decides the question.
-3. Optional subset pruning (commutative mode): before the full search,
-   one pass over subset sizes 1, 2 and 3 screens generator subsets with
-   two necessary conditions on the ideal they generate, relations
-   surviving elimination and the quotient Hilbert series, and fills one
-   table of admissible image tuples per subset.  A larger subset is
-   screened only when its shorter subsets were and at most
-   `_CANDIDATE_CEILING` of its tuples have admissible sub-tuples.  The
-   search reads the table directly; every test is a necessary condition
-   for extendability, so pruning never changes the verdict.
+3. Optional pruning (commutative mode): before the full search, each
+   generator's candidate images are screened one at a time with two
+   necessary conditions on the ideal the image generates, relations
+   surviving elimination to that generator and the quotient Hilbert
+   series, and the search walks the survivors.  The screen is linear in
+   each generator's candidates; larger image tuples are left to the
+   search, which cuts them by relations more cheaply than a Groebner
+   basis per tuple would.  Every test is a necessary condition for
+   extendability, so pruning never changes the verdict.
 
 Search exhaustion refutes soundly in every mode: an isomorphism would
 itself appear as some enumerated tuple passing both checks.  A successful
@@ -42,7 +43,7 @@ import numpy as np
 from . import gfp, hilbert
 from .errors import FinalgError, MismatchError, ResourceLimitError
 from .groebner import eliminate, groebner_basis, series_of_quotient
-from .hilbert import RationalSeries, count_nonzero_vectors
+from .hilbert import count_nonzero_vectors
 from .present import COMMUTATIVE, Presentation, format_poly
 from .truncated import (DEFAULT_MONOMIAL_CEILING, TruncatedAlgebra,
                         default_bound, truncation_bound)
@@ -78,9 +79,7 @@ class Fingerprint:
     `gen_degrees` is recorded for reporting but never compared, since
     presentations need not be minimal; neither is `zero_generators`, which
     flags the generators that are zero in the algebra (those above the
-    bound count as nonzero).  `nilrad` compares only when both sides
-    declare nilradical generators; it is file-supplied data, not a derived
-    invariant, so it also stays out of the digest.
+    bound count as nonzero).
     """
 
     p: int
@@ -90,7 +89,6 @@ class Fingerprint:
     dims: tuple
     filtration_dims: tuple
     series: object | None          # RationalSeries when exact, else None
-    nilrad: object | None = None   # RationalSeries | tuple of dims | None
     zero_generators: tuple = ()
 
     def digest(self) -> str:
@@ -231,20 +229,11 @@ def fingerprint(P: Presentation, bound: int | None = None,
 def _compute_fingerprint(P: Presentation, T: TruncatedAlgebra) -> Fingerprint:
     dims = _dims(P, lambda: T, T.bound, T.monomial_ceiling, T.bound)
     series = _exact_series(P, dims, _ground_series(P))
-    nilrad = None
-    if P.nilradical:
-        sub = Presentation(name=P.name + "_modnil", p=P.p, mode=P.mode,
-                           gens=P.gens,
-                           relations=P.relations + P.nilradical)
-        nilrad = _series_from_basis(sub)
-        if nilrad is None:
-            nilrad = tuple(TruncatedAlgebra(sub, T.bound,
-                                            T.monomial_ceiling).dims())
     return Fingerprint(p=P.p, mode=P.mode, bound=T.bound,
                        gen_degrees=tuple(sorted(P.gens.degrees)),
                        dims=dims,
                        filtration_dims=tuple(T.power_filtration_dims()),
-                       series=series, nilrad=nilrad,
+                       series=series,
                        zero_generators=_zero_flags(P, T, T.bound,
                                                    T.monomial_ceiling))
 
@@ -263,17 +252,6 @@ def compare_fingerprints(fa: Fingerprint, fb: Fingerprint):
             return False, "Hilbert series differ"
     if fa.filtration_dims != fb.filtration_dims:
         return False, "augmentation-ideal power filtration differs"
-    if fa.nilrad is not None and fb.nilrad is not None:
-        if isinstance(fa.nilrad, RationalSeries) and isinstance(fb.nilrad, RationalSeries):
-            if not hilbert.equal(fa.nilrad, fb.nilrad):
-                return False, "nilradical quotient series differ"
-        else:
-            da = (fa.nilrad if isinstance(fa.nilrad, tuple)
-                  else tuple(hilbert.dims_from_series(fa.nilrad, fa.bound)))
-            db = (fb.nilrad if isinstance(fb.nilrad, tuple)
-                  else tuple(hilbert.dims_from_series(fb.nilrad, fb.bound)))
-            if da != db:
-                return False, "nilradical quotient dims differ"
     return True, None
 
 
@@ -293,15 +271,6 @@ class IsoVerdict:
 
 # ------------------------------------------------------------ prune ladder
 
-def _subset_label(A: Presentation, subset) -> str:
-    return "(" + ", ".join(A.gens.names[i] for i in subset) + ")"
-
-
-# a subset of two or three generators with more candidate tuples than this
-# is not screened, so its generators keep all their candidates
-_CANDIDATE_CEILING = 50_000
-
-
 def _quotient_series(P: Presentation, polys):
     """Memoized series of P's quotient by the ideal the polys generate;
     None when its Groebner basis is out of reach."""
@@ -319,112 +288,74 @@ def _eliminated(P: Presentation, subset, elim_cap: int) -> tuple:
         return ()
 
 
-def _stage_stat(**extra) -> dict:
-    # eliminated_annihilator is always 0; bench/tracing.py sums it per stage
-    return {"subsets": 0, "tested": 0, "eliminated_series": 0,
-            "eliminated_relations": 0, "eliminated_annihilator": 0,
-            "surviving": 0, **extra}
-
-
-def _extensions(table: dict, subset) -> list | None:
-    """The image tuples of a subset of two or three generators whose
-    sub-tuples one generator shorter are all admissible, in the order of
-    the head's table and then of the last generator's, listed up to one
-    past the ceiling; None when one of those shorter subsets was not
-    screened."""
-    shorter = [subset[:i] + subset[i + 1:] for i in range(len(subset))]
-    if any(s not in table for s in shorter):
-        return None
-    # dropping the last generator leaves the head itself
-    tails = [table[s] for s in shorter[:-1]]
-    found = (t + v for t in table[subset[:-1]] for v in table[subset[-1:]]
-             if all(t[:i] + t[i + 1:] + v in adm for i, adm in enumerate(tails)))
-    return list(itertools.islice(found, _CANDIDATE_CEILING + 1))
-
-
 def prune_ladder(A: Presentation, B: Presentation, TB: TruncatedAlgebra,
                  cand_lists) -> SimpleNamespace | None:
-    """Screen generator subsets of size <= 3 with two ideal tests: A's
-    relations among the subset's generators must vanish on the images,
-    and the quotient by the images must have the series of A's quotient.
+    """Screen each generator's candidate images with two ideal tests: A's
+    relations in that generator alone must vanish on the image, and the
+    quotient by the image must have the series of A's quotient by the
+    generator.
 
-    One pass over subset sizes fills `table`, which maps each screened
-    subset to its admissible image tuples in a dict used as an ordered set
-    (single generators in candidate order).  Only tuples whose sub-tuples
-    one generator shorter are admissible are tested, and a larger subset
-    is screened only when its shorter subsets were and it has at most
-    `_CANDIDATE_CEILING` such tuples.  `stats` has one entry per size;
-    `empty_subset` is the subset left without admissible tuples, if any,
-    where the ladder stops.
+    Returns `survivors`, each generator's passing candidates in candidate
+    order, and `stats`, one entry "stage1" of counters.  The screen stops
+    at the first generator left with none, which `empty_generator` names
+    (else None), so `survivors` then ends with that empty list.
 
     Returns None when the ground Groebner bases are out of reach (pruning
     then silently turns off).  Every test is a necessary condition, so a
-    failing candidate can never take part in an isomorphism; subsets not
-    screened, and tests skipped on resource limits, simply keep all
-    candidates.  Quotient series and eliminated relations are kept in the
-    memos of A and B, so a later pair with either side reuses them; B's
-    are keyed by the span of the images in each degree, so image tuples
-    with the same span share one Groebner basis.
+    failing candidate can never take part in an isomorphism; tests skipped
+    on resource limits keep the candidate.  Quotient series and eliminated
+    relations are kept in the memos of A and B, so a later pair with either
+    side reuses them; B's are keyed by the image scaled to a leading 1, so
+    images on one line share one Groebner basis.
     """
     if A.mode != COMMUTATIVE:
         return None
     # the ground bases must be in reach, else pruning turns off
     if _ground_series(A) is None or _ground_series(B) is None:
         return None
-    m = len(A.gens)
     elim_cap = 2 * max(truncation_bound(A), truncation_bound(B))
+    # eliminated_annihilator is always 0; bench/tracing.py sums it per stage
+    stat = {"subsets": 0, "tested": 0, "eliminated_series": 0,
+            "eliminated_relations": 0, "eliminated_annihilator": 0,
+            "surviving": 0}
 
-    def a_side(subset):
-        return (_quotient_series(A, [{_gen_mono(A, i): 1} for i in subset]),
-                _memoized(A, ("eliminated", subset, elim_cap),
-                          lambda: _eliminated(A, subset, elim_cap)))
-
-    def test_candidate(subset, vecs, a_data, stat):
-        qa, rels = a_data
-        images = {i: (A.gens.degrees[i], np.array(v, dtype=np.int64))
-                  for i, v in zip(subset, vecs)}
-        full = [images.get(i, (A.gens.degrees[i], None)) for i in range(m)]
+    def admissible(i, v, qa, rels):
+        deg = A.gens.degrees[i]
+        images = [(d, None) for d in A.gens.degrees]
+        images[i] = (deg, np.array(v, dtype=np.int64))
         for rel in rels:
-            got = TB.evaluate(rel, A, full)
+            got = TB.evaluate(rel, A, images)
             if got is not None and got[1].any():
                 stat["eliminated_relations"] += 1
                 return False
-        # the images generate the ideal their span in each degree does, so
-        # the Groebner input is one rref per degree (zero images drop out)
-        by_degree: dict = {}
-        for d, v in images.values():
-            by_degree.setdefault(d, []).append(v)
-        span = [TB.poly_of_vec(d, row) for d, vs in sorted(by_degree.items())
-                for row in gfp.rref(vs, B.p)[0]]
-        qb = _quotient_series(B, span)
+        # the image generates the ideal its line does, so it is scaled to a
+        # leading 1 (a zero image generates nothing)
+        lead = next((c for c in v if c), 0)
+        line = []
+        if lead:
+            inv = gfp.inv_mod(lead, B.p)
+            line = [TB.poly_of_vec(deg, [c * inv for c in v])]
+        qb = _quotient_series(B, line)
         # a series out of reach keeps the candidate
         if qa is not None and qb is not None and not hilbert.equal(qa, qb):
             stat["eliminated_series"] += 1
             return False
         return True
 
-    ladder = SimpleNamespace(table={}, stats={}, empty_subset=None)
-    for size in range(1, min(m, 3) + 1):
-        stat = ladder.stats[f"stage{size}"] = (
-            _stage_stat() if size == 1 else _stage_stat(skipped_on_cap=0))
-        for subset in itertools.combinations(range(m), size):
-            if size == 1:
-                cands = [(v,) for v in cand_lists[subset[0]]]
-            else:
-                cands = _extensions(ladder.table, subset)
-                if cands is None or len(cands) > _CANDIDATE_CEILING:
-                    stat["skipped_on_cap"] += 1
-                    continue
-            stat["subsets"] += 1
-            stat["tested"] += len(cands)
-            a_data = a_side(subset)
-            keep = dict.fromkeys(c for c in cands
-                                 if test_candidate(subset, c, a_data, stat))
-            stat["surviving"] += len(keep)
-            ladder.table[subset] = keep
-            if not keep:
-                ladder.empty_subset = subset
-                return ladder
+    ladder = SimpleNamespace(survivors=[], stats={"stage1": stat},
+                             empty_generator=None)
+    for i, cands in enumerate(cand_lists):
+        qa = _quotient_series(A, [{_gen_mono(A, i): 1}])
+        rels = _memoized(A, ("eliminated", (i,), elim_cap),
+                         lambda: _eliminated(A, (i,), elim_cap))
+        keep = [v for v in cands if admissible(i, v, qa, rels)]
+        stat["subsets"] += 1
+        stat["tested"] += len(cands)
+        stat["surviving"] += len(keep)
+        ladder.survivors.append(keep)
+        if not keep:
+            ladder.empty_generator = A.gens.names[i]
+            return ladder
     return ladder
 
 
@@ -444,14 +375,12 @@ def _relation_plans(A: Presentation):
 
 
 def _search(k: int, A: Presentation, TB: TruncatedAlgebra, cand_lists,
-            plans_by_depth, checks, images, raw, stats):
+            plans_by_depth, images, stats):
     """Depth-first over candidate images from generator k on; returns the
     first tuple whose relations vanish and whose images generate B.
 
     Each relation is checked as soon as every generator it mentions has
-    an image, cutting whole subtrees instead of waiting for full tuples;
-    so is each screened subset, listed in `checks[k]` as the pair (its
-    generators before k, its admissible image tuples) when k is its last.
+    an image, cutting whole subtrees instead of waiting for full tuples.
     A module-level function rather than a closure, so that a call leaves
     no reference cycle holding the engine.
     """
@@ -462,12 +391,7 @@ def _search(k: int, A: Presentation, TB: TruncatedAlgebra, cand_lists,
             return None
         return [img[1].copy() for img in images]
     deg = A.gens.degrees[k]
-    screened = checks[k]
     for v in cand_lists[k]:
-        if screened and any(tuple([raw[i] for i in head]) + (v,) not in adm
-                            for head, adm in screened):
-            continue
-        raw[k] = v
         images[k] = (deg, np.array(v, dtype=np.int64))
         ok = True
         for rel in plans_by_depth.get(k + 1, ()):
@@ -477,11 +401,10 @@ def _search(k: int, A: Presentation, TB: TruncatedAlgebra, cand_lists,
                 ok = False
                 break
         if ok:
-            found = _search(k + 1, A, TB, cand_lists, plans_by_depth, checks,
-                            images, raw, stats)
+            found = _search(k + 1, A, TB, cand_lists, plans_by_depth, images,
+                            stats)
             if found is not None:
                 return found
-    raw[k] = None
     images[k] = None
     return None
 
@@ -549,8 +472,8 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
         A.p, [d for d, z in zip(comp_dims, gen_is_zero) if not z])
     if use_fingerprints:
         # dims first, degree by degree up to the first difference; the
-        # series, the filtration and the nilradical data are computed only
-        # when all the dims agree
+        # series and the filtration are computed only when all the dims
+        # agree
         for n in range(D + 1):
             da, db = (_dims(P, engine, D, monomial_ceiling, n)[n]
                       for P, engine in sides)
@@ -592,28 +515,20 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
         for dim, zero in zip(comp_dims, gen_is_zero)
     ]
 
-    m = len(degrees)
-    checks = [[] for _ in range(m)]
     if prune and A.mode == COMMUTATIVE:
         ladder = prune_ladder(A, B, TB, cand_lists)
         if ladder is not None:
             stats["pruned_by_stage"] = ladder.stats
-            if ladder.empty_subset is not None:
+            if ladder.empty_generator is not None:
                 return done(IsoVerdict(
                     "not-isomorphic",
                     "subset admissibility empty for generators "
-                    + _subset_label(A, ladder.empty_subset)))
-            # the screened singles are the candidate lists; a larger subset
-            # is checked at the depth of its last generator
-            for subset, adm in ladder.table.items():
-                if len(subset) == 1:
-                    cand_lists[subset[0]] = [v for v, in adm]
-                else:
-                    checks[subset[-1]].append((subset[:-1], adm))
+                    f"({ladder.empty_generator})"))
+            cand_lists = ladder.survivors
 
     try:
-        found = _search(0, A, TB, cand_lists, _relation_plans(A), checks,
-                        [None] * m, [None] * m, stats)
+        found = _search(0, A, TB, cand_lists, _relation_plans(A),
+                        [None] * len(degrees), stats)
     except ResourceLimitError as exc:
         return done(IsoVerdict("inconclusive", f"resource limit: {exc}"))
 

@@ -171,9 +171,25 @@ def test_classify_bad_dir_exit_2(capsys):
     assert err
 
 
-def test_seed_flag_accepted(capsys):
-    code, out, _ = run(capsys, ["--seed", "7", "hilbert", c8("c2")])
+def test_seed_flag_rejected(capsys):
+    # every algorithm is deterministic, so there is no seed to set
+    with pytest.raises(SystemExit) as info:
+        main(["--seed", "7", "hilbert", c8("c2")])
+    assert info.value.code == 2
+
+
+def test_iso_ignores_the_declared_nilradical(capsys, tmp_path):
+    # one algebra, x^2 = 0, declared with either generator as its
+    # nilradical: the files' nilradical lines must not refute the pair
+    paths = []
+    for name in ("x", "y"):
+        path = tmp_path / f"nil_{name}.alg"
+        path.write_text("algebra a\nchar 2\nmode commutative\ngen x 1\n"
+                        f"gen y 1\nrel x^2\nnilradical {name}\n")
+        paths.append(str(path))
+    code, out, _ = run(capsys, ["iso", "--oracle", *paths])
     assert code == 0
+    assert json.loads(out)["outcome"] == "isomorphic"
 
 
 def test_monomial_ceiling_flag(capsys):

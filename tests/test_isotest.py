@@ -189,23 +189,22 @@ def _comm(p, gens, *rels):
     return parse("\n".join(lines) + "\n")
 
 
-# (A, B, expected, surviving count per ladder stage).  The counts are
-# those the ladder gave with its annihilator test, which the series test
-# makes redundant, so dropping it must not move them.  The non-isomorphic
-# pairs share every fingerprint invariant, so only the ladder or the
-# search can refute them: x^2 has a nonzero square-zero element in the
-# generators' degree, x*y does not; x*y+z^2 is irreducible at p = 2, x*y
-# is not.
+# (A, B, expected, surviving count of the ladder's one stage).  The non-
+# isomorphic pairs share every fingerprint invariant, so only the ladder
+# or the search can refute them: x^2 has a nonzero square-zero element in
+# the generators' degree, x*y does not, so the ladder leaves x no image;
+# x*y+z^2 is irreducible at p = 2, x*y is not, which no single image
+# shows, so the search refutes it.
 LADDER_PAIRS = [
     (_comm(2, "x:1 y:1", "x^2"), _comm(2, "x:1 y:1", "x*y"),
      "not-isomorphic", {"stage1": 0}),
     (_comm(2, "x:1 y:1 z:1", "x*y+z^2"), _comm(2, "x:1 y:1 z:1", "x*y"),
-     "not-isomorphic", {"stage1": 15, "stage2": 28, "stage3": 0}),
+     "not-isomorphic", {"stage1": 15}),
     (_comm(3, "x:2 y:2", "x^2"), _comm(3, "x:2 y:2", "x*y"),
      "not-isomorphic", {"stage1": 0}),
     # disguised by x -> x + y
     (_comm(2, "x:1 y:1", "x*y"), _comm(2, "x:1 y:1", "x*y+y^2"),
-     "isomorphic", {"stage1": 4, "stage2": 2}),
+     "isomorphic", {"stage1": 4}),
 ]
 
 
@@ -225,17 +224,17 @@ def test_ladder_verdicts_and_survivors(A, B, expected, surviving):
     brute = graded_isomorphism(A, B, prune=False, use_fingerprints=False)
     assert pruned.outcome == brute.outcome == expected
     if expected == "not-isomorphic":
-        assert pruned.reason.startswith("subset admissibility empty")
+        assert pruned.reason == (
+            "search exhausted" if surviving["stage1"]
+            else "subset admissibility empty for generators (x)")
         assert brute.reason == "search exhausted"
 
 
 def test_ladder_runs_one_groebner_basis_per_span(monkeypatch):
-    # at p = 3 degree-1 generators are exterior; every one of the 8 nonzero
-    # images of x or y passes stage 1, and every pair of them reaches the
-    # series test of stage 2, where the 16 dependent pairs fail.  The
-    # images span 4 lines and the plane, so with A's subsets (x), (y) and
-    # (x, y) 3 + 5 bases carry extra ideal generators (ground bases and
-    # eliminations carry none)
+    # at p = 3 degree-1 generators are exterior, and every one of the 8
+    # nonzero images of x or y passes the ladder.  The images lie on 4
+    # lines, so with A's generators x and y 2 + 4 bases carry extra ideal
+    # generators (ground bases and eliminations carry none)
     A = _comm(3, "x:1 y:1")
     B = _comm(3, "x:1 y:1")
     with_extra = []
@@ -250,38 +249,8 @@ def test_ladder_runs_one_groebner_basis_per_span(monkeypatch):
     assert verdict.outcome == "isomorphic"
     stages = verdict.statistics["pruned_by_stage"]
     assert [(st["tested"], st["eliminated_series"], st["surviving"])
-            for st in stages.values()] == [(16, 0, 16), (64, 16, 48)]
-    assert (with_extra.count("A"), with_extra.count("B")) == (3, 5)
-
-
-# (A, B, ceiling, expected, enumerated leaves, (subsets, tested,
-# surviving, skipped_on_cap) of stages 2 and 3).  At ceiling 24 the 15
-# surviving singles of x*y+z^2 give every pair more than 24 tuples, and the
-# triple is skipped because its pairs were; the free algebra's 21 singles
-# give each pair 49 tuples, and its 42 admissible pairs per subset give the
-# triple 210, over 100
-CEILING_PAIRS = [
-    (_comm(2, "x:1 y:1 z:1", "x*y+z^2"), _comm(2, "x:1 y:1 z:1", "x*y"), 24,
-     "not-isomorphic", 5, [(0, 0, 0, 3), (0, 0, 0, 1)]),
-    (_comm(2, "x:1 y:1 z:1"), _comm(2, "x:1 y:1 z:1"), 100,
-     "isomorphic", 2, [(3, 147, 126, 0), (0, 0, 0, 1)]),
-]
-
-
-@pytest.mark.parametrize("A, B, ceiling, expected, leaves, stages",
-                         CEILING_PAIRS, ids=["quadric-3x1-p2", "free-3x1-p2"])
-def test_ladder_skips_subsets_over_the_candidate_ceiling(
-        monkeypatch, A, B, ceiling, expected, leaves, stages):
-    monkeypatch.setattr(finalg.isotest, "_CANDIDATE_CEILING", ceiling)
-    verdict = graded_isomorphism(A, B)
-    assert verdict.outcome == expected
-    if expected == "not-isomorphic":
-        assert verdict.reason == "search exhausted"
-    assert verdict.statistics["enumerated"] == leaves
-    by_stage = verdict.statistics["pruned_by_stage"]
-    assert "skipped_on_cap" not in by_stage["stage1"]
-    assert [(st["subsets"], st["tested"], st["surviving"], st["skipped_on_cap"])
-            for st in (by_stage["stage2"], by_stage["stage3"])] == stages
+            for st in stages.values()] == [(16, 0, 16)]
+    assert (with_extra.count("A"), with_extra.count("B")) == (2, 4)
 
 
 def test_calls_leave_no_reference_cycles(corpus):
@@ -534,7 +503,26 @@ def test_pruned_matches_brute_where_the_ladder_runs():
     assert outcomes.count(("isomorphic", None)) >= 15
     refuted = [r for o, r in outcomes if o == "not-isomorphic"]
     assert len(refuted) >= 5
-    assert all(r.startswith("subset admissibility empty") for r in refuted)
+    # no single image shows these refutations, so the search makes them
+    assert all(r == "search exhausted" for r in refuted)
+
+
+def test_pruned_matches_brute_where_the_ladder_refutes():
+    # two degree-2 generators with relations in degrees 4 and 6, where a
+    # generator is often left with no image that passes the ladder
+    rng = random.Random(5)
+    refuted = []
+    for i in range(120):
+        A = _random_p3(rng, (("x", 2), ("y", 2)), (4, 6), f"a{i}")
+        B = _random_p3(rng, (("x", 2), ("y", 2)), (4, 6), f"b{i}")
+        pruned = graded_isomorphism(A, B)
+        if not (pruned.reason or "").startswith("subset admissibility"):
+            continue
+        brute = graded_isomorphism(A, B, prune=False, use_fingerprints=False)
+        assert brute.outcome == "not-isomorphic", (A, B)
+        refuted.append(pruned.reason[-3:])
+    assert len(refuted) >= 8
+    assert {"(x)", "(y)"} <= set(refuted)
 
 
 def test_max_degree_override(corpus):

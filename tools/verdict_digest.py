@@ -15,15 +15,20 @@ ROOT/bench/gen.py, writes nothing under ROOT, and decides:
   read what earlier ones memoized.
 
 A record is the outcome, reason, certificate and statistics of a verdict
-(for a classify run, each evidence record and each entry).  Statistics
-leave out `wall_time_ms` and every KEY named on the command line.  One
-line per group and one total give the record count and a sha256 over the
-records; equal lines on two trees mean equal verdicts.
+(for a classify run, each evidence record, each entry and each
+`graded_isomorphism` call the run makes).  Statistics leave out
+`wall_time_ms` and every KEY named on the command line.  One line per
+group and one total give the record count and a sha256 over the records;
+equal lines on two trees mean equal verdicts.  A second line per group
+and total, tagged `verdicts`, digests the (outcome, certificate) of each
+record alone, so a change that should move only reasons and statistics
+can show that its verdicts held.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import random
 import sys
@@ -46,6 +51,7 @@ def main(argv) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import finalg
     import gen
+    classify = importlib.import_module("finalg.classify")
     if Path(finalg.__file__).resolve().parent != root / "src" / "finalg":
         print(f"error: imported finalg from {finalg.__file__}", file=sys.stderr)
         return 2
@@ -63,6 +69,14 @@ def main(argv) -> int:
     def reparsed(P):
         return finalg.parse(finalg.serialize(P))
 
+    decide = classify.graded_isomorphism
+    calls: list = []
+
+    def recorded(A, B, **kwargs):
+        v = decide(A, B, **kwargs)
+        calls.append(record(v.outcome, v.reason, v.certificate, v.statistics))
+        return v
+
     corpus = [root / "corpus" / "div4", root / "corpus" / "div8"]
     composition, oracle = gen.screen_composition(), gen.screen_oracle()
     groups: dict = {}
@@ -72,18 +86,24 @@ def main(argv) -> int:
                 ("hard-pairs", gen.hard_pairs(seed, 0))):
             groups.setdefault(name, []).extend(
                 verdict(reparsed(A), reparsed(B)) for _, A, B, _ in pairs)
-        with tempfile.TemporaryDirectory() as tmp:
-            files = gen.write_corpus(gen.classify_corpus(seed, 0, corpus),
-                                     Path(tmp))
-            report = finalg.classify_corpus(
-                [Path(tmp) / f["file"] for f in files])
+        calls.clear()
+        classify.graded_isomorphism = recorded
+        try:
+            with tempfile.TemporaryDirectory() as tmp:
+                files = gen.write_corpus(
+                    gen.classify_corpus(seed, 0, corpus), Path(tmp))
+                report = finalg.classify_corpus(
+                    [Path(tmp) / f["file"] for f in files])
+        finally:
+            classify.graded_isomorphism = decide
         groups.setdefault("classify-corpus", []).extend(
             [record(ev["outcome"], ev["reason"], ev["certificate"],
                     {k: v for k, v in ev.items()
                      if k not in ("outcome", "reason", "certificate")})
              for ev in report.evidence]
             + [record(None, e.error, None, {**e.to_json(), "path": None})
-               for e in report.entries])
+               for e in report.entries]
+            + calls)
 
     rng = random.Random(52525)
     for k in range(200):
@@ -104,10 +124,12 @@ def main(argv) -> int:
     groups["corpus-pairs"] = [verdict(A, B) for A in files for B in files
                               if (A.p, A.mode) == (B.p, B.mode)]
 
+    groups["total"] = [r for records in groups.values() for r in records]
     for name, records in groups.items():
         print(f"{name} {len(records)} {_digest(records)}")
-    every = [r for records in groups.values() for r in records]
-    print(f"total {len(every)} {_digest(every)}")
+    for name, records in groups.items():
+        verdicts = [(r["outcome"], r["certificate"]) for r in records]
+        print(f"{name} verdicts {len(records)} {_digest(verdicts)}")
     return 0
 
 
