@@ -198,6 +198,26 @@ def monomials_of_degree(gens: GeneratorSet, n: int, mode: str, p: int):
     return out
 
 
+def monomial_counts(gens: GeneratorSet, bound: int, mode: str, p: int) -> list:
+    """len(monomials_of_degree(n)) for n = 0..bound, counted without
+    listing.  Commutative: generators are added one at a time, an exterior
+    one with exponent 0 or 1 and any other with any exponent.  Associative:
+    a word of degree n ends in some generator of degree d, so
+    c[n] = sum of c[n - d] over the generator degrees."""
+    counts = [1] + [0] * bound
+    if mode == COMMUTATIVE:
+        for d, ext in zip(gens.degrees, exterior_mask(gens, p, mode)):
+            # descending reuses the previous generators' counts (exponent
+            # 0 or 1); ascending reuses this generator's own (any exponent)
+            order = range(bound, d - 1, -1) if ext else range(d, bound + 1)
+            for n in order:
+                counts[n] += counts[n - d]
+    else:
+        for n in range(1, bound + 1):
+            counts[n] = sum(counts[n - d] for d in gens.degrees if d <= n)
+    return counts
+
+
 # ------------------------------------------------------------ polynomials
 #
 # Polynomial: dict monomial -> coefficient in 1..p-1, kept in decreasing

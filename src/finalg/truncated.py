@@ -14,9 +14,11 @@ factors, so one rref per degree gives the whole power filtration, and the
 decomposables are I^2.  Multiplication tables serve only products of
 coordinate vectors.
 
-Construction lists the monomials of every degree and checks the
-resource limits of every degree, but each component is reduced on first
-use, so a caller that reads only low degrees pays only for those.
+Construction counts the monomials of every degree, without listing
+them, and checks the resource limits of every degree.  Each degree's
+monomials are listed, and its component reduced, only on first use, so a
+caller that reads only low degrees pays only for those (and for the
+cofactor degrees of their relation rows).
 
 Everything an instance exposes (bases, normal forms, multiplication
 tables, ideal-power filtrations) is exact for degrees within the bound;
@@ -24,7 +26,8 @@ degrees beyond it raise BoundExceededError.  Instances are immutable after
 construction apart from internal caches, so sharing one across threads for
 reads is safe: a degree's normal forms are stored last, after its basis,
 and a reader reduces every degree whose normal forms it does not see, so
-two threads may reduce a degree twice but both get the same result.
+two threads may reduce a degree twice but both get the same result.  Two
+threads may likewise list a degree's monomials twice, and get equal lists.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ import numpy as np
 
 from .errors import BoundExceededError, ResourceLimitError
 from .gfp import RowSpace, rref
-from .present import COMMUTATIVE, Presentation, mono_degree, mono_mul
+from .present import (COMMUTATIVE, Presentation, mono_degree, mono_mul,
+                      monomial_counts)
 
 DEFAULT_MONOMIAL_CEILING = 200_000
 # Most cells (cofactor rows x monomials) one degree's relation matrix may
@@ -75,42 +79,49 @@ class TruncatedAlgebra:
         # (degree, relation) of every nonzero relation
         self._relations = [(presentation.poly_degree(rel), rel)
                            for rel in presentation.relations if rel]
-        self._monos: list[list] = []
+        self._counts = monomial_counts(self.gens, bound, self.mode, self.p)
         self._tables: dict = {}
         self._decomposables: dict = {}
         self._filtration: list[int] | None = None
-        for n in range(bound + 1):
-            monos = presentation.monomials_of_degree(n)
-            if len(monos) > monomial_ceiling:
+        for n, count in enumerate(self._counts):
+            if count > monomial_ceiling:
                 raise ResourceLimitError(
-                    f"degree {n} has {len(monos)} monomials, ceiling is "
+                    f"degree {n} has {count} monomials, ceiling is "
                     f"{monomial_ceiling}; lower the bound or raise the ceiling")
-            self._monos.append(monos)
             rows = self._relation_row_count(n)
-            if rows * len(monos) > RELATION_CELL_BUDGET:
+            if rows * count > RELATION_CELL_BUDGET:
                 raise ResourceLimitError(
-                    f"degree {n} needs {rows} relation rows over {len(monos)} "
+                    f"degree {n} needs {rows} relation rows over {count} "
                     f"monomials, more than the cell budget of "
                     f"{RELATION_CELL_BUDGET}; lower the bound")
-        # filled per degree by _reduce_degree; None until then
+        # filled per degree on first use; None until then
+        self._monos: list = [None] * (bound + 1)
         self._basis: list = [None] * (bound + 1)
         self._nf: list = [None] * (bound + 1)
 
     # ------------------------------------------------------------- build
 
+    def _monomials(self, n: int) -> list:
+        """The monomials of degree n, in decreasing term order, listed on
+        first use."""
+        monos = self._monos[n]
+        if monos is None:
+            monos = self._monos[n] = self.presentation.monomials_of_degree(n)
+        return monos
+
     def _relation_row_count(self, n: int) -> int:
         """Number of cofactor multiples of the relations in degree n, an
-        upper bound on the rows of its relation matrix, counted from the
-        monomial lists of degrees <= n."""
-        monos = self._monos
+        upper bound on the rows of its relation matrix, from the monomial
+        counts of degrees <= n."""
+        counts = self._counts
         count = 0
         for r, _ in self._relations:
             if r > n:
                 continue
             if self.mode == COMMUTATIVE:
-                count += len(monos[n - r])
+                count += counts[n - r]
             else:
-                count += sum(len(monos[a]) * len(monos[n - r - a])
+                count += sum(counts[a] * counts[n - r - a]
                              for a in range(n - r + 1))
         return count
 
@@ -120,8 +131,8 @@ class TruncatedAlgebra:
         distinct rows in commutative mode; in associative mode a word that
         holds a relation's monomial twice would repeat a row, so each row
         is kept once."""
-        monos, p, gens, mode = self._monos, self.p, self.gens, self.mode
-        index = {m: j for j, m in enumerate(monos[n])}
+        monos, p, gens, mode = self._monomials, self.p, self.gens, self.mode
+        index = {m: j for j, m in enumerate(monos(n))}
         rows: dict = {}   # (column, value) pairs -> None, in first-seen order
         for r, rel in self._relations:
             if r > n:
@@ -130,7 +141,7 @@ class TruncatedAlgebra:
             if not terms:
                 continue
             if mode == COMMUTATIVE:
-                for cof in monos[n - r]:
+                for cof in monos(n - r):
                     row = []
                     for m, c in terms:
                         sign, mm = mono_mul(cof, m, gens, mode, p)
@@ -140,8 +151,8 @@ class TruncatedAlgebra:
                         rows[tuple(row)] = None
             else:
                 for a in range(n - r + 1):
-                    for u in monos[a]:
-                        for v in monos[n - r - a]:
+                    for u in monos(a):
+                        for v in monos(n - r - a):
                             rows[tuple((index[u + m + v], c)
                                        for m, c in terms)] = None
         R = np.zeros((len(rows), len(index)), dtype=np.int64)
@@ -155,7 +166,7 @@ class TruncatedAlgebra:
         """Row reduce degree n's relation rows: the non-pivot monomials are
         its basis, and every monomial's normal form is a row of one matrix,
         the identity on the basis and minus the reduced row elsewhere."""
-        monos = self._monos[n]
+        monos = self._monomials(n)
         R, pivots = rref(self._relation_rows(n), self.p)
         pivot_set = set(pivots)
         free = [j for j in range(len(monos)) if j not in pivot_set]
@@ -312,7 +323,7 @@ class TruncatedAlgebra:
         self._check(n)
         got = self._decomposables.get(n)
         if got is None:
-            monos = [m for m in self._monos[n] if self._factors(m) >= 2]
+            monos = [m for m in self._monomials(n) if self._factors(m) >= 2]
             got = RowSpace.spanned_by(self._nf_rows(n, monos), self.p)
             self._decomposables[n] = got
         return got
@@ -343,7 +354,8 @@ class TruncatedAlgebra:
         if self._filtration is None:
             dims = [0] * self.bound
             for n in range(1, self.bound + 1):
-                monos = sorted(self._monos[n], key=self._factors, reverse=True)
+                monos = sorted(self._monomials(n), key=self._factors,
+                               reverse=True)
                 _, pivots = rref(self._nf_rows(n, monos).T, self.p)
                 for col in pivots:
                     for c in range(self._factors(monos[col])):

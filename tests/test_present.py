@@ -6,7 +6,8 @@ import finalg
 from finalg.errors import ParseError
 from finalg.present import (ASSOCIATIVE, COMMUTATIVE, GeneratorSet,
                             Presentation, format_poly, mono_mul,
-                            monomials_of_degree, parse, parse_poly, poly_mul,
+                            monomial_counts, monomials_of_degree, parse,
+                            parse_poly, poly_mul,
                             serialize, substitute)
 from tests.conftest import CORPUS8, FIXTURE_NAMES, free_algebra_dims
 
@@ -154,6 +155,21 @@ def test_monomials_of_degree_exterior_order():
         assert all(max(m[:2]) <= 1 for m in monos)
         keys = [finalg.present.mono_key(m, gens, COMMUTATIVE) for m in monos]
         assert all(a > b for a, b in zip(keys, keys[1:])), deg
+
+
+def test_monomial_counts_match_the_listings():
+    # mixed degrees, with degree-1 and degree-3 generators exterior at p = 3
+    for pairs in ([("x", 1)], [("x", 2)], [("x", 1), ("y", 1)],
+                  [("x", 1), ("y", 2), ("z", 3)],
+                  [("x", 1), ("y", 1), ("u", 2), ("w", 3)],
+                  [("a", 2), ("b", 3), ("c", 3), ("d", 4)]):
+        gens = make_gens(pairs)
+        for mode in (COMMUTATIVE, ASSOCIATIVE):
+            for p in (2, 3):
+                counts = monomial_counts(gens, 12, mode, p)
+                want = [len(monomials_of_degree(gens, n, mode, p))
+                        for n in range(13)]
+                assert counts == want, (pairs, mode, p)
 
 
 def test_substitute_is_multiplicative():

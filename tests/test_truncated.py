@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from finalg.errors import ResourceLimitError
+from finalg.isotest import graded_isomorphism
 from finalg.present import parse
 from finalg.truncated import TruncatedAlgebra, default_bound, truncation_bound
 from tests.conftest import (brute_basis, free_algebra_dims,
@@ -280,6 +281,9 @@ def test_forcing_order_does_not_change_the_engine(corpus):
             up.dim(n)
         for n in reversed(range(bound + 1)):
             down.dim(n)
+        # every degree listed on first use, whatever the order
+        assert up._monos == down._monos == [pres.monomials_of_degree(n)
+                                            for n in range(bound + 1)]
         assert up.dims() == down.dims()
         for n in range(bound + 1):
             assert up.basis(n) == down.basis(n)
@@ -293,6 +297,40 @@ def test_forcing_order_does_not_change_the_engine(corpus):
             assert np.array_equal(up.table(a, bound - a),
                                   down.table(a, bound - a))
         assert up.power_filtration_dims() == down.power_filtration_dims()
+
+
+def _listed(T):
+    """The degrees whose monomials T has listed."""
+    return {n for n, monos in enumerate(T._monos) if monos is not None}
+
+
+def test_construction_lists_no_monomials(corpus):
+    # the limits are checked from counts, so a new engine holds no lists;
+    # reducing degree 3 of c4 (rel x^2) lists degree 3 and the cofactor
+    # degree 1 of its relation rows, and nothing else
+    T = TruncatedAlgebra(corpus["c4"], 10)
+    assert _listed(T) == set()
+    assert T.dim(3) == 1
+    assert _listed(T) == {1, 3}
+
+
+def test_dims_refutation_lists_only_the_degrees_compared(corpus,
+                                                         monkeypatch):
+    # c2 and c2c2 differ in degree 1 and have no relations, so each of the
+    # pair's engines lists degrees 0 and 1 out of 0..10
+    engines = []
+    original = TruncatedAlgebra.__init__
+
+    def kept(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        engines.append(self)
+    monkeypatch.setattr(TruncatedAlgebra, "__init__", kept)
+    A, B = dataclasses.replace(corpus["c2"]), dataclasses.replace(corpus["c2c2"])
+    verdict = graded_isomorphism(A, B)
+    assert verdict.statistics["bound"] == 10
+    assert verdict.statistics["first_dims_difference"] == 1
+    assert len(engines) == 2
+    assert [_listed(T) for T in engines] == [{0, 1}, {0, 1}]
 
 
 def test_associative_relation_rows_are_kept_once():
