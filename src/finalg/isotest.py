@@ -92,14 +92,15 @@ class Fingerprint:
     zero_generators: tuple = ()
 
     def digest(self) -> str:
-        if self.series is not None:
-            series_tag = str(self.series.canonical())
-        else:
-            series_tag = "truncated:" + ",".join(str(d) for d in self.dims)
+        """Hash of p, mode, bound, dims and filtration dims, which every
+        presentation of one algebra shares at one bound.  The series is
+        left out: whether it is known depends on the presentation (a
+        declared series line, or a Groebner basis within reach), so two
+        presentations of one algebra could hash apart; where both are
+        known, `graded_isomorphism` compares them."""
         blob = json.dumps({
             "p": self.p, "mode": self.mode, "bound": self.bound,
             "dims": list(self.dims), "filtration": list(self.filtration_dims),
-            "series": series_tag,
         }, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

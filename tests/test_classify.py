@@ -97,6 +97,25 @@ def test_cross_bucket_pairs_recorded():
     assert seen == want
 
 
+def test_a_declared_series_does_not_split_a_bucket(tmp_path):
+    # one algebra, with and without a declared series: they share a
+    # bucket, and the search finds a map but, with A's series unknown,
+    # cannot certify it
+    text = ("algebra {}\nchar 3\nmode associative\n"
+            "gen x 2\ngen y 2\ngen z 2\nrel x*y-y*x\n")
+    (tmp_path / "a.alg").write_text(text.format("a"))
+    (tmp_path / "b.alg").write_text(text.format("b")
+                                    + "series 1 / 1-3t^2+t^4\n")
+    report = classify_corpus(sorted(str(p) for p in tmp_path.iterdir()))
+    assert report.entries[0].digest == report.entries[1].digest
+    assert report.entries[0].series is None
+    assert report.entries[1].series is not None
+    [ev] = report.evidence
+    assert (ev["method"], ev["outcome"]) == ("search", "inconclusive")
+    assert report.totals["pairs_run"] == 1
+    assert report.totals["inconclusive_pairs"] == 1
+
+
 def test_bad_file_recorded_and_rest_classified(tmp_path):
     for name in ("c2", "c4"):
         (tmp_path / f"{name}.alg").write_text(
