@@ -2,12 +2,11 @@
 
 Entries are first bucketed by a digest of cheap invariants (the graded
 and filtration dims) computed at a shared working bound; only entries in
-the same bucket are compared
-pairwise.  Pairs are processed in sorted label order and merged with a
-union-find, so the resulting partition does not depend on input order.
-Cross-bucket pairs are reported as refuted by the invariant digest
-without running the search.  The pair runs reuse the invariants that
-bucketing memoized on each presentation.
+the same bucket are compared pairwise.  Pairs are processed in sorted
+label order and merged with a union-find, so the resulting partition
+does not depend on input order.  Cross-bucket pairs are reported as
+refuted by the invariant digest without running the search.  The pair
+runs reuse the invariants that bucketing memoized on each presentation.
 """
 
 from __future__ import annotations

@@ -7,8 +7,7 @@ from finalg.errors import ParseError
 from finalg.present import (ASSOCIATIVE, COMMUTATIVE, GeneratorSet,
                             Presentation, format_poly, mono_mul,
                             monomial_counts, monomials_of_degree, parse,
-                            parse_poly, poly_mul,
-                            serialize, substitute)
+                            parse_poly, poly_mul, serialize, substitute)
 from tests.conftest import CORPUS8, FIXTURE_NAMES, free_algebra_dims
 
 
