@@ -86,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("dir")
     p_c.add_argument("--out", metavar="REPORT.json",
                      help="write the JSON report to this file")
-    p_c.add_argument("--no-prune", action="store_true")
+    p_c.add_argument("--no-prune", action="store_true",
+                     help="disable candidate pruning")
     _common_flags(p_c)
     return parser
 

@@ -134,9 +134,6 @@ class RowSpace:
                 v = (v - coeff * row) % p
         return v
 
-    def residual(self, vec) -> np.ndarray:
-        return self._reduce(vec)
-
     def contains(self, vec) -> bool:
         return not self._reduce(vec).any()
 

@@ -282,10 +282,6 @@ def equal(P: RationalSeries, Q: RationalSeries) -> bool:
     return poly_mul(P.num, Q.den) == poly_mul(Q.num, P.den)
 
 
-def equal_truncated(P, Q, max_degree: int) -> bool:
-    return expand(P, max_degree) == expand(Q, max_degree)
-
-
 def count_nonzero_vectors(dim: int, p: int) -> int:
     """Number of nonzero coordinate vectors in GF(p)^dim."""
     return p ** dim - 1

@@ -13,14 +13,14 @@ The decision procedure:
    relation of A vanishes on it and the images generate B, so testing the
    two conditions over the whole candidate space decides the question.
 3. Optional pruning (commutative mode): before the full search, each
-   generator's candidate images are screened one at a time with two
-   necessary conditions on the ideal the image generates, relations
-   surviving elimination to that generator and the quotient Hilbert
-   series, and the search walks the survivors.  The screen is linear in
-   each generator's candidates; larger image tuples are left to the
-   search, which cuts them by relations more cheaply than a Groebner
-   basis per tuple would.  Every test is a necessary condition for
-   extendability, so pruning never changes the verdict.
+   generator's candidate images are screened one at a time.  When a power
+   x^m of a non-exterior generator x vanishes in A within the bound (the
+   least such m >= 2, read from A's truncated engine), an image v of x
+   must satisfy v^m = 0 in B, and the search walks the survivors.  The
+   screen runs no Groebner basis and is linear in each generator's
+   candidates; image tuples are left to the search, which cuts them by
+   relations.  The test is a necessary condition for extendability, so
+   pruning never changes the verdict.
 
 Search exhaustion refutes soundly in every mode: an isomorphism would
 itself appear as some enumerated tuple passing both checks.  A successful
@@ -40,13 +40,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import gfp, hilbert
+from . import hilbert
 from .errors import FinalgError, MismatchError, ResourceLimitError
-from .groebner import eliminate, groebner_basis, series_of_quotient
+from .groebner import groebner_basis, series_of_quotient
 from .hilbert import count_nonzero_vectors
-from .present import COMMUTATIVE, Presentation, format_poly
-from .truncated import (DEFAULT_MONOMIAL_CEILING, TruncatedAlgebra,
-                        default_bound, truncation_bound)
+from .present import COMMUTATIVE, Presentation, exterior_mask, format_poly
+from .truncated import (CANDIDATE_LIST_BUDGET, DEFAULT_MONOMIAL_CEILING,
+                        TruncatedAlgebra, default_bound, truncation_bound)
 
 __all__ = [
     "Fingerprint", "IsoVerdict", "candidate_space_size", "fingerprint",
@@ -115,14 +115,13 @@ def _memoized(P: Presentation, key, compute):
     return memo[key]
 
 
-def _series_from_basis(P: Presentation, extra=()):
-    """Series of the quotient by P's relations and `extra`, from a
-    Groebner basis; None in associative mode or when the basis is out of
-    reach."""
+def _series_from_basis(P: Presentation):
+    """Series of P's quotient from a Groebner basis; None in associative
+    mode or when the basis is out of reach."""
     if P.mode != COMMUTATIVE:
         return None
     try:
-        return series_of_quotient(groebner_basis(P, list(extra)))
+        return series_of_quotient(groebner_basis(P))
     except ResourceLimitError:
         return None
 
@@ -163,11 +162,11 @@ def _exact_series(P: Presentation, dims, ground):
     return series
 
 
-def _gen_mono(P: Presentation, i: int):
-    """The monomial of generator i."""
+def _gen_mono(P: Presentation, i: int, e: int = 1):
+    """The monomial of the e-th power of generator i."""
     if P.mode == COMMUTATIVE:
-        return tuple(1 if k == i else 0 for k in range(len(P.gens)))
-    return (i,)
+        return tuple(e if k == i else 0 for k in range(len(P.gens)))
+    return (i,) * e
 
 
 def _zero_generators(P: Presentation, T: TruncatedAlgebra) -> tuple:
@@ -204,6 +203,24 @@ def _zero_flags(P: Presentation, T: TruncatedAlgebra | None, bound: int,
                      lambda: _zero_generators(P, T))
 
 
+def _vanishing_powers(P: Presentation, engine, bound: int,
+                      monomial_ceiling: int) -> tuple:
+    """For each generator x of commutative P, the least m >= 2 with
+    x^m = 0 within the bound, else 0; 0 also for an exterior generator,
+    whose square vanishes in every algebra.  Memoized per bound and
+    ceiling; `engine()` returns P's engine there and is called only when
+    they are not memoized yet."""
+    def compute():
+        T = engine()
+        ext = exterior_mask(P.gens, P.p, P.mode)
+        return tuple(
+            0 if ext[i] else next((m for m in range(2, T.bound // d + 1)
+                                   if T.is_zero({_gen_mono(P, i, m): 1})), 0)
+            for i, d in enumerate(P.gens.degrees))
+    return _memoized(P, ("vanishing_powers", bound, monomial_ceiling),
+                     compute)
+
+
 def fingerprint(P: Presentation, bound: int | None = None,
                 T: TruncatedAlgebra | None = None,
                 monomial_ceiling: int = DEFAULT_MONOMIAL_CEILING) -> Fingerprint:
@@ -230,6 +247,11 @@ def fingerprint(P: Presentation, bound: int | None = None,
 def _compute_fingerprint(P: Presentation, T: TruncatedAlgebra) -> Fingerprint:
     dims = _dims(P, lambda: T, T.bound, T.monomial_ceiling, T.bound)
     series = _exact_series(P, dims, _ground_series(P))
+    # the filtration reduces every degree of T anyway, so reading the prune
+    # ladder's powers here adds only lookups, and no later pair builds an
+    # engine for them
+    if P.mode == COMMUTATIVE:
+        _vanishing_powers(P, lambda: T, T.bound, T.monomial_ceiling)
     return Fingerprint(p=P.p, mode=P.mode, bound=T.bound,
                        gen_degrees=tuple(sorted(P.gens.degrees)),
                        dims=dims,
@@ -272,84 +294,48 @@ class IsoVerdict:
 
 # ------------------------------------------------------------ prune ladder
 
-def _quotient_series(P: Presentation, polys):
-    """Memoized series of P's quotient by the ideal the polys generate;
-    None when its Groebner basis is out of reach."""
-    key = tuple(sorted(format_poly(f, P.gens, P.mode, P.p) for f in polys))
-    return _memoized(P, ("quotient_series", key),
-                     lambda: _series_from_basis(P, polys))
-
-
-def _eliminated(P: Presentation, subset, elim_cap: int) -> tuple:
-    """P's relations among the subset's generators, up to elim_cap; none
-    when the elimination is out of reach."""
-    try:
-        return tuple(eliminate(P, subset, degree_cap=elim_cap)[0])
-    except ResourceLimitError:
-        return ()
-
-
 def prune_ladder(A: Presentation, B: Presentation, TB: TruncatedAlgebra,
                  cand_lists) -> SimpleNamespace | None:
-    """Screen each generator's candidate images with two ideal tests: A's
-    relations in that generator alone must vanish on the image, and the
-    quotient by the image must have the series of A's quotient by the
-    generator.
+    """Screen each generator's candidate images: where x^m = 0 in A (m the
+    generator's vanishing power, see `_vanishing_powers`), an image v must
+    have v^m = 0 in B.
 
     Returns `survivors`, each generator's passing candidates in candidate
     order, and `stats`, one entry "stage1" of counters.  The screen stops
     at the first generator left with none, which `empty_generator` names
-    (else None), so `survivors` then ends with that empty list.
+    (else None), so `survivors` then ends with that empty list.  Returns
+    None in associative mode.
 
-    Returns None when the ground Groebner bases are out of reach (pruning
-    then silently turns off).  Every test is a necessary condition, so a
-    failing candidate can never take part in an isomorphism; tests skipped
-    on resource limits keep the candidate.  Quotient series and eliminated
-    relations are kept in the memos of A and B, so a later pair with either
-    side reuses them; B's are keyed by the image scaled to a leading 1, so
-    images on one line share one Groebner basis.
+    The test is a necessary condition, so a failing candidate can never
+    take part in an isomorphism.  A's powers are read from its memo at
+    TB's bound and ceiling, where `graded_isomorphism` leaves them (an
+    engine of A is built only when they are missing); the screen runs no
+    Groebner basis and leaves nothing in B's memo.
     """
     if A.mode != COMMUTATIVE:
         return None
-    # the ground bases must be in reach, else pruning turns off
-    if _ground_series(A) is None or _ground_series(B) is None:
-        return None
-    elim_cap = 2 * max(truncation_bound(A), truncation_bound(B))
-    # eliminated_annihilator is always 0; bench/tracing.py sums it per stage
+    bound, ceiling = TB.bound, TB.monomial_ceiling
+    powers = _vanishing_powers(
+        A, lambda: TruncatedAlgebra(A, bound, ceiling), bound, ceiling)
+    # eliminated_series and eliminated_annihilator are always 0;
+    # bench/tracing.py sums them per stage
     stat = {"subsets": 0, "tested": 0, "eliminated_series": 0,
             "eliminated_relations": 0, "eliminated_annihilator": 0,
             "surviving": 0}
-
-    def admissible(i, v, qa, rels):
-        deg = A.gens.degrees[i]
-        images = [(d, None) for d in A.gens.degrees]
-        images[i] = (deg, np.array(v, dtype=np.int64))
-        for rel in rels:
-            got = TB.evaluate(rel, A, images)
-            if got is not None and got[1].any():
-                stat["eliminated_relations"] += 1
-                return False
-        # the image generates the ideal its line does, so it is scaled to a
-        # leading 1 (a zero image generates nothing)
-        lead = next((c for c in v if c), 0)
-        line = []
-        if lead:
-            inv = gfp.inv_mod(lead, B.p)
-            line = [TB.poly_of_vec(deg, [c * inv for c in v])]
-        qb = _quotient_series(B, line)
-        # a series out of reach keeps the candidate
-        if qa is not None and qb is not None and not hilbert.equal(qa, qb):
-            stat["eliminated_series"] += 1
-            return False
-        return True
-
     ladder = SimpleNamespace(survivors=[], stats={"stage1": stat},
                              empty_generator=None)
+    images = [(d, None) for d in A.gens.degrees]
     for i, cands in enumerate(cand_lists):
-        qa = _quotient_series(A, [{_gen_mono(A, i): 1}])
-        rels = _memoized(A, ("eliminated", (i,), elim_cap),
-                         lambda: _eliminated(A, (i,), elim_cap))
-        keep = [v for v in cands if admissible(i, v, qa, rels)]
+        keep = cands
+        if powers[i]:
+            power = {_gen_mono(A, i, powers[i]): 1}
+            keep = []
+            for v in cands:
+                images[i] = (A.gens.degrees[i], np.array(v, dtype=np.int64))
+                if TB.evaluate(power, A, images)[1].any():
+                    stat["eliminated_relations"] += 1
+                else:
+                    keep.append(v)
         stat["subsets"] += 1
         stat["tested"] += len(cands)
         stat["surviving"] += len(keep)
@@ -506,6 +492,17 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
             f"no candidate images: the degree-{empty} component of the "
             f"target is zero"))
 
+    # the lists are built whole, so their total length is bounded first
+    sizes = [1 if zero else count_nonzero_vectors(dim, A.p)
+             for dim, zero in zip(comp_dims, gen_is_zero)]
+    if sum(sizes) > CANDIDATE_LIST_BUDGET:
+        count, name = max(zip(sizes, A.gens.names))
+        return done(IsoVerdict(
+            "inconclusive",
+            f"resource limit: generator {name} has {count} candidate "
+            f"images, {sum(sizes)} in all, more than the candidate budget "
+            f"of {CANDIDATE_LIST_BUDGET}"))
+
     # coordinate rows in lexicographic order over GF(p) residues, indexed
     # against the basis listed smallest-first, so the identity tuple is
     # enumerated first when A and B share a presentation
@@ -517,15 +514,18 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
     ]
 
     if prune and A.mode == COMMUTATIVE:
+        # the ladder reads A's powers from A's memo; without fingerprints
+        # nothing has put them there, and A's engine here does so with no
+        # second build
+        _vanishing_powers(A, engine_a, D, monomial_ceiling)
         ladder = prune_ladder(A, B, TB, cand_lists)
-        if ladder is not None:
-            stats["pruned_by_stage"] = ladder.stats
-            if ladder.empty_generator is not None:
-                return done(IsoVerdict(
-                    "not-isomorphic",
-                    "subset admissibility empty for generators "
-                    f"({ladder.empty_generator})"))
-            cand_lists = ladder.survivors
+        stats["pruned_by_stage"] = ladder.stats
+        if ladder.empty_generator is not None:
+            return done(IsoVerdict(
+                "not-isomorphic",
+                "subset admissibility empty for generators "
+                f"({ladder.empty_generator})"))
+        cand_lists = ladder.survivors
 
     try:
         found = _search(0, A, TB, cand_lists, _relation_plans(A),

@@ -44,6 +44,10 @@ DEFAULT_MONOMIAL_CEILING = 200_000
 # have, about 80 MB as int64.  The monomial ceiling alone does not bound
 # memory: the rows grow with every cofactor of every relation.
 RELATION_CELL_BUDGET = 10_000_000
+# Most candidate images, summed over a pair's generators, that
+# `graded_isomorphism` lists before it searches; a list entry holds one
+# coordinate tuple, so this also bounds the memory the lists take.
+CANDIDATE_LIST_BUDGET = 300_000
 
 
 def truncation_bound(P: Presentation) -> int:

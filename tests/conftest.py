@@ -31,6 +31,11 @@ FIXTURE_NAMES = ["c2", "c4", "c8", "c2c2", "c4c2", "c2c2c2", "d8", "q8"]
 # (1.4e7) cells in degree 7 and 76545 x 19683 (1.5e9) in degree 9.
 WIDE = ("algebra wide\nchar 2\nmode associative\ngen x 1\ngen y 1\n"
         "gen z 1\nrel z\nrel x*y\n")
+# x*y = 0 on x, y, z of degree 1, with a free w of degree 10: the
+# degree-10 component has dimension 22, so w has 2^22 - 1 candidate
+# images, over the candidate budget
+PROBE10 = ("algebra probe\nchar 2\nmode commutative\ngen x 1\ngen y 1\n"
+           "gen z 1\ngen w 10\nrel x*y\n")
 
 
 @pytest.fixture(scope="session")

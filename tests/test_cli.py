@@ -3,7 +3,7 @@ import json
 import pytest
 
 from finalg.cli import main
-from tests.conftest import CORPUS4, CORPUS8, WIDE
+from tests.conftest import CORPUS4, CORPUS8, PROBE10, WIDE
 
 
 def c8(name):
@@ -144,6 +144,17 @@ def test_iso_inconclusive_exit_3(capsys, tmp_path):
     code, out, _ = run(capsys, ["iso", str(a), str(b)])
     assert code == 3
     assert json.loads(out)["outcome"] == "inconclusive"
+
+
+def test_iso_candidate_budget_exit_3(capsys, tmp_path):
+    probe = tmp_path / "probe.alg"
+    probe.write_text(PROBE10)
+    code, out, _ = run(capsys, ["iso", str(probe), str(probe)])
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["outcome"] == "inconclusive"
+    assert payload["reason"].endswith("more than the candidate budget of "
+                                      "300000")
 
 
 def test_classify_text_output(capsys):

@@ -93,11 +93,3 @@ def test_rowspace_incremental():
         assert other.dim == rs.dim
         other.add([1, 0, 0, 0, 0])
         assert rs.dim == expected_rank  # copy is independent
-
-
-def test_rowspace_residual():
-    rs = gfp.RowSpace(3, 2)
-    rs.add([1, 1, 0])
-    res = rs.residual([1, 0, 1])
-    assert res.tolist() == [0, 1, 1]
-    assert not rs.contains([1, 0, 1])

@@ -16,8 +16,8 @@ from finalg.isotest import (candidate_space_size, compare_fingerprints,
                             verify_certificate)
 from finalg.present import parse
 from finalg.truncated import DEFAULT_MONOMIAL_CEILING, TruncatedAlgebra
-from tests.conftest import (CORPUS8, WIDE, disguise, memo_values,
-                            random_presentation)
+from tests.conftest import (CORPUS4, CORPUS8, PROBE10, WIDE, disguise,
+                            memo_values, random_presentation)
 
 FREE2 = "algebra free2\nchar 2\nmode commutative\ngen x 1\ngen y 1\n"
 
@@ -191,20 +191,21 @@ def _comm(p, gens, *rels):
 
 # (A, B, expected, surviving count of the ladder's one stage).  The non-
 # isomorphic pairs share every fingerprint invariant, so only the ladder
-# or the search can refute them: x^2 has a nonzero square-zero element in
-# the generators' degree, x*y does not, so the ladder leaves x no image;
-# x*y+z^2 is irreducible at p = 2, x*y is not, which no single image
-# shows, so the search refutes it.
+# or the search can refute them: x^2 = 0 in A, while B = k[x, y]/(x*y)
+# has no nonzero square-zero element in the generators' degree, so the
+# ladder leaves x no image; x*y+z^2 is irreducible at p = 2, x*y is not,
+# and no generator power vanishes in either, so every image passes and
+# the search refutes it.
 LADDER_PAIRS = [
     (_comm(2, "x:1 y:1", "x^2"), _comm(2, "x:1 y:1", "x*y"),
      "not-isomorphic", {"stage1": 0}),
     (_comm(2, "x:1 y:1 z:1", "x*y+z^2"), _comm(2, "x:1 y:1 z:1", "x*y"),
-     "not-isomorphic", {"stage1": 15}),
+     "not-isomorphic", {"stage1": 21}),
     (_comm(3, "x:2 y:2", "x^2"), _comm(3, "x:2 y:2", "x*y"),
      "not-isomorphic", {"stage1": 0}),
     # disguised by x -> x + y
     (_comm(2, "x:1 y:1", "x*y"), _comm(2, "x:1 y:1", "x*y+y^2"),
-     "isomorphic", {"stage1": 4}),
+     "isomorphic", {"stage1": 6}),
 ]
 
 
@@ -220,7 +221,8 @@ def test_ladder_verdicts_and_survivors(A, B, expected, surviving):
     pruned = graded_isomorphism(A, B)
     stages = pruned.statistics["pruned_by_stage"]
     assert {k: st["surviving"] for k, st in stages.items()} == surviving
-    assert all(st["eliminated_annihilator"] == 0 for st in stages.values())
+    assert all(st["eliminated_annihilator"] == st["eliminated_series"] == 0
+               for st in stages.values())
     brute = graded_isomorphism(A, B, prune=False, use_fingerprints=False)
     assert pruned.outcome == brute.outcome == expected
     if expected == "not-isomorphic":
@@ -230,27 +232,67 @@ def test_ladder_verdicts_and_survivors(A, B, expected, surviving):
         assert brute.reason == "search exhausted"
 
 
-def test_ladder_runs_one_groebner_basis_per_span(monkeypatch):
-    # at p = 3 degree-1 generators are exterior, and every one of the 8
-    # nonzero images of x or y passes the ladder.  The images lie on 4
-    # lines, so with A's generators x and y 2 + 4 bases carry extra ideal
-    # generators (ground bases and eliminations carry none)
-    A = _comm(3, "x:1 y:1")
-    B = _comm(3, "x:1 y:1")
-    with_extra = []
+def test_ladder_runs_no_groebner_basis(monkeypatch):
+    # x^3 = 0 in A, so the ladder tests every image of x: it reads A's
+    # vanishing powers from A's memo and evaluates their images in B's
+    # engine, with no Groebner basis and nothing kept per image
+    A = _comm(3, "x:2 y:2", "x^3")
+    B = _comm(3, "x:2 y:2", "y^3")
+    in_ladder, bases, memo_growth = [], [], []
     buchberger = finalg.groebner.buchberger
+    ladder = finalg.isotest.prune_ladder
 
-    def counted(P, extra=(), *args, **kwargs):
-        if extra:
-            with_extra.append("A" if P is A else "B")
-        return buchberger(P, extra, *args, **kwargs)
+    def counted(*args, **kwargs):
+        if in_ladder:
+            bases.append(args[0].name)
+        return buchberger(*args, **kwargs)
+
+    def watched(A, B, TB, cand_lists):
+        before = set(B._memo)
+        in_ladder.append(True)
+        try:
+            return ladder(A, B, TB, cand_lists)
+        finally:
+            in_ladder.pop()
+            memo_growth.append(set(B._memo) - before)
     monkeypatch.setattr(finalg.groebner, "buchberger", counted)
+    monkeypatch.setattr(finalg.isotest, "prune_ladder", watched)
     verdict = graded_isomorphism(A, B)
     assert verdict.outcome == "isomorphic"
-    stages = verdict.statistics["pruned_by_stage"]
-    assert [(st["tested"], st["eliminated_series"], st["surviving"])
-            for st in stages.values()] == [(16, 0, 16)]
-    assert (with_extra.count("A"), with_extra.count("B")) == (2, 4)
+    assert verdict.certificate == {"x": "y", "y": "x"}
+    stage = verdict.statistics["pruned_by_stage"]["stage1"]
+    # x^3 = 0 in A, and 2 of the 8 images v of x have v^3 = 0 in B
+    assert (stage["tested"], stage["eliminated_relations"],
+            stage["surviving"]) == (16, 6, 10)
+    assert bases == [] and memo_growth == [set()]
+    assert not any(key[0] in ("quotient_series", "eliminated")
+                   for P in (A, B) for key in P._memo
+                   if isinstance(key, tuple))
+
+
+def test_vanishing_powers_match_elimination():
+    # the least m >= 2 with x^m = 0, read from the engine, against the
+    # relations in x alone that block-order elimination finds
+    rng = random.Random(17)
+    presentations = [finalg.parse_file(path) for d in (CORPUS4, CORPUS8)
+                     for path in sorted(d.glob("*.alg"))]
+    presentations += [random_presentation(rng, name=f"r{i}")
+                      for i in range(40)]
+    checked = 0
+    for P in presentations:
+        if P.mode != finalg.COMMUTATIVE:
+            continue
+        D = pair_bound(P, P)
+        powers = finalg.isotest._vanishing_powers(
+            P, lambda: TruncatedAlgebra(P, D), D, DEFAULT_MONOMIAL_CEILING)
+        exterior = finalg.present.exterior_mask(P.gens, P.p, P.mode)
+        for i, ext in enumerate(exterior):
+            kept, _ = finalg.groebner.eliminate(P, (i,), degree_cap=D)
+            exps = [mono[i] for g in kept for mono in g]
+            expected = 0 if ext or not exps else max(2, min(exps))
+            assert powers[i] == expected, (P, i)
+            checked += expected > 0
+    assert checked == 13   # generators with a vanishing power
 
 
 def test_calls_leave_no_reference_cycles(corpus):
@@ -348,6 +390,19 @@ def test_relation_cell_budget_makes_the_verdict_inconclusive():
     assert verdict.reason == (
         "resource limit: degree 7 needs 6561 relation rows over 2187 "
         "monomials, more than the cell budget of 10000000; lower the bound")
+
+
+def test_candidate_budget_makes_the_verdict_inconclusive():
+    probe = parse(PROBE10)
+    for kwargs in ({}, {"prune": False, "use_fingerprints": False}):
+        start = time.monotonic()
+        verdict = graded_isomorphism(probe, probe, **kwargs)
+        assert time.monotonic() - start < 5
+        assert verdict.outcome == "inconclusive"
+        assert verdict.reason == (
+            "resource limit: generator w has 4194303 candidate images, "
+            "4194324 in all, more than the candidate budget of 300000")
+        assert verdict.statistics["enumerated"] == 0
 
 
 def test_zero_generator_maps_to_zero():
@@ -509,20 +564,26 @@ def test_pruned_matches_brute_where_the_ladder_runs():
 
 def test_pruned_matches_brute_where_the_ladder_refutes():
     # two degree-2 generators with relations in degrees 4 and 6, where a
-    # generator is often left with no image that passes the ladder
+    # generator is often left with no image that passes the ladder; every
+    # pair that reaches the ladder is checked against the brute oracle
     rng = random.Random(5)
-    refuted = []
+    reached, refuted = 0, []
     for i in range(120):
         A = _random_p3(rng, (("x", 2), ("y", 2)), (4, 6), f"a{i}")
         B = _random_p3(rng, (("x", 2), ("y", 2)), (4, 6), f"b{i}")
         pruned = graded_isomorphism(A, B)
-        if not (pruned.reason or "").startswith("subset admissibility"):
+        if pruned.statistics["pruned_by_stage"] is None:
             continue
+        reached += 1
         brute = graded_isomorphism(A, B, prune=False, use_fingerprints=False)
-        assert brute.outcome == "not-isomorphic", (A, B)
-        refuted.append(pruned.reason[-3:])
-    assert len(refuted) >= 8
-    assert {"(x)", "(y)"} <= set(refuted)
+        assert pruned.outcome == brute.outcome, (A, B)
+        if (pruned.reason or "").startswith("subset admissibility"):
+            refuted.append(pruned.reason[-3:])
+    assert reached == 33
+    # the ladder refutes these 5, each from a generator power that
+    # vanishes in A while no image's power does in B; the search refutes
+    # the other non-isomorphic pairs
+    assert refuted == ["(x)", "(x)", "(x)", "(y)", "(x)"]
 
 
 def test_max_degree_override(corpus):

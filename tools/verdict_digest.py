@@ -10,6 +10,10 @@ ROOT/bench/gen.py, writes nothing under ROOT, and decides:
   benchmark does;
 - the acceptance-5 stream (seed 52525, 200 ordered pairs, every fifth
   pair disguised), pruned and by the brute-force oracle;
+- the probe family at p = 2 for d = 3, 4, 5, pruned and by the
+  brute-force oracle: A has x, y, z of degree 1, w of degree d and the
+  relation x*y, and B is A disguised by x -> x+z and
+  w -> w + x^d + y^(d-1)*z, so w has 2^(2d+2) - 1 candidate images;
 - every ordered pair of corpus/div4 and corpus/div8 files of equal
   characteristic and mode, over presentations parsed once, so later pairs
   read what earlier ones memoized.
@@ -116,6 +120,17 @@ def main(argv) -> int:
             while B.p != A.p:
                 B = gen.random_presentation(rng, f"rnd_b{k}")
         groups.setdefault("acceptance-5", []).extend(
+            [verdict(A, B),
+             verdict(A, B, prune=False, use_fingerprints=False)])
+
+    for d in (3, 4, 5):
+        gens = ("char 2\nmode commutative\ngen x 1\ngen y 1\ngen z 1\n"
+                f"gen w {d}\n")
+        A = finalg.parse(f"algebra probe_a{d}\n{gens}rel x*y\n")
+        # w is in no relation, so its part of the disguise leaves B's
+        # presentation alone
+        B = finalg.parse(f"algebra probe_b{d}\n{gens}rel x*y + y*z\n")
+        groups.setdefault("probe", []).extend(
             [verdict(A, B),
              verdict(A, B, prune=False, use_fingerprints=False)])
 
