@@ -22,6 +22,14 @@ The decision procedure:
    relations.  The test is a necessary condition for extendability, so
    pruning never changes the verdict.
 
+A call holds one side object per presentation, at the pair's bound and
+monomial ceiling.  It builds that presentation's engine on first need and
+keeps the dims, zero-generator flags, vanishing powers, ground series and
+fingerprint in the presentation's memo, under flat keys such as
+("dims", bound, ceiling).  The brute-force oracle
+(`use_fingerprints=False`) gives both sides a fresh dict instead, so it
+reads and fills no memo whatever `prune` is, and compares no fingerprint.
+
 Search exhaustion refutes soundly in every mode: an isomorphism would
 itself appear as some enumerated tuple passing both checks.  A successful
 tuple upgrades to an "isomorphic" verdict only when exact series equality
@@ -74,22 +82,14 @@ def pair_bound(A: Presentation, B: Presentation, override: int | None = None) ->
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Screening invariants of one presented algebra at a working bound.
-
-    `gen_degrees` is recorded for reporting but never compared, since
-    presentations need not be minimal; neither is `zero_generators`, which
-    flags the generators that are zero in the algebra (those above the
-    bound count as nonzero).
-    """
+    """Screening invariants of one presented algebra at a working bound."""
 
     p: int
     mode: str
     bound: int
-    gen_degrees: tuple
     dims: tuple
     filtration_dims: tuple
     series: object | None          # RationalSeries when exact, else None
-    zero_generators: tuple = ()
 
     def digest(self) -> str:
         """Hash of p, mode, bound, dims and filtration dims, which every
@@ -105,16 +105,6 @@ class Fingerprint:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _memoized(P: Presentation, key, compute):
-    """The entry `key` of P's memo (see `Presentation`), computed on first
-    use.  A compute that raises stores nothing, so the error is raised
-    again on every call."""
-    memo = P._memo
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
-
-
 def _series_from_basis(P: Presentation):
     """Series of P's quotient from a Groebner basis; None in associative
     mode or when the basis is out of reach."""
@@ -124,12 +114,6 @@ def _series_from_basis(P: Presentation):
         return series_of_quotient(groebner_basis(P))
     except ResourceLimitError:
         return None
-
-
-def _ground_series(P: Presentation):
-    """`_series_from_basis(P)`, memoized; None also says that the ground
-    Groebner basis is out of reach."""
-    return _memoized(P, "ground_series", lambda: _series_from_basis(P))
 
 
 def _exact_series(P: Presentation, dims, ground):
@@ -169,56 +153,95 @@ def _gen_mono(P: Presentation, i: int, e: int = 1):
     return (i,) * e
 
 
-def _zero_generators(P: Presentation, T: TruncatedAlgebra) -> tuple:
-    """Which generators are zero in the algebra, as far as T's bound sees.
-    A generator in T's standard basis is a basis vector, so only the
-    others need reducing."""
-    flags = []
-    for i, d in enumerate(P.gens.degrees):
-        mono = _gen_mono(P, i)
-        flags.append(d <= T.bound and mono not in T.basis(d)
-                     and T.element({mono: 1}) is None)
-    return tuple(flags)
+class _Side:
+    """The invariants of one presentation P at one bound and monomial
+    ceiling, for the length of one call.
 
+    Values are kept in `memo` under flat keys, `(name, bound, ceiling)`,
+    and the ground series, which no bound changes, under
+    `"ground_series"`.  The memo is P's own (see `Presentation`), or a
+    fresh dict for a call that must read and fill none.  A compute that
+    raises stores nothing, so the error is raised again on every call.
+    P's engine `T` at the bound and ceiling is built on first need.
+    """
 
-def _dims(P: Presentation, engine, bound: int, monomial_ceiling: int,
-          upto: int) -> tuple:
-    """P's graded dims in degrees 0..upto.  P's memo keeps the longest
-    prefix read so far at the bound and ceiling; `engine()` returns P's
-    engine there and is called only to read past that prefix."""
-    key = ("dims", bound, monomial_ceiling)
-    known = P._memo.get(key, ())
-    if len(known) <= upto:
-        T = engine()
-        known += tuple(T.dim(n) for n in range(len(known), upto + 1))
-        P._memo[key] = known
-    return known[:upto + 1]
+    def __init__(self, P: Presentation, bound: int, ceiling: int,
+                 memo: dict, T: TruncatedAlgebra | None):
+        self.P, self.bound, self.ceiling = P, bound, ceiling
+        self.memo, self.T = memo, T
 
+    def engine(self) -> TruncatedAlgebra:
+        if self.T is None:
+            self.T = TruncatedAlgebra(self.P, self.bound, self.ceiling)
+        return self.T
 
-def _zero_flags(P: Presentation, T: TruncatedAlgebra | None, bound: int,
-                monomial_ceiling: int) -> tuple:
-    """`_zero_generators(P, T)`, memoized per bound and ceiling; T, P's
-    engine there, is read only when they are not memoized yet."""
-    return _memoized(P, ("zero_generators", bound, monomial_ceiling),
-                     lambda: _zero_generators(P, T))
+    def _entry(self, name: str, compute):
+        key = (name, self.bound, self.ceiling)
+        if key not in self.memo:
+            self.memo[key] = compute()
+        return self.memo[key]
 
+    def dims(self, upto: int) -> tuple:
+        """Graded dims in degrees 0..upto.  The memo keeps the longest
+        prefix read so far, and the engine is read only past it."""
+        key = ("dims", self.bound, self.ceiling)
+        known = self.memo.get(key, ())
+        if len(known) <= upto:
+            T = self.engine()
+            known += tuple(T.dim(n) for n in range(len(known), upto + 1))
+            self.memo[key] = known
+        return known[:upto + 1]
 
-def _vanishing_powers(P: Presentation, engine, bound: int,
-                      monomial_ceiling: int) -> tuple:
-    """For each generator x of commutative P, the least m >= 2 with
-    x^m = 0 within the bound, else 0; 0 also for an exterior generator,
-    whose square vanishes in every algebra.  Memoized per bound and
-    ceiling; `engine()` returns P's engine there and is called only when
-    they are not memoized yet."""
-    def compute():
-        T = engine()
-        ext = exterior_mask(P.gens, P.p, P.mode)
-        return tuple(
-            0 if ext[i] else next((m for m in range(2, T.bound // d + 1)
-                                   if T.is_zero({_gen_mono(P, i, m): 1})), 0)
-            for i, d in enumerate(P.gens.degrees))
-    return _memoized(P, ("vanishing_powers", bound, monomial_ceiling),
-                     compute)
+    def series(self):
+        """`_exact_series` against all the dims; the ground series in it
+        is memoized, the check against the dims is not."""
+        if "ground_series" not in self.memo:
+            self.memo["ground_series"] = _series_from_basis(self.P)
+        return _exact_series(self.P, self.dims(self.bound),
+                             self.memo["ground_series"])
+
+    def zero_flags(self) -> tuple:
+        """Which generators are zero in the algebra, as far as the bound
+        sees (those above it count as nonzero).  A generator in the
+        engine's standard basis is a basis vector, so only the others
+        need reducing."""
+        def compute():
+            T, P = self.engine(), self.P
+            return tuple(
+                d <= T.bound and _gen_mono(P, i) not in T.basis(d)
+                and T.element({_gen_mono(P, i): 1}) is None
+                for i, d in enumerate(P.gens.degrees))
+        return self._entry("zero_generators", compute)
+
+    def vanishing_powers(self) -> tuple:
+        """For each generator x, the least m >= 2 with x^m = 0 within the
+        bound, else 0; 0 also for an exterior generator, whose square
+        vanishes in every algebra."""
+        def compute():
+            T, P = self.engine(), self.P
+            ext = exterior_mask(P.gens, P.p, P.mode)
+            return tuple(
+                0 if ext[i] else next(
+                    (m for m in range(2, T.bound // d + 1)
+                     if T.is_zero({_gen_mono(P, i, m): 1})), 0)
+                for i, d in enumerate(P.gens.degrees))
+        return self._entry("vanishing_powers", compute)
+
+    def fingerprint(self) -> Fingerprint:
+        def compute():
+            series, P = self.series(), self.P
+            # the filtration reduces every degree of the engine anyway, so
+            # reading the zero flags and the ladder's powers here adds only
+            # lookups, and no later pair builds an engine for them
+            self.zero_flags()
+            if P.mode == COMMUTATIVE:
+                self.vanishing_powers()
+            return Fingerprint(
+                p=P.p, mode=P.mode, bound=self.bound,
+                dims=self.dims(self.bound),
+                filtration_dims=tuple(self.engine().power_filtration_dims()),
+                series=series)
+        return self._entry("fingerprint", compute)
 
 
 def fingerprint(P: Presentation, bound: int | None = None,
@@ -226,39 +249,14 @@ def fingerprint(P: Presentation, bound: int | None = None,
                 monomial_ceiling: int = DEFAULT_MONOMIAL_CEILING) -> Fingerprint:
     """Invariants of P at the bound (default: the presentation's own).
 
-    Computed once per bound and monomial ceiling and kept in P's memo,
-    where its dims and zero-generator flags also have entries of their own
-    (`graded_isomorphism` reads the dims before anything else, and only as
-    far as they agree).  An engine `T` of P fixes both and is used when
-    they are not memoized yet.
+    Computed once per bound and monomial ceiling and kept in P's memo.  An
+    engine `T` of P fixes both and is used when they are not memoized yet.
     """
     if T is not None:
         bound, monomial_ceiling = T.bound, T.monomial_ceiling
     elif bound is None:
         bound = default_bound(P)
-
-    def compute():
-        TP = T if T is not None else TruncatedAlgebra(P, bound,
-                                                      monomial_ceiling)
-        return _compute_fingerprint(P, TP)
-    return _memoized(P, ("fingerprint", bound, monomial_ceiling), compute)
-
-
-def _compute_fingerprint(P: Presentation, T: TruncatedAlgebra) -> Fingerprint:
-    dims = _dims(P, lambda: T, T.bound, T.monomial_ceiling, T.bound)
-    series = _exact_series(P, dims, _ground_series(P))
-    # the filtration reduces every degree of T anyway, so reading the prune
-    # ladder's powers here adds only lookups, and no later pair builds an
-    # engine for them
-    if P.mode == COMMUTATIVE:
-        _vanishing_powers(P, lambda: T, T.bound, T.monomial_ceiling)
-    return Fingerprint(p=P.p, mode=P.mode, bound=T.bound,
-                       gen_degrees=tuple(sorted(P.gens.degrees)),
-                       dims=dims,
-                       filtration_dims=tuple(T.power_filtration_dims()),
-                       series=series,
-                       zero_generators=_zero_flags(P, T, T.bound,
-                                                   T.monomial_ceiling))
+    return _Side(P, bound, monomial_ceiling, P._memo, T).fingerprint()
 
 
 _DIMS_DIFFER = "dimension sequence differs within the bound"
@@ -294,29 +292,21 @@ class IsoVerdict:
 
 # ------------------------------------------------------------ prune ladder
 
-def prune_ladder(A: Presentation, B: Presentation, TB: TruncatedAlgebra,
-                 cand_lists) -> SimpleNamespace | None:
+def prune_ladder(A: Presentation, TB: TruncatedAlgebra, cand_lists,
+                 powers) -> SimpleNamespace:
     """Screen each generator's candidate images: where x^m = 0 in A (m the
-    generator's vanishing power, see `_vanishing_powers`), an image v must
-    have v^m = 0 in B.
+    generator's entry in `powers`, 0 for none; see
+    `_Side.vanishing_powers`), an image v must have v^m = 0 in B.
 
     Returns `survivors`, each generator's passing candidates in candidate
     order, and `stats`, one entry "stage1" of counters.  The screen stops
     at the first generator left with none, which `empty_generator` names
-    (else None), so `survivors` then ends with that empty list.  Returns
-    None in associative mode.
+    (else None), so `survivors` then ends with that empty list.
 
     The test is a necessary condition, so a failing candidate can never
-    take part in an isomorphism.  A's powers are read from its memo at
-    TB's bound and ceiling, where `graded_isomorphism` leaves them (an
-    engine of A is built only when they are missing); the screen runs no
-    Groebner basis and leaves nothing in B's memo.
+    take part in an isomorphism.  The screen runs no Groebner basis and
+    reads and fills no memo.
     """
-    if A.mode != COMMUTATIVE:
-        return None
-    bound, ceiling = TB.bound, TB.monomial_ceiling
-    powers = _vanishing_powers(
-        A, lambda: TruncatedAlgebra(A, bound, ceiling), bound, ceiling)
     # eliminated_series and eliminated_annihilator are always 0;
     # bench/tracing.py sums them per stage
     stat = {"subsets": 0, "tested": 0, "eliminated_series": 0,
@@ -417,41 +407,23 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
             1000 * (time.monotonic() - t0), 3)
         return verdict
 
+    # the brute-force oracle starts both sides empty, so it reads and
+    # fills no memo
+    sides = [_Side(P, D, monomial_ceiling, P._memo if use_fingerprints
+                   else {}, None) for P in (A, B)]
     try:
-        # A's engine serves only its zero flags and dims, which its memo
-        # may hold: with the flags memoized it is built only if the dims
-        # are read past the memoized prefix (`fingerprint` builds one
-        # again if it needs it); the brute path computes everything afresh
-        TA = (None if use_fingerprints
-              and ("zero_generators", D, monomial_ceiling) in A._memo
-              else TruncatedAlgebra(A, D, monomial_ceiling))
-        TB = TruncatedAlgebra(B, D, monomial_ceiling)
+        # A's engine, built first unless its zero flags are memoized, then B's
+        gen_is_zero = sides[0].zero_flags()
+        TB = sides[1].engine()
     except ResourceLimitError as exc:
         return done(IsoVerdict("inconclusive", f"resource limit: {exc}"))
-
-    def engine_a() -> TruncatedAlgebra:
-        # TA is None only when A's memo holds its zero flags, which a
-        # successful build of this engine wrote, so this one raises no
-        # resource limit
-        nonlocal TA
-        if TA is None:
-            TA = TruncatedAlgebra(A, D, monomial_ceiling)
-        return TA
+    # a declared series is checked on every call, against all the dims
+    for side in sides:
+        if side.P.declared_series is not None:
+            side.series()
 
     degrees = A.gens.degrees
     comp_dims = [TB.dim(d) for d in degrees]
-    if use_fingerprints:
-        gen_is_zero = _zero_flags(A, TA, D, monomial_ceiling)
-        sides = ((A, engine_a), (B, lambda: TB))
-        # a declared series is checked on every call, against all the dims
-        for P, engine in sides:
-            if P.declared_series is not None:
-                _exact_series(P, _dims(P, engine, D, monomial_ceiling, D),
-                              _ground_series(P))
-    else:
-        sa = _exact_series(A, TA.dims(), _series_from_basis(A))
-        sb = _exact_series(B, TB.dims(), _series_from_basis(B))
-        gen_is_zero = _zero_generators(A, TA)
     # a graded isomorphism is injective, so a generator that is nonzero in
     # A needs a nonzero image, while one that collapses to zero in A (a
     # non-minimal presentation) is forced to the zero image
@@ -462,25 +434,24 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
         # series and the filtration are computed only when all the dims
         # agree
         for n in range(D + 1):
-            da, db = (_dims(P, engine, D, monomial_ceiling, n)[n]
-                      for P, engine in sides)
+            da, db = (side.dims(n)[n] for side in sides)
             if da != db:
                 stats["fingerprint"] = f"mismatch: {_DIMS_DIFFER}"
                 stats["first_dims_difference"] = n
                 return done(IsoVerdict("not-isomorphic", _DIMS_DIFFER))
-        fa = fingerprint(A, D, TA, monomial_ceiling)
-        fb = fingerprint(B, D, TB, monomial_ceiling)
+        fa, fb = (fingerprint(side.P, D, side.T, monomial_ceiling)
+                  for side in sides)
         sa, sb = fa.series, fb.series
+        equal_fp, why = compare_fingerprints(fa, fb)
+        screened = "equal" if equal_fp else f"mismatch: {why}"
+    else:
+        sa, sb = (side.series() for side in sides)
+        equal_fp, screened = True, "skipped"
     exact_series = sa is not None and sb is not None
     stats["exact_series"] = exact_series
-    if use_fingerprints:
-        equal_fp, why = compare_fingerprints(fa, fb)
-        if not equal_fp:
-            stats["fingerprint"] = f"mismatch: {why}"
-            return done(IsoVerdict("not-isomorphic", why))
-        stats["fingerprint"] = "equal"
-    else:
-        stats["fingerprint"] = "skipped"
+    stats["fingerprint"] = screened
+    if not equal_fp:
+        return done(IsoVerdict("not-isomorphic", why))
     if exact_series and not hilbert.equal(sa, sb):
         return done(IsoVerdict("not-isomorphic", "Hilbert series differ"))
 
@@ -514,11 +485,7 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
     ]
 
     if prune and A.mode == COMMUTATIVE:
-        # the ladder reads A's powers from A's memo; without fingerprints
-        # nothing has put them there, and A's engine here does so with no
-        # second build
-        _vanishing_powers(A, engine_a, D, monomial_ceiling)
-        ladder = prune_ladder(A, B, TB, cand_lists)
+        ladder = prune_ladder(A, TB, cand_lists, sides[0].vanishing_powers())
         stats["pruned_by_stage"] = ladder.stats
         if ladder.empty_generator is not None:
             return done(IsoVerdict(

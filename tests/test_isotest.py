@@ -47,8 +47,6 @@ def test_fingerprint_digest_and_fields(corpus):
     assert f_c2.digest() != f_c4.digest()
     ok, reason = compare_fingerprints(f_c2, f_c4)
     assert not ok and "filtration" in reason
-    # generator degrees are recorded but never part of the comparison
-    assert f_c4.gen_degrees == (1, 2)
 
 
 def test_fingerprint_dims_mismatch(corpus):
@@ -233,8 +231,8 @@ def test_ladder_verdicts_and_survivors(A, B, expected, surviving):
 
 
 def test_ladder_runs_no_groebner_basis(monkeypatch):
-    # x^3 = 0 in A, so the ladder tests every image of x: it reads A's
-    # vanishing powers from A's memo and evaluates their images in B's
+    # x^3 = 0 in A, so the ladder tests every image of x: it takes A's
+    # vanishing powers from its caller and evaluates their images in B's
     # engine, with no Groebner basis and nothing kept per image
     A = _comm(3, "x:2 y:2", "x^3")
     B = _comm(3, "x:2 y:2", "y^3")
@@ -247,11 +245,11 @@ def test_ladder_runs_no_groebner_basis(monkeypatch):
             bases.append(args[0].name)
         return buchberger(*args, **kwargs)
 
-    def watched(A, B, TB, cand_lists):
+    def watched(A, TB, cand_lists, powers):
         before = set(B._memo)
         in_ladder.append(True)
         try:
-            return ladder(A, B, TB, cand_lists)
+            return ladder(A, TB, cand_lists, powers)
         finally:
             in_ladder.pop()
             memo_growth.append(set(B._memo) - before)
@@ -283,8 +281,8 @@ def test_vanishing_powers_match_elimination():
         if P.mode != finalg.COMMUTATIVE:
             continue
         D = pair_bound(P, P)
-        powers = finalg.isotest._vanishing_powers(
-            P, lambda: TruncatedAlgebra(P, D), D, DEFAULT_MONOMIAL_CEILING)
+        powers = finalg.isotest._Side(
+            P, D, DEFAULT_MONOMIAL_CEILING, {}, None).vanishing_powers()
         exterior = finalg.present.exterior_mask(P.gens, P.p, P.mode)
         for i, ext in enumerate(exterior):
             kept, _ = finalg.groebner.eliminate(P, (i,), degree_cap=D)
@@ -410,7 +408,6 @@ def test_zero_generator_maps_to_zero():
     # z to the zero image and leave it out of the candidate space
     A = _comm(3, "x:2 y:2 z:2", "z", "y*x")
     B = _comm(3, "x:2 y:2", "x*y")
-    assert fingerprint(A).zero_generators == (False, False, True)
     for kwargs in ({}, {"prune": False, "use_fingerprints": False}):
         verdict = graded_isomorphism(A, B, **kwargs)
         assert verdict.outcome == "isomorphic"
