@@ -7,6 +7,9 @@ label order and merged with a union-find, so the resulting partition
 does not depend on input order.  Cross-bucket pairs are reported as
 refuted by the invariant digest without running the search.  The pair
 runs reuse the invariants that bucketing memoized on each presentation.
+Classes are joined by "isomorphic" verdicts only, so the report lists
+as `unresolved` each pair of classes that an "inconclusive" verdict
+joins: their separation is not proved.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ class CorpusReport:
     entries: list = field(default_factory=list)
     classes: list = field(default_factory=list)   # lists of labels
     evidence: list = field(default_factory=list)  # per-pair records
+    # class pairs that only an inconclusive verdict separates, as records
+    # {"left", "right", "reason"} over the classes' first labels
+    unresolved: list = field(default_factory=list)
     totals: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -51,6 +57,7 @@ class CorpusReport:
                 "entries": [e.to_json() for e in self.entries],
                 "classes": self.classes,
                 "evidence": self.evidence,
+                "unresolved": self.unresolved,
                 "totals": self.totals}
 
 
@@ -129,7 +136,7 @@ def classify_corpus(paths, *, max_degree: int | None = None,
     uf = _UnionFind([e.label for e in usable])
     evidence = []
     pairs_run = 0
-    inconclusive = 0
+    inconclusive = []
     for digest in sorted(buckets):
         labels = sorted(buckets[digest])
         for i in range(len(labels)):
@@ -155,7 +162,7 @@ def classify_corpus(paths, *, max_degree: int | None = None,
                 if verdict.outcome == "isomorphic":
                     uf.union(a, b)
                 elif verdict.outcome == "inconclusive":
-                    inconclusive += 1
+                    inconclusive.append((a, b, verdict.reason))
     digests = sorted(buckets)
     for i in range(len(digests)):
         for j in range(i + 1, len(digests)):
@@ -173,9 +180,18 @@ def classify_corpus(paths, *, max_degree: int | None = None,
         groups.setdefault(uf.find(entry.label), []).append(entry.label)
     classes = sorted((sorted(v) for v in groups.values()),
                      key=lambda c: c[0])
-    report = CorpusReport(bound=bound, entries=entries, classes=classes,
-                          evidence=evidence)
+    # the union-find roots are the classes' smallest labels; the first
+    # reason found for a pair of classes is kept
+    unresolved: dict = {}
+    for a, b, reason in inconclusive:
+        ra, rb = sorted((uf.find(a), uf.find(b)))
+        if ra != rb:
+            unresolved.setdefault((ra, rb), reason)
+    report = CorpusReport(
+        bound=bound, entries=entries, classes=classes, evidence=evidence,
+        unresolved=[{"left": a, "right": b, "reason": reason}
+                    for (a, b), reason in sorted(unresolved.items())])
     report.totals = {"entries": len(entries), "parsed": len(usable),
                      "classes": len(classes), "pairs_run": pairs_run,
-                     "inconclusive_pairs": inconclusive}
+                     "inconclusive_pairs": len(inconclusive)}
     return report

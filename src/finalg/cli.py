@@ -178,6 +178,9 @@ def cmd_classify(args) -> int:
               f"classes: {totals['classes']}")
         for k, cls in enumerate(report.classes, start=1):
             print(f"class {k}: {', '.join(cls)}")
+        for pair in report.unresolved:
+            print(f"unresolved: {pair['left']} and {pair['right']} "
+                  f"({pair['reason']})")
         for entry in report.entries:
             if entry.error is not None:
                 print(f"skipped {entry.path}: {entry.error}")

@@ -34,7 +34,10 @@ Search exhaustion refutes soundly in every mode: an isomorphism would
 itself appear as some enumerated tuple passing both checks.  A successful
 tuple upgrades to an "isomorphic" verdict only when exact series equality
 is established; otherwise (associative mode without declared series) the
-verdict stays "inconclusive" since surjectivity alone is certified.
+verdict stays "inconclusive" since surjectivity alone is certified.  A
+bound below the pair's truncation bound (its largest generator or
+relation degree) keeps the invariants exact but lists no map, so a pair
+they do not refute there is "inconclusive" too.
 """
 
 from __future__ import annotations
@@ -423,12 +426,16 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
             side.series()
 
     degrees = A.gens.degrees
-    comp_dims = [TB.dim(d) for d in degrees]
-    # a graded isomorphism is injective, so a generator that is nonzero in
-    # A needs a nonzero image, while one that collapses to zero in A (a
-    # non-minimal presentation) is forced to the zero image
-    stats["candidate_space"] = candidate_space_size(
-        A.p, [d for d, z in zip(comp_dims, gen_is_zero) if not z])
+    # below a generator or relation degree no map can be listed or
+    # checked, but the invariants are exact up to the bound
+    top = max(truncation_bound(A), truncation_bound(B))
+    if D >= top:
+        comp_dims = [TB.dim(d) for d in degrees]
+        # a graded isomorphism is injective, so a generator that is nonzero
+        # in A needs a nonzero image, while one that collapses to zero in A
+        # (a non-minimal presentation) is forced to the zero image
+        stats["candidate_space"] = candidate_space_size(
+            A.p, [d for d, z in zip(comp_dims, gen_is_zero) if not z])
     if use_fingerprints:
         # dims first, degree by degree up to the first difference; the
         # series and the filtration are computed only when all the dims
@@ -454,6 +461,10 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
         return done(IsoVerdict("not-isomorphic", why))
     if exact_series and not hilbert.equal(sa, sb):
         return done(IsoVerdict("not-isomorphic", "Hilbert series differ"))
+    if D < top:
+        return done(IsoVerdict(
+            "inconclusive", f"bound {D} is below the truncation bound {top}, "
+            f"so no generator map can be checked"))
 
     if stats["candidate_space"] == 0:
         empty = next(d for d, dim, z in

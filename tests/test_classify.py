@@ -16,6 +16,7 @@ def test_div4_three_classes():
     report = classify_corpus(corpus_paths(CORPUS4))
     assert report.totals["classes"] == 3
     assert report.classes == [["c2_ring"], ["c2xc2_ring"], ["c4_ring"]]
+    assert report.unresolved == []
 
 
 def test_div8_seven_classes_with_cyclic_merge():
@@ -23,6 +24,7 @@ def test_div8_seven_classes_with_cyclic_merge():
     assert report.totals["classes"] == 7
     merged = [cls for cls in report.classes if len(cls) > 1]
     assert merged == [["c4_ring", "c8_ring"]]
+    assert report.unresolved == []
 
 
 def test_pairs_reuse_the_entries_invariants(monkeypatch):
@@ -114,6 +116,7 @@ def test_a_declared_series_does_not_split_a_bucket(tmp_path):
     assert (ev["method"], ev["outcome"]) == ("search", "inconclusive")
     assert report.totals["pairs_run"] == 1
     assert report.totals["inconclusive_pairs"] == 1
+    assert [(u["left"], u["right"]) for u in report.unresolved] == [("a", "b")]
 
 
 def test_bad_file_recorded_and_rest_classified(tmp_path):
@@ -135,6 +138,7 @@ def test_empty_corpus():
     assert report.totals == {"entries": 0, "parsed": 0, "classes": 0,
                              "pairs_run": 0, "inconclusive_pairs": 0}
     assert report.classes == []
+    assert report.unresolved == []
 
 
 def test_report_json_roundtrip():
@@ -155,3 +159,44 @@ def test_duplicate_algebra_names(tmp_path):
     assert len(set(labels)) == 2
     # the two copies land in one class
     assert report.totals["classes"] == 1
+
+
+def test_unresolved_names_classes_an_inconclusive_verdict_joins(tmp_path):
+    # isomorphic by x <-> y, but with no series known the search finds the
+    # map and cannot certify it
+    for name, rel in (("a", "x*y"), ("b", "y*x")):
+        (tmp_path / f"{name}.alg").write_text(
+            f"algebra {name}\nchar 2\nmode associative\ngen x 1\ngen y 1\n"
+            f"rel {rel}\n")
+    report = classify_corpus(sorted(str(p) for p in tmp_path.iterdir()))
+    assert report.classes == [["a"], ["b"]]
+    [ev] = report.evidence
+    assert ev["outcome"] == "inconclusive"
+    assert report.unresolved == [
+        {"left": "a", "right": "b", "reason": ev["reason"]}]
+    assert report.to_json()["unresolved"] == report.unresolved
+
+
+def test_a_bound_below_the_truncation_bound_completes():
+    # at bound 1 the degree-2 generators and relations are out of reach:
+    # dims and filtration still split buckets and series still refute, and
+    # a pair that no invariant separates is inconclusive, which leaves its
+    # classes unresolved
+    report = classify_corpus(corpus_paths(CORPUS8), max_degree=1)
+    labels = sorted(e.label for e in report.entries)
+    assert all(e.error is None for e in report.entries)
+    seen = {(ev["left"], ev["right"]) for ev in report.evidence}
+    assert seen == {(a, b) for i, a in enumerate(labels)
+                    for b in labels[i + 1:]}
+    searched = {(ev["left"], ev["right"]): (ev["outcome"], ev["reason"])
+                for ev in report.evidence if ev["method"] == "search"}
+    assert searched[("d8_ring", "q8_ring")] == ("not-isomorphic",
+                                               "Hilbert series differ")
+    assert searched[("c4_ring", "c8_ring")] == (
+        "inconclusive", "bound 1 is below the truncation bound 2, so no "
+        "generator map can be checked")
+    assert report.totals["classes"] == 8
+    assert [(u["left"], u["right"], u["reason"])
+            for u in report.unresolved] == [
+        (a, b, reason) for (a, b), (outcome, reason) in sorted(searched.items())
+        if outcome == "inconclusive"]

@@ -157,10 +157,41 @@ def test_iso_candidate_budget_exit_3(capsys, tmp_path):
                                       "300000")
 
 
+def test_iso_below_the_truncation_bound_exit_3(capsys):
+    # q8 has a generator of degree 4, above the bound
+    code, out, _ = run(capsys, ["iso", c8("q8"), c8("q8"),
+                                "--max-degree", "3"])
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["outcome"] == "inconclusive"
+    assert payload["reason"].startswith(
+        "bound 3 is below the truncation bound 4")
+
+
+def test_classify_prints_unresolved_pairs(capsys, tmp_path):
+    for name, rel in (("a", "x*y"), ("b", "y*x")):
+        (tmp_path / f"{name}.alg").write_text(
+            f"algebra {name}\nchar 2\nmode associative\ngen x 1\ngen y 1\n"
+            f"rel {rel}\n")
+    code, out, _ = run(capsys, ["classify", str(tmp_path)])
+    assert code == 0
+    assert "classes: 2" in out
+    assert "unresolved: a and b (surjective graded map certified" in out
+
+
+def test_classify_below_the_truncation_bound(capsys):
+    code, out, _ = run(capsys, ["classify", str(CORPUS8), "--max-degree", "1"])
+    assert code == 0
+    assert "classes: 8" in out
+    assert ("unresolved: c4_ring and c8_ring (bound 1 is below the "
+            "truncation bound 2" in out)
+
+
 def test_classify_text_output(capsys):
     code, out, _ = run(capsys, ["classify", str(CORPUS4)])
     assert code == 0
     assert "classes: 3" in out
+    assert "unresolved" not in out
 
 
 def test_classify_json_and_out_file(capsys, tmp_path):
@@ -174,6 +205,7 @@ def test_classify_json_and_out_file(capsys, tmp_path):
     assert file_payload["totals"]["classes"] == 7
     classes = file_payload["classes"]
     assert ["c4_ring", "c8_ring"] in classes
+    assert file_payload["unresolved"] == []
 
 
 def test_classify_bad_dir_exit_2(capsys):

@@ -11,8 +11,9 @@ from finalg.classify import classify_corpus
 from finalg.errors import FinalgError, MismatchError
 from finalg.groebner import GroebnerBasis
 from finalg.hilbert import expand
-from finalg.isotest import (candidate_space_size, compare_fingerprints,
-                            fingerprint, graded_isomorphism, pair_bound,
+from finalg.isotest import (_DIMS_DIFFER, candidate_space_size,
+                            compare_fingerprints, fingerprint,
+                            graded_isomorphism, pair_bound,
                             verify_certificate)
 from finalg.present import parse
 from finalg.truncated import DEFAULT_MONOMIAL_CEILING, TruncatedAlgebra
@@ -581,6 +582,60 @@ def test_pruned_matches_brute_where_the_ladder_refutes():
     # vanishes in A while no image's power does in B; the search refutes
     # the other non-isomorphic pairs
     assert refuted == ["(x)", "(x)", "(x)", "(y)", "(x)"]
+
+
+ASSOC_XY = ("algebra a\nchar 2\nmode associative\ngen x 1\ngen y 1\n"
+            "rel x*y\n")
+
+
+@pytest.mark.parametrize("prune", [True, False])
+@pytest.mark.parametrize("commutative", [True, False])
+def test_brute_oracle_reads_and_fills_no_memo(commutative, prune,
+                                              monkeypatch):
+    # the oracle builds both engines and, in commutative mode, both ground
+    # bases afresh, even over memos that a screened call has filled
+    builds = _counting(monkeypatch, TruncatedAlgebra, "__init__")
+    bases = _counting(monkeypatch, finalg.groebner, "buchberger")
+    A, B = ((_fresh(P) for P in LADDER_PAIRS[1][:2]) if commutative
+            else (parse(ASSOC_XY), parse(ASSOC_XY.replace("x*y", "y*x"))))
+    brute = graded_isomorphism(A, B, prune=prune, use_fingerprints=False)
+    assert A._memo == B._memo == {}
+    assert (len(builds), len(bases)) == (2, 2 if commutative else 0)
+    reached = brute.statistics["pruned_by_stage"] is not None
+    assert reached == (prune and commutative)
+    graded_isomorphism(A, B)
+    memos = dict(A._memo), dict(B._memo)
+    builds.clear()
+    bases.clear()
+    again = graded_isomorphism(A, B, prune=prune, use_fingerprints=False)
+    assert (A._memo, B._memo) == memos
+    assert (len(builds), len(bases)) == (2, 2 if commutative else 0)
+    assert (again.outcome, again.certificate) == (brute.outcome,
+                                                   brute.certificate)
+
+
+def test_a_bound_below_the_truncation_bound(corpus):
+    # q8 has a generator of degree 4, the others one of degree 2: no map
+    # can be listed at these bounds, but a screen that refutes there still
+    # does; the brute oracle screens by the series alone
+    def below(bound, top):
+        return ("inconclusive", f"bound {bound} is below the truncation "
+                f"bound {top}, so no generator map can be checked")
+    series_differ = ("not-isomorphic", "Hilbert series differ")
+    cases = [("q8", "q8", 3, below(3, 4), below(3, 4)),
+             ("d8", "d8", 1, below(1, 2), below(1, 2)),
+             ("c2", "c4", 1, below(1, 2), below(1, 2)),
+             ("q8", "d8", 3, ("not-isomorphic", _DIMS_DIFFER), series_differ),
+             ("c2", "c2c2", 1, ("not-isomorphic", _DIMS_DIFFER),
+              series_differ)]
+    for a, b, bound, screened, brute in cases:
+        for kwargs, expected in (({}, screened),
+                                 ({"prune": False, "use_fingerprints": False},
+                                  brute)):
+            verdict = graded_isomorphism(corpus[a], corpus[b],
+                                         max_degree=bound, **kwargs)
+            assert verdict.statistics["bound"] == bound
+            assert (verdict.outcome, verdict.reason) == expected, (a, b)
 
 
 def test_max_degree_override(corpus):

@@ -26,7 +26,11 @@ group and one total give the record count and a sha256 over the records;
 equal lines on two trees mean equal verdicts.  A second line per group
 and total, tagged `verdicts`, digests the (outcome, certificate) of each
 record alone, so a change that should move only reasons and statistics
-can show that its verdicts held.
+can show that its verdicts held.  A third line per group and total,
+tagged `work`, gives how many `TruncatedAlgebra` engines were built and
+how many `groebner.buchberger` runs were made while deciding the group,
+counted by wrapping both here, so a change meant to keep the work a
+decision does can show that it held.
 """
 
 from __future__ import annotations
@@ -73,6 +77,30 @@ def main(argv) -> int:
     def reparsed(P):
         return finalg.parse(finalg.serialize(P))
 
+    # TruncatedAlgebra builds and Buchberger runs so far; `extend` charges
+    # what a group's records cost to that group
+    tally = [0, 0]
+    build, buchberger = finalg.TruncatedAlgebra.__init__, finalg.groebner.buchberger
+
+    def counted_build(*args, **kwargs):
+        tally[0] += 1
+        return build(*args, **kwargs)
+
+    def counted_buchberger(*args, **kwargs):
+        tally[1] += 1
+        return buchberger(*args, **kwargs)
+    finalg.TruncatedAlgebra.__init__ = counted_build
+    finalg.groebner.buchberger = counted_buchberger
+    groups: dict = {}
+    work: dict = {}
+
+    def extend(name, compute):
+        before = list(tally)
+        groups.setdefault(name, []).extend(compute())
+        spent = work.setdefault(name, [0, 0])
+        for k in range(2):
+            spent[k] += tally[k] - before[k]
+
     decide = classify.graded_isomorphism
     calls: list = []
 
@@ -83,13 +111,8 @@ def main(argv) -> int:
 
     corpus = [root / "corpus" / "div4", root / "corpus" / "div8"]
     composition, oracle = gen.screen_composition(), gen.screen_oracle()
-    groups: dict = {}
-    for seed in (1, 2, 3):
-        for name, pairs in (
-                ("screen-stream", gen.screen_stream(seed, 0, composition, oracle)),
-                ("hard-pairs", gen.hard_pairs(seed, 0))):
-            groups.setdefault(name, []).extend(
-                verdict(reparsed(A), reparsed(B)) for _, A, B, _ in pairs)
+
+    def classified(seed):
         calls.clear()
         classify.graded_isomorphism = recorded
         try:
@@ -100,14 +123,21 @@ def main(argv) -> int:
                     [Path(tmp) / f["file"] for f in files])
         finally:
             classify.graded_isomorphism = decide
-        groups.setdefault("classify-corpus", []).extend(
-            [record(ev["outcome"], ev["reason"], ev["certificate"],
-                    {k: v for k, v in ev.items()
-                     if k not in ("outcome", "reason", "certificate")})
-             for ev in report.evidence]
-            + [record(None, e.error, None, {**e.to_json(), "path": None})
-               for e in report.entries]
-            + calls)
+        return ([record(ev["outcome"], ev["reason"], ev["certificate"],
+                        {k: v for k, v in ev.items()
+                         if k not in ("outcome", "reason", "certificate")})
+                 for ev in report.evidence]
+                + [record(None, e.error, None, {**e.to_json(), "path": None})
+                   for e in report.entries]
+                + calls)
+
+    for seed in (1, 2, 3):
+        for name, pairs in (
+                ("screen-stream", gen.screen_stream(seed, 0, composition, oracle)),
+                ("hard-pairs", gen.hard_pairs(seed, 0))):
+            extend(name, lambda: [verdict(reparsed(A), reparsed(B))
+                                  for _, A, B, _ in pairs])
+        extend("classify-corpus", lambda: classified(seed))
 
     rng = random.Random(52525)
     for k in range(200):
@@ -119,9 +149,8 @@ def main(argv) -> int:
             B = gen.random_presentation(rng, f"rnd_b{k}")
             while B.p != A.p:
                 B = gen.random_presentation(rng, f"rnd_b{k}")
-        groups.setdefault("acceptance-5", []).extend(
-            [verdict(A, B),
-             verdict(A, B, prune=False, use_fingerprints=False)])
+        extend("acceptance-5", lambda: [
+            verdict(A, B), verdict(A, B, prune=False, use_fingerprints=False)])
 
     for d in (3, 4, 5):
         gens = ("char 2\nmode commutative\ngen x 1\ngen y 1\ngen z 1\n"
@@ -130,21 +159,23 @@ def main(argv) -> int:
         # w is in no relation, so its part of the disguise leaves B's
         # presentation alone
         B = finalg.parse(f"algebra probe_b{d}\n{gens}rel x*y + y*z\n")
-        groups.setdefault("probe", []).extend(
-            [verdict(A, B),
-             verdict(A, B, prune=False, use_fingerprints=False)])
+        extend("probe", lambda: [
+            verdict(A, B), verdict(A, B, prune=False, use_fingerprints=False)])
 
     files = [finalg.parse_file(path) for d in corpus
              for path in sorted(d.glob("*.alg"))]
-    groups["corpus-pairs"] = [verdict(A, B) for A in files for B in files
-                              if (A.p, A.mode) == (B.p, B.mode)]
+    extend("corpus-pairs", lambda: [verdict(A, B) for A in files for B in files
+                                    if (A.p, A.mode) == (B.p, B.mode)])
 
     groups["total"] = [r for records in groups.values() for r in records]
+    work["total"] = [sum(w[k] for w in work.values()) for k in range(2)]
     for name, records in groups.items():
         print(f"{name} {len(records)} {_digest(records)}")
     for name, records in groups.items():
         verdicts = [(r["outcome"], r["certificate"]) for r in records]
         print(f"{name} verdicts {len(records)} {_digest(verdicts)}")
+    for name, (builds, bases) in work.items():
+        print(f"{name} work {builds} builds {bases} buchberger")
     return 0
 
 
