@@ -9,7 +9,8 @@ refuted by the invariant digest without running the search.  The pair
 runs reuse the invariants that bucketing memoized on each presentation.
 Classes are joined by "isomorphic" verdicts only, so the report lists
 as `unresolved` each pair of classes that an "inconclusive" verdict
-joins: their separation is not proved.
+joins, whose separation is not proved: the two classes' smallest labels
+and the verdict's reason.
 """
 
 from __future__ import annotations
@@ -47,9 +48,7 @@ class CorpusReport:
     entries: list = field(default_factory=list)
     classes: list = field(default_factory=list)   # lists of labels
     evidence: list = field(default_factory=list)  # per-pair records
-    # class pairs that only an inconclusive verdict separates, as records
-    # {"left", "right", "reason"} over the classes' first labels
-    unresolved: list = field(default_factory=list)
+    unresolved: list = field(default_factory=list)  # see the module doc
     totals: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:

@@ -427,8 +427,10 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
 
     degrees = A.gens.degrees
     # below a generator or relation degree no map can be listed or
-    # checked, but the invariants are exact up to the bound
-    top = max(truncation_bound(A), truncation_bound(B))
+    # checked, and only an override can fall below: the default bound is
+    # at least twice each truncation bound
+    top = D if max_degree is None else max(truncation_bound(A),
+                                           truncation_bound(B))
     if D >= top:
         comp_dims = [TB.dim(d) for d in degrees]
         # a graded isomorphism is injective, so a generator that is nonzero
