@@ -24,9 +24,9 @@ The decision procedure:
 
 A call holds one side object per presentation, at the pair's bound and
 monomial ceiling.  It builds that presentation's engine on first need and
-keeps the dims, zero-generator flags, vanishing powers, ground series and
-fingerprint in the presentation's memo, under flat keys such as
-("dims", bound, ceiling).  The brute-force oracle
+keeps the dims, zero-generator flags, vanishing powers, truncation bound,
+ground series and fingerprint in the presentation's memo, under flat keys
+such as ("dims", bound, ceiling).  The brute-force oracle
 (`use_fingerprints=False`) gives both sides a fresh dict instead, so it
 reads and fills no memo whatever `prune` is, and compares no fingerprint.
 
@@ -178,10 +178,11 @@ class _Side:
             self.T = TruncatedAlgebra(self.P, self.bound, self.ceiling)
         return self.T
 
-    def _entry(self, name: str, compute):
+    def entry(self, name: str, compute):
+        """The memo's value for `name` here, `compute(P)` on first use."""
         key = (name, self.bound, self.ceiling)
         if key not in self.memo:
-            self.memo[key] = compute()
+            self.memo[key] = compute(self.P)
         return self.memo[key]
 
     def dims(self, upto: int) -> tuple:
@@ -208,31 +209,31 @@ class _Side:
         sees (those above it count as nonzero).  A generator in the
         engine's standard basis is a basis vector, so only the others
         need reducing."""
-        def compute():
-            T, P = self.engine(), self.P
+        def compute(P):
+            T = self.engine()
             return tuple(
                 d <= T.bound and _gen_mono(P, i) not in T.basis(d)
                 and T.element({_gen_mono(P, i): 1}) is None
                 for i, d in enumerate(P.gens.degrees))
-        return self._entry("zero_generators", compute)
+        return self.entry("zero_generators", compute)
 
     def vanishing_powers(self) -> tuple:
         """For each generator x, the least m >= 2 with x^m = 0 within the
         bound, else 0; 0 also for an exterior generator, whose square
         vanishes in every algebra."""
-        def compute():
-            T, P = self.engine(), self.P
+        def compute(P):
+            T = self.engine()
             ext = exterior_mask(P.gens, P.p, P.mode)
             return tuple(
                 0 if ext[i] else next(
                     (m for m in range(2, T.bound // d + 1)
                      if T.is_zero({_gen_mono(P, i, m): 1})), 0)
                 for i, d in enumerate(P.gens.degrees))
-        return self._entry("vanishing_powers", compute)
+        return self.entry("vanishing_powers", compute)
 
     def fingerprint(self) -> Fingerprint:
-        def compute():
-            series, P = self.series(), self.P
+        def compute(P):
+            series = self.series()
             # the filtration reduces every degree of the engine anyway, so
             # reading the zero flags and the ladder's powers here adds only
             # lookups, and no later pair builds an engine for them
@@ -244,7 +245,7 @@ class _Side:
                 dims=self.dims(self.bound),
                 filtration_dims=tuple(self.engine().power_filtration_dims()),
                 series=series)
-        return self._entry("fingerprint", compute)
+        return self.entry("fingerprint", compute)
 
 
 def fingerprint(P: Presentation, bound: int | None = None,
@@ -429,8 +430,8 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
     # below a generator or relation degree no map can be listed or
     # checked, and only an override can fall below: the default bound is
     # at least twice each truncation bound
-    top = D if max_degree is None else max(truncation_bound(A),
-                                           truncation_bound(B))
+    top = D if max_degree is None else max(
+        side.entry("truncation_bound", truncation_bound) for side in sides)
     if D >= top:
         comp_dims = [TB.dim(d) for d in degrees]
         # a graded isomorphism is injective, so a generator that is nonzero

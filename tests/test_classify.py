@@ -1,6 +1,7 @@
 import json
 import random
 
+import finalg.isotest
 from finalg.classify import classify_corpus
 from finalg.groebner import GroebnerBasis
 from finalg.isotest import verify_certificate
@@ -43,6 +44,26 @@ def test_pairs_reuse_the_entries_invariants(monkeypatch):
     for entry in report.entries:
         assert not any(isinstance(v, (TruncatedAlgebra, GroebnerBasis))
                        for v in memo_values(entry.presentation))
+
+
+def test_a_given_bound_reads_each_truncation_bound_once(monkeypatch,
+                                                        tmp_path):
+    # every pair checks a given max_degree against both truncation bounds,
+    # which each presentation's memo keeps; three copies of one algebra
+    # run two pairs that share a presentation
+    text = (CORPUS8 / "c4.alg").read_text()
+    for name in "abc":
+        (tmp_path / f"{name}.alg").write_text(text)
+    original = finalg.isotest.truncation_bound
+    reads = []
+
+    def counting(P):
+        reads.append(id(P))
+        return original(P)
+    monkeypatch.setattr(finalg.isotest, "truncation_bound", counting)
+    report = classify_corpus(corpus_paths(tmp_path), max_degree=10)
+    assert report.totals["pairs_run"] == 2
+    assert len(reads) == len(set(reads)) == 3
 
 
 def test_monomial_ceiling_reaches_every_entry():
