@@ -179,7 +179,6 @@ class _Side:
         return self.T
 
     def entry(self, name: str, compute):
-        """The memo's value for `name` here, `compute(P)` on first use."""
         key = (name, self.bound, self.ceiling)
         if key not in self.memo:
             self.memo[key] = compute(self.P)
@@ -411,14 +410,15 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
             1000 * (time.monotonic() - t0), 3)
         return verdict
 
-    # the brute-force oracle starts both sides empty, so it reads and
-    # fills no memo
+    # the brute-force oracle's sides start empty: it reads and fills no memo
     sides = [_Side(P, D, monomial_ceiling, P._memo if use_fingerprints
                    else {}, None) for P in (A, B)]
     try:
-        # A's engine, built first unless its zero flags are memoized, then B's
-        gen_is_zero = sides[0].zero_flags()
+        # A's engine (unless its flags are memoized), then B's, then A's flags
+        if ("zero_generators", D, monomial_ceiling) not in sides[0].memo:
+            sides[0].engine()
         TB = sides[1].engine()
+        gen_is_zero = sides[0].zero_flags()
     except ResourceLimitError as exc:
         return done(IsoVerdict("inconclusive", f"resource limit: {exc}"))
     # a declared series is checked on every call, against all the dims
