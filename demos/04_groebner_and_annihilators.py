@@ -35,4 +35,4 @@ print("relations among x after eliminating y:",
 
 # Ann(x) grows as the powers of the maximal ideal die off
 ann = finalg.annihilator(G, [pres.parse_poly("x")], max_degree=8)
-print("annihilator of x, dims by degree:", list(ann.dims))
+print("annihilator of x, dims by degree:", list(ann))

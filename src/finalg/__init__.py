@@ -11,8 +11,8 @@ from .errors import (BoundExceededError, FinalgError, MismatchError,
 from .groebner import (GroebnerBasis, annihilator, buchberger, eliminate,
                        groebner_basis, normal_form, series_of_quotient,
                        standard_monomials)
-from .hilbert import (RationalSeries, TruncatedSeries, count_nonzero_vectors,
-                      dims_from_series, expand, parse_int_poly, parse_series)
+from .hilbert import (RationalSeries, count_nonzero_vectors, dims_from_series,
+                      parse_int_poly, parse_series)
 from .isotest import (Fingerprint, IsoVerdict, candidate_space_size,
                       fingerprint, graded_isomorphism, pair_bound,
                       prune_ladder, verify_certificate)
@@ -26,12 +26,11 @@ __all__ = [
     "ASSOCIATIVE", "BoundExceededError", "COMMUTATIVE", "CorpusReport",
     "Fingerprint", "FinalgError", "GeneratorSet", "GroebnerBasis",
     "IsoVerdict", "MismatchError", "ParseError", "Presentation",
-    "RationalSeries", "ResourceLimitError", "TruncatedAlgebra",
-    "TruncatedSeries", "annihilator", "buchberger", "candidate_space_size",
-    "classify_corpus", "count_nonzero_vectors", "default_bound",
-    "dims_from_series", "eliminate", "expand", "fingerprint",
-    "graded_isomorphism", "groebner_basis", "normal_form", "pair_bound",
-    "parse", "parse_file", "parse_int_poly", "parse_series", "prune_ladder",
-    "serialize", "series_of_quotient", "standard_monomials",
+    "RationalSeries", "ResourceLimitError", "TruncatedAlgebra", "annihilator",
+    "buchberger", "candidate_space_size", "classify_corpus",
+    "count_nonzero_vectors", "default_bound", "dims_from_series", "eliminate",
+    "fingerprint", "graded_isomorphism", "groebner_basis", "normal_form",
+    "pair_bound", "parse", "parse_file", "parse_int_poly", "parse_series",
+    "prune_ladder", "serialize", "series_of_quotient", "standard_monomials",
     "truncation_bound", "verify_certificate", "__version__",
 ]

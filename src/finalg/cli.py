@@ -1,9 +1,10 @@
 """Command line surface.
 
-Subcommands: hilbert FILE, iso FILE_A FILE_B, classify DIR and
-oracle FILE_A FILE_B (shorthand for `iso --no-prune --oracle`).  The iso
+Subcommands: hilbert FILE, iso FILE_A FILE_B and classify DIR.  The iso
 verdict is printed as JSON on stdout; exit status encodes the outcome so
 pipelines can branch: 0 isomorphic, 1 not isomorphic, 3 inconclusive.
+`iso --oracle` also runs the brute-force search (`--no-prune` turns the
+pruning off in the main run too) and exits 2 when the two disagree.
 Usage, parse, and mismatch errors exit 2.
 """
 
@@ -74,13 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also run the brute-force enumeration and cross-check")
     _common_flags(p_i)
 
-    p_o = sub.add_parser("oracle",
-                         help="brute-force decision (iso --no-prune --oracle)")
-    p_o.add_argument("file_a")
-    p_o.add_argument("file_b")
-    p_o.add_argument("--certificate", action="store_true")
-    _common_flags(p_o)
-
     p_c = sub.add_parser("classify",
                          help="partition a directory of presentations")
     p_c.add_argument("dir")
@@ -124,18 +118,16 @@ def _verdict_exit(outcome: str) -> int:
             "inconclusive": EXIT_INCONCLUSIVE}[outcome]
 
 
-def cmd_iso(args, force_oracle: bool = False) -> int:
+def cmd_iso(args) -> int:
     A = parse_file(args.file_a)
     B = parse_file(args.file_b)
     max_degree = getattr(args, "max_degree", None)
     ceiling = getattr(args, "monomial_ceiling", DEFAULT_MONOMIAL_CEILING)
-    no_prune = force_oracle or getattr(args, "no_prune", False)
-    run_oracle = force_oracle or getattr(args, "oracle", False)
     verdict = graded_isomorphism(A, B, max_degree=max_degree,
-                                 prune=not no_prune,
+                                 prune=not args.no_prune,
                                  monomial_ceiling=ceiling)
     payload = verdict.to_json()
-    if run_oracle:
+    if args.oracle:
         brute = graded_isomorphism(A, B, max_degree=max_degree, prune=False,
                                    use_fingerprints=False,
                                    monomial_ceiling=ceiling)
@@ -147,7 +139,7 @@ def cmd_iso(args, force_oracle: bool = False) -> int:
             print("error: oracle cross-check disagrees with the main engine",
                   file=sys.stderr)
             return EXIT_ERROR
-    if getattr(args, "certificate", False) and verdict.certificate is not None:
+    if args.certificate and verdict.certificate is not None:
         payload["certificate_verified"] = verify_certificate(
             A, B, verdict.certificate)
     indent = 2 if getattr(args, "json", False) else None
@@ -195,8 +187,6 @@ def main(argv=None) -> int:
             return cmd_hilbert(args)
         if args.command == "iso":
             return cmd_iso(args)
-        if args.command == "oracle":
-            return cmd_iso(args, force_oracle=True)
         if args.command == "classify":
             return cmd_classify(args)
     except FinalgError as exc:

@@ -33,14 +33,14 @@ def inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, -1, p)
 
 
-def as_matrix(rows, p: int, width: int | None = None) -> np.ndarray:
+def as_matrix(rows, p: int) -> np.ndarray:
     """Coerce a row list to a 2-d int64 array reduced mod p."""
     if isinstance(rows, np.ndarray):
         mat = rows.astype(np.int64, copy=True)
     else:
         rows = list(rows)
         if not rows:
-            return np.zeros((0, 0 if width is None else width), dtype=np.int64)
+            return np.zeros((0, 0), dtype=np.int64)
         mat = np.array(rows, dtype=np.int64)
     if mat.ndim == 1:
         mat = mat.reshape(1, -1)

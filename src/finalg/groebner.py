@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import MismatchError, ResourceLimitError
 from .gfp import inv_mod, nullspace
-from .hilbert import TruncatedSeries, quotient_series
+from .hilbert import RationalSeries, quotient_series
 from .present import (COMMUTATIVE, Presentation, elimination_key,
                       exterior_mask, mono_degree, mono_divides, mono_key,
                       mono_mul, monomials_of_degree, poly_add, poly_canon,
@@ -115,10 +115,10 @@ class GroebnerBasis:
         return not self.normal_form(f)
 
 
-def buchberger(P: Presentation, extra=(), order=DEGREVLEX,
+def buchberger(P: Presentation, order=DEGREVLEX,
                degree_cap: int | None = None,
                pair_ceiling: int = DEFAULT_PAIR_CEILING) -> GroebnerBasis:
-    """Groebner basis of the relation ideal plus optional extra members."""
+    """Groebner basis of the relation ideal."""
     if P.mode != COMMUTATIVE:
         raise MismatchError("Groebner bases need commutative mode")
     gens, p = P.gens, P.p
@@ -147,8 +147,7 @@ def buchberger(P: Presentation, extra=(), order=DEGREVLEX,
                     pairs,
                     (mono_degree(lm, gens, COMMUTATIVE) + gens.degrees[v], 1, k, v))
 
-    for g in list(P.relations) + [poly_canon(dict(g), gens, COMMUTATIVE, p)
-                                  for g in extra]:
+    for g in P.relations:
         if not g:
             continue
         h = normal_form(g, basis, P, order)
@@ -209,9 +208,8 @@ def buchberger(P: Presentation, extra=(), order=DEGREVLEX,
     return GroebnerBasis(P, tuple(final), order, truncated_at)
 
 
-def groebner_basis(P: Presentation, extra=(), degree_cap=None,
-                   pair_ceiling=DEFAULT_PAIR_CEILING) -> GroebnerBasis:
-    return buchberger(P, extra, DEGREVLEX, degree_cap, pair_ceiling)
+def groebner_basis(P: Presentation) -> GroebnerBasis:
+    return buchberger(P)
 
 
 def standard_monomials(G: GroebnerBasis, n: int) -> list:
@@ -229,23 +227,19 @@ def standard_monomials(G: GroebnerBasis, n: int) -> list:
             if not any(mono_divides(lm, m) for lm in leads)]
 
 
-def series_of_quotient(G: GroebnerBasis):
-    """Hilbert series of the quotient by the ideal.
-
-    Complete basis: exact rational series from the leading-monomial ideal.
-    Truncated basis: the dimension prefix up to the cap.
-    """
+def series_of_quotient(G: GroebnerBasis) -> RationalSeries:
+    """Exact Hilbert series of the quotient, from the leading-monomial
+    ideal of a complete basis."""
+    if not G.complete:
+        raise ResourceLimitError(
+            f"basis truncated at degree {G.truncated_at}, the series needs "
+            f"a complete basis")
     P = G.presentation
     ext = exterior_mask(P.gens, P.p, P.mode)
-    series = quotient_series(G.leads(), P.gens.degrees, ext)
-    if G.complete:
-        return series
-    cap = G.truncated_at
-    from .hilbert import dims_from_series
-    return TruncatedSeries(tuple(dims_from_series(series, cap)), cap)
+    return quotient_series(G.leads(), P.gens.degrees, ext)
 
 
-def eliminate(P: Presentation, keep, extra=(), degree_cap=None,
+def eliminate(P: Presentation, keep, degree_cap=None,
               pair_ceiling=DEFAULT_PAIR_CEILING):
     """Members of the ideal involving only the kept generators.
 
@@ -256,7 +250,7 @@ def eliminate(P: Presentation, keep, extra=(), degree_cap=None,
     """
     keep = frozenset(keep)
     front = tuple(i for i in range(len(P.gens)) if i not in keep)
-    G = buchberger(P, extra, ("eliminate", front), degree_cap, pair_ceiling)
+    G = buchberger(P, ("eliminate", front), degree_cap, pair_ceiling)
     out = []
     for g in G.polys:
         if all(all(m[i] == 0 for i in front) for m in g):
@@ -264,25 +258,11 @@ def eliminate(P: Presentation, keep, extra=(), degree_cap=None,
     return out, G
 
 
-@dataclass
-class IdealHandle:
-    """A homogeneous ideal of the presented quotient algebra.
+def annihilator(G: GroebnerBasis, ideal_gens, max_degree: int) -> tuple:
+    """Dimensions of the annihilator of the ideal generated by
+    `ideal_gens`, in degrees 0..max_degree.
 
-    `gens` are polynomials in the ambient free algebra; the ideal they cut
-    out in A = free/relations is what the handle names.  `dims` and `cap`
-    are filled in for annihilators (degreewise dimensions up to the cap).
-    """
-
-    presentation: Presentation
-    gens: tuple
-    dims: tuple | None = None
-    cap: int | None = None
-
-
-def annihilator(G: GroebnerBasis, ideal_gens, max_degree: int) -> IdealHandle:
-    """Degreewise annihilator of the ideal generated by `ideal_gens`.
-
-    For each degree n <= max_degree the component Ann_n is the kernel of
+    In each degree n the component Ann_n is the kernel of
     x -> (x*f_1, ..., x*f_k) on standard-monomial coordinates, computed
     through normal forms.  Exact per degree; homogeneous elements kill the
     whole ideal once they kill its generators, by graded commutativity.
@@ -299,16 +279,10 @@ def annihilator(G: GroebnerBasis, ideal_gens, max_degree: int) -> IdealHandle:
                 f"annihilator to degree {max_degree} needs normal forms to "
                 f"degree {top}, basis truncated at {G.truncated_at}")
     dims = []
-    ann_gens = []
     for n in range(max_degree + 1):
         sm = standard_monomials(G, n)
-        if not sm:
-            dims.append(0)
-            continue
-        if not fs:
+        if not sm or not fs:
             dims.append(len(sm))
-            for m in sm:
-                ann_gens.append({m: 1})
             continue
         blocks = []
         for f, e in zip(fs, fdegs):
@@ -320,10 +294,6 @@ def annihilator(G: GroebnerBasis, ideal_gens, max_degree: int) -> IdealHandle:
                 for m, c in prod.items():
                     M[r, tindex[m]] = c
             blocks.append(M)
-        stacked = np.concatenate(blocks, axis=1) if blocks else None
-        kern = nullspace(stacked.T, p)
-        dims.append(kern.shape[0])
-        for row in kern:
-            poly = {m: int(c) for m, c in zip(sm, row) if c}
-            ann_gens.append(poly_canon(poly, gens, P.mode, p))
-    return IdealHandle(P, tuple(ann_gens), tuple(dims), max_degree)
+        stacked = np.concatenate(blocks, axis=1)
+        dims.append(nullspace(stacked.T, p).shape[0])
+    return tuple(dims)

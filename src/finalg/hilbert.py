@@ -7,11 +7,13 @@ coprime integer contents, positive denominator constant term) is computed
 only to display a series or to digest it.  `==` on a `RationalSeries`, and
 so on a `Fingerprint` holding one, compares representations and is no
 series-equality test; nothing in the package uses it as one.  Degreewise
-dimensions come from the recurrence
+dimensions s_0, s_1, ... solve num = den * sum s_n t^n one coefficient at
+a time,
 
-    P^(0) = P,   dim A_n = P^(n)(0),   P^(n+1) = (P^(n) - dim A_n) / t,
+    den_0 * s_n = num_n - sum_{i >= 1} den_i * s_{n-i},
 
-evaluated with exact rational arithmetic.
+over den's nonzero terms, in integers unless a division by den_0 leaves a
+remainder.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BoundExceededError, ParseError
+from .errors import ParseError
 
 IntPoly = tuple  # tuple[int, ...], coefficient of t^k at index k
 
@@ -56,10 +58,6 @@ def poly_mul(a, b) -> IntPoly:
                 if cb:
                     out[i + j] += ca * cb
     return _trim(out)
-
-
-def poly_scale(a, c: int) -> IntPoly:
-    return _trim([c * x for x in a])
 
 
 def _content(a) -> int:
@@ -224,57 +222,33 @@ class RationalSeries:
         return f"{format_int_poly(self.num)} / {format_int_poly(self.den)}"
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Power-series prefix: coefficients for degrees 0..bound."""
-
-    coeffs: tuple
-    bound: int
-
-    def __post_init__(self):
-        cs = tuple(int(c) for c in self.coeffs)
-        if len(cs) != self.bound + 1:
-            raise ValueError("coefficient count does not match bound")
-        object.__setattr__(self, "coeffs", cs)
-
-    def __str__(self):
-        return format_int_poly(self.coeffs) + f" + O(t^{self.bound + 1})"
-
-
 def parse_series(text: str, line: int | None = None) -> RationalSeries:
     """Parse "num / den" with integer polynomial halves."""
     if text.count("/") != 1:
         raise ParseError("series must be written as num / den", line)
     num_s, den_s = text.split("/")
-    return RationalSeries(parse_int_poly(num_s, line), parse_int_poly(den_s, line))
+    num, den = parse_int_poly(num_s, line), parse_int_poly(den_s, line)
+    if den[0] == 0:
+        raise ParseError("series denominator needs a nonzero constant term",
+                         line)
+    return RationalSeries(num, den)
 
 
-def dims_from_series(series: RationalSeries, max_degree: int) -> list[int]:
-    """Degreewise dimensions dim A_0 .. dim A_max via the shift recurrence."""
-    den = [Fraction(c) for c in series.den]
-    num = [Fraction(c) for c in series.num]
-    dims = []
-    for _ in range(max_degree + 1):
-        c = (num[0] if num else Fraction(0)) / den[0]
-        dims.append(int(c) if c.denominator == 1 else c)
-        # (P - c)/t: subtract c*den from num, then shift one slot down
-        work = num + [Fraction(0)] * (len(den) - len(num))
-        for i, d in enumerate(den):
-            work[i] -= c * d
-        num = work[1:]
+def dims_from_series(series: RationalSeries, max_degree: int) -> list:
+    """Coefficients 0..max_degree of the series, as ints, or as Fractions
+    where den_0 does not divide."""
+    num, den = series.num, series.den
+    terms = [(i, c) for i, c in enumerate(den) if i and c]
+    dims: list = []
+    for n in range(max_degree + 1):
+        acc = num[n] if n < len(num) else 0
+        for i, c in terms:
+            if i > n:
+                break
+            acc -= c * dims[n - i]
+        q, r = divmod(acc, den[0])
+        dims.append(Fraction(acc, den[0]) if r else q)
     return dims
-
-
-def expand(series, max_degree: int) -> list[int]:
-    """Coefficients 0..max_degree of a rational or truncated series."""
-    if isinstance(series, RationalSeries):
-        return dims_from_series(series, max_degree)
-    if isinstance(series, TruncatedSeries):
-        if max_degree > series.bound:
-            raise BoundExceededError(
-                f"series truncated at {series.bound}, degree {max_degree} requested")
-        return list(series.coeffs[: max_degree + 1])
-    raise TypeError(f"not a series: {series!r}")
 
 
 def equal(P: RationalSeries, Q: RationalSeries) -> bool:

@@ -52,7 +52,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import hilbert
-from .errors import FinalgError, MismatchError, ResourceLimitError
+from .errors import FinalgError, MismatchError, ParseError, ResourceLimitError
 from .groebner import groebner_basis, series_of_quotient
 from .hilbert import count_nonzero_vectors
 from .present import COMMUTATIVE, Presentation, exterior_mask, format_poly
@@ -531,23 +531,26 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
 
 
 def verify_certificate(A: Presentation, B: Presentation, certificate: dict,
-                       TB: TruncatedAlgebra | None = None,
-                       max_degree: int | None = None) -> bool:
+                       TB: TruncatedAlgebra | None = None) -> bool:
     """Re-check a certificate: relations vanish and the images generate.
 
     `certificate` maps each A generator name to a polynomial string over
-    B's generators, whose monomials must all have the generator's degree.
-    Independent of the search that produced it.
+    B's generators, whose monomials must all have the generator's degree;
+    an image that does not parse fails the check.  Independent of the
+    search that produced it.
     """
     if A.p != B.p or A.mode != B.mode:
         return False
     if set(certificate) != set(A.gens.names):
         return False
     if TB is None:
-        TB = TruncatedAlgebra(B, pair_bound(A, B, max_degree))
+        TB = TruncatedAlgebra(B, pair_bound(A, B))
     images = []
     for name, deg in zip(A.gens.names, A.gens.degrees):
-        poly = B.parse_poly(certificate[name])
+        try:
+            poly = B.parse_poly(certificate[name])
+        except ParseError:
+            return False
         if any(B.mono_degree(mono) != deg for mono in poly):
             return False
         got = TB.element(poly)

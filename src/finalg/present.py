@@ -335,6 +335,7 @@ def format_poly(f: dict, gens: GeneratorSet, mode: str, p: int) -> str:
 
 
 _FACTOR_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(\d+))?\Z")
+_SIGN_RUN_RE = re.compile(r"((?:\s*[+-]\s*)+)")
 
 
 def parse_poly(text: str, gens: GeneratorSet, mode: str, p: int,
@@ -342,29 +343,23 @@ def parse_poly(text: str, gens: GeneratorSet, mode: str, p: int,
     """Parse a sum of terms: [coeff '*'] factor ('*' factor)*.
 
     Commutative factors multiply through the sign rule, so "y*x" at odd p
-    contributes -x*y.  A '-' joining terms is accepted as a liberal
-    extension and folds into the coefficient.
+    contributes -x*y.  As a liberal extension, a term may be joined or led
+    by '-' signs after an optional '+' ("x+-y", "-x"); they fold into the
+    coefficient.  A sign with no term after it is an error.
     """
     s = text.strip()
     if not s:
         raise ParseError("empty polynomial", line)
-    # split into signed terms at top level
-    terms = []
-    sign, buf = 1, []
-    for ch in s:
-        if ch in "+-":
-            if buf:
-                terms.append((sign, "".join(buf).strip()))
-                buf = []
-                sign = 1
-            if ch == "-":
-                sign = -sign
-        else:
-            buf.append(ch)
-    if buf:
-        terms.append((sign, "".join(buf).strip()))
-    if not terms or any(not t for _, t in terms):
-        raise ParseError(f"bad polynomial {text.strip()!r}", line)
+    # pieces alternate term, sign run, term, ...; a leading sign leaves an
+    # empty first term
+    pieces = _SIGN_RUN_RE.split(s)
+    terms = [(1, pieces[0])] if pieces[0] else []
+    for run, term in zip(pieces[1::2], pieces[2::2]):
+        run = "".join(run.split())
+        if not term or "+" in run[1:]:
+            raise ParseError(f"bad polynomial {s!r}: sign without a term "
+                             "after it", line)
+        terms.append((-1 if run.count("-") % 2 else 1, term))
 
     out: dict = {}
     one = mono_one(gens, mode)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -103,17 +104,17 @@ def memo_values(P: Presentation) -> list:
 
 
 def naive_division(num, den, max_degree: int):
-    """Power series coefficients of num/den by long division.
+    """Power series coefficients of num/den by long division over Q.
 
-    Requires den[0] in {1, -1} so every quotient coefficient is an
-    integer.
+    A coefficient that is an integer comes back as an int, any other as a
+    Fraction.
     """
-    assert den[0] in (1, -1)
-    rem = list(num) + [0] * (max_degree + len(den) + 1 - len(num))
+    rem = [Fraction(c) for c in num]
+    rem += [Fraction(0)] * (max_degree + len(den) + 1 - len(num))
     out = []
     for k in range(max_degree + 1):
-        c = rem[k] // den[0]
-        out.append(c)
+        c = rem[k] / den[0]
+        out.append(int(c) if c.denominator == 1 else c)
         for i, d in enumerate(den):
             rem[k + i] -= c * d
     return out

@@ -48,6 +48,16 @@ def test_hilbert_parse_error_exit_2(capsys, tmp_path):
     assert "line 5" in err
 
 
+@pytest.mark.parametrize("den", ["t", "0"])
+def test_hilbert_series_without_constant_term_exit_2(capsys, tmp_path, den):
+    bad = tmp_path / "bad.alg"
+    bad.write_text("algebra b\nchar 2\nmode commutative\ngen x 1\n"
+                   f"series 1 / {den}\n")
+    code, _, err = run(capsys, ["hilbert", str(bad)])
+    assert code == 2
+    assert "line 5" in err and "constant term" in err
+
+
 def test_hilbert_missing_file_exit_2(capsys):
     code, _, err = run(capsys, ["hilbert", "no_such_file.alg"])
     assert code == 2
@@ -120,8 +130,9 @@ def test_iso_oracle_cross_check(capsys):
     assert payload["oracle"]["reason"] == "search exhausted"
 
 
-def test_oracle_subcommand_matches_iso_flags(capsys):
-    code, out, _ = run(capsys, ["oracle", c8("c4"), c8("c8")])
+def test_iso_no_prune_oracle(capsys):
+    code, out, _ = run(capsys, ["iso", c8("c4"), c8("c8"), "--no-prune",
+                                "--oracle"])
     assert code == 0
     payload = json.loads(out)
     assert payload["outcome"] == "isomorphic"

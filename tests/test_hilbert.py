@@ -1,13 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from finalg import hilbert
+from finalg import fingerprint, hilbert, parse
 from finalg.errors import ParseError
-from finalg.hilbert import (RationalSeries, TruncatedSeries,
-                            count_nonzero_vectors, dims_from_series, equal,
-                            expand, format_int_poly, monomial_ideal_numerator,
-                            parse_int_poly, parse_series, quotient_series)
+from finalg.hilbert import (RationalSeries, count_nonzero_vectors,
+                            dims_from_series, equal, format_int_poly,
+                            monomial_ideal_numerator, parse_int_poly,
+                            parse_series, quotient_series)
 from tests.conftest import naive_division, quotient_monomial_dims
 
 
@@ -71,13 +72,15 @@ def test_dims_from_series_matches_naive_division():
             [rng.randint(-3, 3) for _ in range(rng.randint(0, 4))]
         series = RationalSeries(tuple(num), tuple(den))
         assert dims_from_series(series, 20) == naive_division(num, den, 20)
-
-
-def test_expand_truncated():
-    t = TruncatedSeries((1, 2, 2), 2)
-    assert expand(t, 2) == [1, 2, 2]
-    with pytest.raises(hilbert.BoundExceededError):
-        expand(t, 3)
+    # constant terms other than +-1, with and without integer coefficients
+    cases = {"1 / 2-t": [Fraction(1, 2 ** (n + 1)) for n in range(21)],
+             "2 / 2-2t": [1] * 21,
+             "3+t / 3": [1, Fraction(1, 3)] + [0] * 19}
+    for text, want in cases.items():
+        series = parse_series(text)
+        got = dims_from_series(series, 20)
+        assert got == naive_division(series.num, series.den, 20) == want
+        assert [type(c) for c in got] == [type(c) for c in want], text
 
 
 def test_parse_series():
@@ -88,6 +91,9 @@ def test_parse_series():
         parse_series("1+t")
     with pytest.raises(ParseError):
         parse_series("1 / 1-t / 1")
+    for den in ("t", "0", "t-t^2"):
+        with pytest.raises(ParseError, match="line 7"):
+            parse_series(f"1 / {den}", line=7)
 
 
 def test_count_nonzero_vectors_worked_values():
@@ -148,3 +154,15 @@ def test_quotient_series_against_box_walk():
         canon = series.canonical()
         assert equal(series, canon)
         assert dims_from_series(canon, 8) == got
+
+
+def test_sparse_series_of_a_high_degree_generator():
+    # two exterior lines at p = 3, of degrees 1 and 999: the unreduced
+    # series (1-t^2)(1-t^1998) / (1-t)(1-t^999) expands to degree 1998
+    pres = parse("algebra y999\nchar 3\nmode commutative\ngen x 1\n"
+                 "gen y 999\n")
+    fp = fingerprint(pres)
+    assert fp.bound == 1998
+    assert str(fp.series.canonical()) == "1+t+t^999+t^1000 / 1"
+    want = [1 if n in (0, 1, 999, 1000) else 0 for n in range(1999)]
+    assert dims_from_series(fp.series, 1998) == list(fp.dims) == want

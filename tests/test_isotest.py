@@ -10,7 +10,7 @@ import finalg
 from finalg.classify import classify_corpus
 from finalg.errors import FinalgError, MismatchError
 from finalg.groebner import GroebnerBasis
-from finalg.hilbert import expand
+from finalg.hilbert import dims_from_series
 from finalg.isotest import (_DIMS_DIFFER, candidate_space_size,
                             compare_fingerprints, fingerprint,
                             graded_isomorphism, pair_bound,
@@ -79,7 +79,7 @@ def test_equal_series_pair_refuted_fast(corpus):
     sa = fingerprint(c2, bound=10).series
     sb = fingerprint(c4, bound=10).series
     assert finalg.hilbert.equal(sa, sb)
-    assert expand(sa, 8) == [1] * 9
+    assert dims_from_series(sa, 8) == [1] * 9
     start = time.monotonic()
     v1 = graded_isomorphism(c2, c4)
     v2 = graded_isomorphism(c4, c2)
@@ -139,6 +139,9 @@ def test_verify_certificate_examples():
     # so is an image that is not homogeneous, or lies above the bound
     assert not verify_certificate(c4, c4, {"x": "x + y", "y": "y"})
     assert not verify_certificate(c4, c4, {"x": "y^6", "y": "y"})
+    # and an image that does not parse
+    assert not verify_certificate(c4, c4, {"x": "q", "y": "y"})
+    assert not verify_certificate(c4, c4, {"x": "x+", "y": "y"})
 
 
 def test_mode_and_characteristic_mismatch(corpus):

@@ -63,6 +63,14 @@ def test_parse_poly_signs():
     assert pres.parse_poly("x^2") == {}
     assert pres.parse_poly("2*x*y + x*y") == {}
     assert pres.parse_poly("x*y - y*x") == {(1, 1): 2}
+    # the liberal '-' after a '+', or before the first term
+    assert pres.parse_poly("x+-y") == pres.parse_poly("x - y") == {
+        (1, 0): 1, (0, 1): 2}
+    assert pres.parse_poly("-x") == {(1, 0): 2}
+    # but every sign needs a term after it, and '+' follows no sign
+    for bad in ("x+", "x-", "x + ", "x++y", "x-+y", "+", "-"):
+        with pytest.raises(ParseError):
+            pres.parse_poly(bad)
 
 
 def test_parse_poly_associative_keeps_word_order():
@@ -234,6 +242,7 @@ def test_parse_errors_carry_line_numbers():
         ("algebra a\nchar 2\nmode commutative\ngen x 0\n", "gen"),
         ("algebra a\nchar 2\nmode commutative\ngen x 1\ngen x 2\n", "gen"),
         ("algebra a\nchar 2\nmode commutative\ngen x 1\nrel q\n", "rel"),
+        ("algebra a\nchar 2\nmode commutative\ngen x 1\nrel x^2+\n", "rel"),
         ("algebra a\nchar 2\nmode commutative\n", "generator"),
         ("char 2\nmode commutative\ngen x 1\n", "algebra"),
     ]
