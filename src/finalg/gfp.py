@@ -77,10 +77,6 @@ def rref(mat, p: int):
     return R[: len(pivots)], pivots
 
 
-def rank(mat, p: int) -> int:
-    return len(rref(mat, p)[1])
-
-
 def nullspace(mat, p: int) -> np.ndarray:
     """Basis of the right kernel {x : mat @ x = 0}, one vector per row.
 
@@ -133,6 +129,15 @@ class RowSpace:
             if coeff:
                 v = (v - coeff * row) % p
         return v
+
+    def residues(self, block) -> np.ndarray:
+        """Every row of a 2-d array reduced against the space.  The basis
+        is fully reduced, so one matmul subtracts each row's multiple of
+        every basis row at once, as `_reduce` does one row at a time."""
+        block = np.asarray(block, dtype=np.int64)
+        if not self.rows:
+            return block % self.p
+        return (block - block[:, self.pivots] @ self.matrix()) % self.p
 
     def contains(self, vec) -> bool:
         return not self._reduce(vec).any()

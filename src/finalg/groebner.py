@@ -111,9 +111,6 @@ class GroebnerBasis:
     def normal_form(self, f: dict) -> dict:
         return normal_form(f, list(self.polys), self.presentation, self.order)
 
-    def reduces_to_zero(self, f: dict) -> bool:
-        return not self.normal_form(f)
-
 
 def buchberger(P: Presentation, order=DEGREVLEX,
                degree_cap: int | None = None,

@@ -9,11 +9,16 @@ The decision procedure:
    the nilradical.
 2. Enumerate candidate generator images: the i-th generator of A can only
    map to a nonzero element of the matching graded component of B, a
-   finite set.  A tuple extends to an isomorphism exactly when every
-   relation of A vanishes on it and the images generate B, so testing the
-   two conditions over the whole candidate space decides the question.
+   finite set, held as one block with a row per image.  A tuple extends
+   to an isomorphism exactly when every relation of A vanishes on it and
+   the images generate B, so testing the two conditions over the whole
+   candidate space decides the question.  The search evaluates each
+   relation once over a block of one generator's rows, with the earlier
+   generators' images fixed, and tests the last generator's rows for
+   generation at once; it walks the rows in candidate order, so it
+   finds and counts what a walk one tuple at a time would.
 3. Optional pruning (commutative mode): before the full search, each
-   generator's candidate images are screened one at a time.  When a power
+   generator's candidate images are screened as one block.  When a power
    x^m of a non-exterior generator x vanishes in A within the bound (the
    least such m >= 2, read from A's truncated engine), an image v of x
    must satisfy v^m = 0 in B, and the search walks the survivors.  The
@@ -43,7 +48,6 @@ they do not refute there is "inconclusive" too.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -295,6 +299,12 @@ class IsoVerdict:
 
 # ------------------------------------------------------------ prune ladder
 
+# Rows of a candidate block evaluated at once by the search and the prune
+# ladder; bounds the temporaries of one evaluation and what the search
+# evaluates past the tuple it finds.
+_BLOCK_ROWS = 4096
+
+
 def prune_ladder(A: Presentation, TB: TruncatedAlgebra, cand_lists,
                  powers) -> SimpleNamespace:
     """Screen each generator's candidate images: where x^m = 0 in A (m the
@@ -322,24 +332,42 @@ def prune_ladder(A: Presentation, TB: TruncatedAlgebra, cand_lists,
         keep = cands
         if powers[i]:
             power = {_gen_mono(A, i, powers[i]): 1}
-            keep = []
-            for v in cands:
-                images[i] = (A.gens.degrees[i], np.array(v, dtype=np.int64))
-                if TB.evaluate(power, A, images)[1].any():
-                    stat["eliminated_relations"] += 1
-                else:
-                    keep.append(v)
+            fails = np.zeros(len(cands), dtype=bool)
+            for start in range(0, len(cands), _BLOCK_ROWS):
+                rows = slice(start, start + _BLOCK_ROWS)
+                images[i] = (A.gens.degrees[i], cands[rows])
+                fails[rows] = TB.evaluate(power, A, images)[1].any(axis=-1)
+            keep = cands[~fails]
+            stat["eliminated_relations"] += int(np.count_nonzero(fails))
         stat["subsets"] += 1
         stat["tested"] += len(cands)
         stat["surviving"] += len(keep)
         ladder.survivors.append(keep)
-        if not keep:
+        if not len(keep):
             ladder.empty_generator = A.gens.names[i]
             return ladder
     return ladder
 
 
 # ------------------------------------------------------------- the search
+
+def _candidates(p: int, dims, zero_flags) -> list:
+    """Each generator's candidate images as one int64 block, a row each:
+    the zero row alone for a generator that is zero in A, else every
+    nonzero vector of GF(p)^dim.  Row r - 1 holds the base-p digits of r,
+    least significant first, which is lexicographic order of the reversed
+    coordinates against the basis listed smallest-first, so the identity
+    tuple is enumerated first when A and B share a presentation.  The
+    digits of r < p^dim vanish past column dim, so a smaller dimension's
+    block is a corner of a larger one's, and one table serves all."""
+    top = max((d for d, zero in zip(dims, zero_flags) if not zero), default=0)
+    table = (np.arange(1, p ** top, dtype=np.int64)[:, None]
+             // p ** np.arange(top, dtype=np.int64))
+    table %= p
+    return [np.zeros((1, dim), dtype=np.int64) if zero
+            else table[:p ** dim - 1, :dim]
+            for dim, zero in zip(dims, zero_flags)]
+
 
 def _relation_plans(A: Presentation):
     """A's relations keyed by their highest generator position + 1, the
@@ -361,30 +389,51 @@ def _search(k: int, A: Presentation, TB: TruncatedAlgebra, cand_lists,
 
     Each relation is checked as soon as every generator it mentions has
     an image, cutting whole subtrees instead of waiting for full tuples.
+    Generator k's candidates are a block, taken `_BLOCK_ROWS` rows at a
+    time: each relation of depth k + 1 is evaluated once over the rows,
+    and at the last generator one `generates` call tests the rows that
+    pass.  The rows are walked in candidate order, and the counters count
+    up to the tuple found only, as a walk of one candidate at a time does.
     A module-level function rather than a closure, so that a call leaves
     no reference cycle holding the engine.
     """
-    if k == len(cand_lists):
-        stats["enumerated"] += 1
-        if not TB.generates(images):
-            stats["generation_failures"] += 1
-            return None
-        return [img[1].copy() for img in images]
     deg = A.gens.degrees[k]
-    for v in cand_lists[k]:
-        images[k] = (deg, np.array(v, dtype=np.int64))
-        ok = True
+    cands = cand_lists[k]
+    for start in range(0, len(cands), _BLOCK_ROWS):
+        block = cands[start:start + _BLOCK_ROWS]
+        images[k] = (deg, block)
+        fails = None
         for rel in plans_by_depth.get(k + 1, ()):
             got = TB.evaluate(rel, A, images)
-            if got is not None and got[1].any():
-                stats["relation_failures"] += 1
-                ok = False
-                break
-        if ok:
-            found = _search(k + 1, A, TB, cand_lists, plans_by_depth, images,
-                            stats)
-            if found is not None:
-                return found
+            if got is not None:
+                cut = got[1].any(axis=-1)
+                fails = cut if fails is None else fails | cut
+        passing = (range(len(block)) if fails is None
+                   else np.flatnonzero(~fails).tolist())
+        if k + 1 < len(cand_lists):
+            for i, j in enumerate(passing):
+                images[k] = (deg, block[j])
+                found = _search(k + 1, A, TB, cand_lists, plans_by_depth,
+                                images, stats)
+                if found is not None:
+                    # j - i rows before row j failed a relation
+                    stats["relation_failures"] += j - i
+                    return found
+        elif passing:
+            rows = block if len(passing) == len(block) else block[passing]
+            images[k] = (deg, rows)
+            hits = np.flatnonzero(TB.generates(images))
+            if hits.size:
+                i = int(hits[0])
+                j = passing[i]
+                stats["enumerated"] += i + 1
+                stats["generation_failures"] += i
+                stats["relation_failures"] += j - i
+                images[k] = (deg, block[j])
+                return [img[1].copy() for img in images]
+            stats["enumerated"] += len(passing)
+            stats["generation_failures"] += len(passing)
+        stats["relation_failures"] += len(block) - len(passing)
     images[k] = None
     return None
 
@@ -488,15 +537,7 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
             f"images, {sum(sizes)} in all, more than the candidate budget "
             f"of {CANDIDATE_LIST_BUDGET}"))
 
-    # coordinate rows in lexicographic order over GF(p) residues, indexed
-    # against the basis listed smallest-first, so the identity tuple is
-    # enumerated first when A and B share a presentation
-    cand_lists = [
-        [(0,) * dim] if zero else
-        [tuple(reversed(v))
-         for v in itertools.product(range(A.p), repeat=dim) if any(v)]
-        for dim, zero in zip(comp_dims, gen_is_zero)
-    ]
+    cand_lists = _candidates(A.p, comp_dims, gen_is_zero)
 
     if prune and A.mode == COMMUTATIVE:
         ladder = prune_ladder(A, TB, cand_lists, sides[0].vanishing_powers())

@@ -12,7 +12,9 @@ that basis.  The powers of the augmentation ideal are read off those
 vectors: I^c is spanned by the monomials with at least c generator
 factors, so one rref per degree gives the whole power filtration, and the
 decomposables are I^2.  Multiplication tables serve only products of
-coordinate vectors.
+coordinate vectors, taken one at a time or as a block: a 2-d array of
+candidate vectors, one per row, which products, evaluation and the
+generation test treat row by row in whole-array operations.
 
 Construction counts the monomials of every degree, without listing
 them, and checks the resource limits of every degree.  Each degree's
@@ -45,9 +47,12 @@ DEFAULT_MONOMIAL_CEILING = 200_000
 # memory: the rows grow with every cofactor of every relation.
 RELATION_CELL_BUDGET = 10_000_000
 # Most candidate images, summed over a pair's generators, that
-# `graded_isomorphism` lists before it searches; a list entry holds one
-# coordinate tuple, so this also bounds the memory the lists take.
+# `graded_isomorphism` lists before it searches; an image is one row of an
+# int64 block, so this also bounds the memory the blocks take.
 CANDIDATE_LIST_BUDGET = 300_000
+# Most cells of the temporary that one chunk of a product of two blocks
+# (`multiply_vec`) holds, 2 MB as int64.
+_PRODUCT_CELLS = 1 << 18
 
 
 def truncation_bound(P: Presentation) -> int:
@@ -256,20 +261,44 @@ class TruncatedAlgebra:
         return T
 
     def multiply_vec(self, a: int, va, b: int, vb) -> np.ndarray:
-        """Product of coordinate vectors, landing in degree a+b."""
+        """Product of coordinate vectors, landing in degree a+b.
+
+        Either factor may be a block, a 2-d array of one vector per row;
+        the product is then a block, row by row, with a 1-d factor shared
+        by every row and two blocks multiplied row against row."""
         T = self.table(a, b)
         da, db, dc = T.shape
-        if dc == 0 or da == 0 or db == 0:
-            return np.zeros(dc, dtype=np.int64)
         va = np.asarray(va, dtype=np.int64)
         vb = np.asarray(vb, dtype=np.int64)
-        tmp = (va @ T.reshape(da, db * dc)).reshape(db, dc)
-        return (vb @ tmp) % self.p
+        if dc == 0 or da == 0 or db == 0:
+            # a block keeps its row count; the shape is (dc,) for vectors
+            return np.zeros((va.shape[:-1] or vb.shape[:-1]) + (dc,),
+                            dtype=np.int64)
+        p = self.p
+        if va.ndim == 1:
+            tmp = (va @ T.reshape(da, db * dc)).reshape(db, dc)
+            return (vb @ tmp) % p
+        if vb.ndim == 1:
+            # the shared right factor is folded into the table first
+            return (va @ ((T.transpose(0, 2, 1) @ vb) % p)) % p
+        # two blocks: each row's outer product va x vb, a da x db matrix,
+        # goes through the table, so rows are taken a chunk at a time to
+        # bound that temporary
+        out = np.empty((len(va), dc), dtype=np.int64)
+        step = max(1, _PRODUCT_CELLS // (da * db))
+        for start in range(0, len(va), step):
+            rows = slice(start, start + step)
+            outer = va[rows, :, None] * vb[rows, None, :]
+            out[rows] = (outer.reshape(len(outer), da * db)
+                         @ T.reshape(da * db, dc))
+        return out % p
 
     def evaluate(self, poly: dict, src: Presentation, images: list):
         """Evaluate a homogeneous polynomial over `src` at images in this
         algebra; images[i] = (degree, vector).  Returns (degree, vector) or
-        None for an empty polynomial."""
+        None for an empty polynomial.  An image may be a block (see
+        `multiply_vec`); the value is then a block, one row per row of it,
+        wherever a monomial meets that image."""
         out_deg = None
         out_vec = None
         powers = [dict() for _ in images]
@@ -332,18 +361,29 @@ class TruncatedAlgebra:
             self._decomposables[n] = got
         return got
 
-    def generates(self, images: list) -> bool:
+    def generates(self, images: list):
         """Do the images, with all decomposables, span every component up
         to the top generator degree?  That is exactly generation, since the
-        quotient by decomposables is where indecomposables live."""
+        quotient by decomposables is where indecomposables live.
+
+        One image may be a block (see `multiply_vec`); the answer is then a
+        boolean array, one entry per row.  A row completes the span of the
+        other images exactly when that span misses one dimension of its
+        degree and the row is not in it, so the whole block is reduced
+        against that span at once."""
+        block = next((img for img in images if np.ndim(img[1]) == 2), None)
+        ok = True if block is None else np.ones(len(block[1]), dtype=bool)
         for n in sorted(set(self.gens.degrees)):
             span = self.decomposables(n).copy()
             for deg, vec in images:
-                if deg == n:
+                if deg == n and np.ndim(vec) == 1:
                     span.add(vec)
-            if span.dim != self.dim(n):
-                return False
-        return True
+            missing = self.dim(n) - span.dim
+            if block is not None and block[0] == n and missing == 1:
+                ok = span.residues(block[1]).any(axis=1)
+            elif missing:
+                return False if block is None else np.zeros_like(ok)
+        return ok
 
     def power_filtration_dims(self) -> list:
         """dim of I^c in degrees <= bound, for c = 1..bound.

@@ -39,7 +39,7 @@ def test_rank_against_span_enumeration():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         mat = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
-        assert gfp.rank(mat, p) == brute_rank(mat, p)
+        assert len(gfp.rref(mat, p)[1]) == brute_rank(mat, p)
 
 
 def test_rref_idempotent():
@@ -62,10 +62,10 @@ def test_nullspace_properties():
         mat = np.array([[rng.randrange(p) for _ in range(cols)]
                         for _ in range(rows)], dtype=np.int64)
         ker = gfp.nullspace(mat, p)
-        assert ker.shape[0] == cols - gfp.rank(mat, p)
+        assert ker.shape[0] == cols - len(gfp.rref(mat, p)[1])
         if ker.shape[0]:
             assert not ((mat @ ker.T) % p).any()
-            assert gfp.rank(ker, p) == ker.shape[0]
+            assert len(gfp.rref(ker, p)[1]) == ker.shape[0]
 
 
 def test_nullspace_frozen():

@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 import finalg
@@ -701,3 +702,141 @@ def test_cell_budget_is_named_even_when_degree_1_differs():
         assert verdict.outcome == "inconclusive"
         assert "cell budget of 10000000" in verdict.reason
         assert "first_dims_difference" not in verdict.statistics
+
+
+# ------------------------------------------- the search against its oracle
+
+def _reference_search(k, A, TB, cand_lists, plans_by_depth, images, stats):
+    """The search one candidate tuple at a time: at each depth every
+    candidate gets its own `evaluate` per relation, and every leaf its own
+    `generates`.  The oracle of the batched search, which must find the
+    same tuple and count the same."""
+    if k == len(cand_lists):
+        stats["enumerated"] += 1
+        if not TB.generates(images):
+            stats["generation_failures"] += 1
+            return None
+        return [img[1].copy() for img in images]
+    deg = A.gens.degrees[k]
+    for v in cand_lists[k]:
+        images[k] = (deg, np.array(v, dtype=np.int64))
+        ok = True
+        for rel in plans_by_depth.get(k + 1, ()):
+            got = TB.evaluate(rel, A, images)
+            if got is not None and got[1].any():
+                stats["relation_failures"] += 1
+                ok = False
+                break
+        if ok:
+            found = _reference_search(k + 1, A, TB, cand_lists,
+                                      plans_by_depth, images, stats)
+            if found is not None:
+                return found
+    images[k] = None
+    return None
+
+
+SEARCH_COUNTERS = ("enumerated", "relation_failures", "generation_failures")
+
+
+def _checked_search(monkeypatch):
+    """Make every search also run the reference walk on the same inputs;
+    returns the list of (found, counters) pairs, batched then reference,
+    one per search."""
+    search = finalg.isotest._search
+    runs = []
+
+    def both(k, A, TB, cand_lists, plans, images, stats):
+        if k:
+            return search(k, A, TB, cand_lists, plans, images, stats)
+        counts = dict.fromkeys(SEARCH_COUNTERS, 0)
+        ref = _reference_search(0, A, TB, cand_lists, plans,
+                                [None] * len(images), counts)
+        before = {key: stats[key] for key in SEARCH_COUNTERS}
+        got = search(0, A, TB, cand_lists, plans, images, stats)
+        runs.append(((got, {key: stats[key] - before[key]
+                            for key in SEARCH_COUNTERS}), (ref, counts)))
+        return got
+    monkeypatch.setattr(finalg.isotest, "_search", both)
+    return runs
+
+
+def _same_tuple(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def _assoc_pair(rng: random.Random, p: int, i: int):
+    """A random associative presentation on x, y of degree 1 and z of
+    degree 2, with relations in degrees 2 and 3, and either its image
+    under x -> x + y (an isomorphic copy) or a second random one.  Words
+    of degree 1 grow fast, so these pairs are decided at bound 5."""
+    gens = finalg.GeneratorSet.from_pairs([("x", 1), ("y", 1), ("z", 2)])
+
+    def random_side(name):
+        relations = []
+        for deg in (2, 3):
+            words = finalg.present.monomials_of_degree(
+                gens, deg, finalg.ASSOCIATIVE, p)
+            rel = {w: rng.randrange(1, p) for w in words if rng.random() < 0.4}
+            if rel:
+                relations.append(rel)
+        return finalg.Presentation(name=name, p=p, mode=finalg.ASSOCIATIVE,
+                                   gens=gens, relations=tuple(relations))
+    A = random_side(f"assoc_a{i}")
+    if rng.random() < 0.5:
+        return A, random_side(f"assoc_b{i}")
+    images = [{(0,): 1, (1,): 1}, {(1,): 1}, {(2,): 1}]
+    relations = tuple(finalg.present.substitute(
+        rel, images, gens, gens, finalg.ASSOCIATIVE, p) for rel in A.relations)
+    return A, dataclasses.replace(A, name=f"assoc_d{i}",
+                                  relations=tuple(r for r in relations if r))
+
+
+@pytest.mark.parametrize("block_rows", [None, 3])
+def test_batched_search_matches_the_walk_one_tuple_at_a_time(block_rows,
+                                                              monkeypatch):
+    # seeded pairs in both modes at p = 2 and 3, pruned and by the brute
+    # oracle; the batched search must find the reference walk's tuple and
+    # count exactly what it counts up to that tuple, also when a block is
+    # cut into many chunks
+    if block_rows is not None:
+        monkeypatch.setattr(finalg.isotest, "_BLOCK_ROWS", block_rows)
+    runs = _checked_search(monkeypatch)
+    rng = random.Random(1409)
+    pairs = []
+    for i in range(16):
+        P = random_presentation(rng, name=f"c{i}")
+        pairs.append((P, disguise(P, rng, name=f"cd{i}")
+                      if i % 2 else random_presentation(rng, name=f"cr{i}")))
+    pairs = [(A, B) for A, B in pairs if A.p == B.p]
+    assoc = [_assoc_pair(rng, p, i) for i, p in enumerate((2, 3) * 6)]
+    # z = 0 in A: its block is the single zero row; in the second pair z's
+    # degree is zero in B, so that row has no coordinates, and x^3 lands
+    # in a zero-dimensional component
+    pairs += [(_comm(3, "x:2 y:2 z:2", "z", "y*x"),
+               _comm(3, "x:2 y:2", "x*y")),
+              (_comm(2, "x:1 z:3", "z", "x^3"), _comm(2, "x:1", "x^3"))]
+    reached = []
+    for A, B in pairs + assoc:
+        bound = {"max_degree": 5} if A.mode == finalg.ASSOCIATIVE else {}
+        for kwargs in ({}, {"prune": False, "use_fingerprints": False}):
+            before = len(runs)
+            verdict = graded_isomorphism(A, B, **kwargs, **bound)
+            if len(runs) > before:
+                reached.append(A)
+                assert runs[-1][0][1]["enumerated"] == (
+                    verdict.statistics["enumerated"])
+    for (got, counts), (ref, ref_counts) in runs:
+        assert _same_tuple(got, ref)
+        assert counts == ref_counts
+    assert {(A.mode, A.p) for A in reached} == {
+        (finalg.COMMUTATIVE, 2), (finalg.COMMUTATIVE, 3),
+        (finalg.ASSOCIATIVE, 2), (finalg.ASSOCIATIVE, 3)}
+    assert all(P in reached for P, _ in pairs[-2:])
+    found = [got for (got, _), _ in runs if got is not None]
+    assert len(found) >= 10 and len(runs) - len(found) >= 5
+    assert sum(c["relation_failures"] > 0 for (_, c), _ in runs) >= 10
+    assert sum(c["generation_failures"] > 0 for (_, c), _ in runs) >= 5
+    assert any(v.size == 0 for tup in found for v in tup)

@@ -236,19 +236,28 @@ meta origin handwritten
 
 
 def test_parse_errors_carry_line_numbers():
+    # (text, line of the error or None, a fragment of its message)
     cases = [
-        ("algebra a\nchar 4\nmode commutative\ngen x 1\n", "char"),
-        ("algebra a\nchar 2\nmode weird\ngen x 1\n", "mode"),
-        ("algebra a\nchar 2\nmode commutative\ngen x 0\n", "gen"),
-        ("algebra a\nchar 2\nmode commutative\ngen x 1\ngen x 2\n", "gen"),
-        ("algebra a\nchar 2\nmode commutative\ngen x 1\nrel q\n", "rel"),
-        ("algebra a\nchar 2\nmode commutative\ngen x 1\nrel x^2+\n", "rel"),
-        ("algebra a\nchar 2\nmode commutative\n", "generator"),
-        ("char 2\nmode commutative\ngen x 1\n", "algebra"),
+        ("algebra a\nchar 4\nmode commutative\ngen x 1\n", 2, "not prime"),
+        ("algebra a\nchar 2\nmode weird\ngen x 1\n", 3,
+         "mode must be commutative or associative"),
+        ("algebra a\nchar 2\nmode commutative\ngen x 0\n", 4,
+         "generator degree must be a positive integer"),
+        ("algebra a\nchar 2\nmode commutative\ngen x 1\ngen x 2\n", 5,
+         "duplicate generator"),
+        ("algebra a\nchar 2\nmode commutative\ngen x 1\nrel q\n", 5,
+         "unknown generator"),
+        ("algebra a\nchar 2\nmode commutative\ngen x 1\nrel x^2+\n", 5,
+         "sign without a term"),
+        ("algebra a\nchar 2\nmode commutative\n", None,
+         "at least one gen line"),
+        ("char 2\nmode commutative\ngen x 1\n", None, "missing algebra line"),
     ]
-    for text, _ in cases:
-        with pytest.raises(ParseError):
+    for text, line, fragment in cases:
+        with pytest.raises(ParseError) as info:
             parse(text)
+        assert info.value.line == line, text
+        assert fragment in str(info.value), text
 
 
 def test_inhomogeneous_relation_rejected_with_line():

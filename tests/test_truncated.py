@@ -88,6 +88,68 @@ def test_multiplication_table_consistency(corpus):
             assert np.array_equal(left, right), name
 
 
+# every component of odd degree and of degree >= 4 is zero
+SQUARE_ZERO = ("algebra sq0\nchar 3\nmode commutative\ngen x 2\ngen y 2\n"
+               "rel x^2\nrel x*y\nrel y^2\n")
+ASSOC_COMM = ("algebra ac\nchar 3\nmode associative\ngen x 1\ngen y 1\n"
+              "rel x*y-y*x\n")
+
+
+def _block(rng, p: int, rows: int, dim: int) -> np.ndarray:
+    return np.array([[rng.randrange(p) for _ in range(dim)]
+                     for _ in range(rows)], dtype=np.int64).reshape(rows, dim)
+
+
+def test_blocks_match_one_vector_at_a_time(corpus):
+    # a product or an evaluation over a block, a 2-d array of one vector
+    # per row, is the 1-d result row by row, whichever factor is the
+    # block; a zero-dimensional factor or value keeps the row count
+    rng = random.Random(61)
+    presentations = [*corpus.values(), parse(LAMBDA_TENSOR),
+                     parse(SQUARE_ZERO), parse(ASSOC_COMM)]
+    presentations += [random_presentation(rng, f"r{i}") for i in range(6)]
+    for pres in presentations:
+        T = TruncatedAlgebra(pres, 8)
+        p = T.p
+        for a in range(1, 5):
+            for b in range(1, 5):
+                rows = rng.randint(1, 4)
+                va, vb = _block(rng, p, rows, T.dim(a)), _block(rng, p, rows,
+                                                               T.dim(b))
+                for left, right in ((va, vb[0]), (va[0], vb), (va, vb)):
+                    got = T.multiply_vec(a, left, b, right)
+                    assert got.shape == (rows, T.dim(a + b)), pres.name
+                    for r in range(rows):
+                        one = T.multiply_vec(a, left if left.ndim == 1
+                                             else left[r], b,
+                                             right if right.ndim == 1
+                                             else right[r])
+                        assert np.array_equal(got[r], one), (pres.name, a, b)
+        degrees = pres.gens.degrees
+        polys = list(pres.relations) + [
+            {m: rng.randrange(1, p) for m in pres.monomials_of_degree(n)
+             if rng.random() < 0.5} for n in range(1, 7)]
+        for poly in polys:
+            rows = rng.randint(1, 4)
+            images = [(d, _block(rng, p, 1, T.dim(d))[0]) for d in degrees]
+            k = rng.randrange(len(degrees))
+            block = _block(rng, p, rows, T.dim(degrees[k]))
+            got = T.evaluate(poly, pres, images[:k] + [(degrees[k], block)]
+                             + images[k + 1:])
+            if any((k in m) if pres.mode == "associative" else m[k]
+                   for m in poly):
+                assert got[1].shape == (rows, T.dim(got[0])), pres.name
+            for r in range(rows):
+                one = T.evaluate(poly, pres, images[:k]
+                                 + [(degrees[k], block[r])] + images[k + 1:])
+                if one is None:
+                    assert got is None
+                    continue
+                assert got[0] == one[0]
+                assert np.array_equal(
+                    np.broadcast_to(got[1], (rows, len(one[1])))[r], one[1])
+
+
 def test_graded_commutativity_in_tables():
     pres = parse("algebra two_odds\nchar 3\nmode commutative\n"
                  "gen x 1\ngen y 1\n")
@@ -144,6 +206,9 @@ def test_generates_needs_every_summand(corpus):
     zero2 = (2, np.zeros(T.dim(2), dtype=np.int64))
     assert T.generates([x, y])
     assert not T.generates([x, zero2])
+    # a block of images of y: one answer per row
+    block = np.stack([y[1], zero2[1]])
+    assert T.generates([x, (2, block)]).tolist() == [True, False]
 
 
 def test_power_filtration_frozen(corpus):

@@ -10,10 +10,11 @@ ROOT/bench/gen.py, writes nothing under ROOT, and decides:
   benchmark does;
 - the acceptance-5 stream (seed 52525, 200 ordered pairs, every fifth
   pair disguised), pruned and by the brute-force oracle;
-- the probe family at p = 2 for d = 3, 4, 5, pruned and by the
-  brute-force oracle: A has x, y, z of degree 1, w of degree d and the
-  relation x*y, and B is A disguised by x -> x+z and
-  w -> w + x^d + y^(d-1)*z, so w has 2^(2d+2) - 1 candidate images;
+- the probe family at p = 2 for d = 3..7, pruned and by the brute-force
+  oracle: A has x, y, z of degree 1, w of degree d and the relation x*y,
+  and B is A disguised by x -> x+z and w -> w + x^d + y^(d-1)*z, so w
+  has 2^(2d+2) - 1 candidate images and the search walks 2^(2d+1)
+  leaves (32,768 at d = 7);
 - every ordered pair of corpus/div4 and corpus/div8 files of equal
   characteristic and mode, over presentations parsed once, so later pairs
   read what earlier ones memoized.
@@ -152,7 +153,7 @@ def main(argv) -> int:
         extend("acceptance-5", lambda: [
             verdict(A, B), verdict(A, B, prune=False, use_fingerprints=False)])
 
-    for d in (3, 4, 5):
+    for d in range(3, 8):
         gens = ("char 2\nmode commutative\ngen x 1\ngen y 1\ngen z 1\n"
                 f"gen w {d}\n")
         A = finalg.parse(f"algebra probe_a{d}\n{gens}rel x*y\n")
