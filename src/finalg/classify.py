@@ -102,7 +102,6 @@ def _load_entries(paths) -> list:
 
 
 def classify_corpus(paths, *, max_degree: int | None = None,
-                    prune: bool = True,
                     monomial_ceiling: int = DEFAULT_MONOMIAL_CEILING
                     ) -> CorpusReport:
     """Classify the presentations behind `paths` up to graded isomorphism."""
@@ -149,7 +148,7 @@ def classify_corpus(paths, *, max_degree: int | None = None,
                     continue
                 verdict = graded_isomorphism(
                     by_label[a].presentation, by_label[b].presentation,
-                    max_degree=bound, prune=prune,
+                    max_degree=bound,
                     monomial_ceiling=monomial_ceiling)
                 pairs_run += 1
                 evidence.append({

@@ -3,8 +3,9 @@
 Subcommands: hilbert FILE, iso FILE_A FILE_B and classify DIR.  The iso
 verdict is printed as JSON on stdout; exit status encodes the outcome so
 pipelines can branch: 0 isomorphic, 1 not isomorphic, 3 inconclusive.
-`iso --oracle` also runs the brute-force search (`--no-prune` turns the
-pruning off in the main run too) and exits 2 when the two disagree.
+`iso --oracle` also runs the brute-force search (`iso --no-prune` turns
+the pruning off in the main run too) and exits 2 when the two disagree;
+`classify` always prunes.
 Usage, parse, and mismatch errors exit 2.
 """
 
@@ -80,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("dir")
     p_c.add_argument("--out", metavar="REPORT.json",
                      help="write the JSON report to this file")
-    p_c.add_argument("--no-prune", action="store_true",
-                     help="disable candidate pruning")
     _common_flags(p_c)
     return parser
 
@@ -156,7 +155,6 @@ def cmd_classify(args) -> int:
                    if p.is_file() and p.suffix == ".alg")
     report = classify_corpus(
         paths, max_degree=getattr(args, "max_degree", None),
-        prune=not getattr(args, "no_prune", False),
         monomial_ceiling=getattr(args, "monomial_ceiling",
                                  DEFAULT_MONOMIAL_CEILING))
     payload = report.to_json()

@@ -3,10 +3,13 @@
 Matrices are numpy integer arrays with entries reduced mod p.  The
 characteristic is passed explicitly to every operation; nothing here keeps
 global state, and all routines are deterministic (leftmost pivot, topmost
-row).
+row).  There is one echelon form: `rref` computes it, and a `RowSpace`
+holds it as one matrix and reduces against it with `residues`.
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
@@ -33,28 +36,15 @@ def inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, -1, p)
 
 
-def as_matrix(rows, p: int) -> np.ndarray:
-    """Coerce a row list to a 2-d int64 array reduced mod p."""
-    if isinstance(rows, np.ndarray):
-        mat = rows.astype(np.int64, copy=True)
-    else:
-        rows = list(rows)
-        if not rows:
-            return np.zeros((0, 0), dtype=np.int64)
-        mat = np.array(rows, dtype=np.int64)
-    if mat.ndim == 1:
-        mat = mat.reshape(1, -1)
-    return np.mod(mat, p)
-
-
 def rref(mat, p: int):
     """Reduced row echelon form.
 
     Returns (R, pivots) where R has unit pivots with zeros above and below,
     and pivots lists the pivot column of each nonzero row in order.  Pivot
-    choice: leftmost column, topmost available row.
+    choice: leftmost column, topmost available row.  An empty list gives a
+    (0, 0) array.
     """
-    R = as_matrix(mat, p)
+    R = np.array(mat, dtype=np.int64, ndmin=2) % p
     nrows, ncols = R.shape
     pivots = []
     r = 0
@@ -77,98 +67,55 @@ def rref(mat, p: int):
     return R[: len(pivots)], pivots
 
 
-def nullspace(mat, p: int) -> np.ndarray:
-    """Basis of the right kernel {x : mat @ x = 0}, one vector per row.
-
-    Deterministic: one basis vector per free column of the rref, with a 1
-    in that column.
-    """
-    A = as_matrix(mat, p)
-    ncols = A.shape[1]
-    R, pivots = rref(A, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    out = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, f in enumerate(free):
-        out[k, f] = 1
-        for row, c in enumerate(pivots):
-            out[k, c] = (-R[row, f]) % p
-    return out
-
-
 class RowSpace:
-    """Incrementally maintained row space in reduced echelon form.
+    """A row space held in reduced echelon form: `rows` is one 2-d array
+    with a unit pivot in each row, at the columns `pivots` (increasing),
+    and zeros above and below every pivot.
 
-    add() reduces the incoming vector against the current basis and, when a
-    new pivot appears, re-eliminates that column above.  Deterministic and
-    cheap to query; used for spans of ideal components.
+    `residues` is the only reduction: the basis is fully reduced, so one
+    matmul subtracts from each row its multiple of every basis row.  `add`
+    keeps the form by clearing the new pivot column from the other rows.
     """
 
     def __init__(self, width: int, p: int):
         self.width = width
         self.p = p
-        self.rows: list[np.ndarray] = []
+        self.rows = np.zeros((0, width), dtype=np.int64)
         self.pivots: list[int] = []
 
     @classmethod
     def spanned_by(cls, mat: np.ndarray, p: int) -> "RowSpace":
         """Row space of a 2-d array, reduced by one rref."""
-        R, pivots = rref(mat, p)
-        space = cls(R.shape[1], p)
-        space.rows, space.pivots = list(R), pivots
+        space = cls(mat.shape[1], p)
+        space.rows, space.pivots = rref(mat, p)
         return space
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
-
-    def _reduce(self, vec: np.ndarray) -> np.ndarray:
-        p = self.p
-        v = np.mod(np.asarray(vec, dtype=np.int64).ravel(), p)
-        for row, c in zip(self.rows, self.pivots):
-            coeff = v[c]
-            if coeff:
-                v = (v - coeff * row) % p
-        return v
+        return len(self.pivots)
 
     def residues(self, block) -> np.ndarray:
-        """Every row of a 2-d array reduced against the space.  The basis
-        is fully reduced, so one matmul subtracts each row's multiple of
-        every basis row at once, as `_reduce` does one row at a time."""
+        """Every row of a 2-d array reduced against the space."""
         block = np.asarray(block, dtype=np.int64)
-        if not self.rows:
-            return block % self.p
-        return (block - block[:, self.pivots] @ self.matrix()) % self.p
-
-    def contains(self, vec) -> bool:
-        return not self._reduce(vec).any()
+        return (block - block.take(self.pivots, axis=1) @ self.rows) % self.p
 
     def add(self, vec) -> bool:
         """Insert a vector; True if it enlarged the space."""
-        v = self._reduce(vec)
-        nz = np.nonzero(v)[0]
+        v = self.residues(np.array(vec, dtype=np.int64, ndmin=2))[0]
+        nz = v.nonzero()[0]
         if nz.size == 0:
             return False
         c = int(nz[0])
         v = (v * inv_mod(v[c], self.p)) % self.p
-        # eliminate the new pivot column from existing rows
-        for i, row in enumerate(self.rows):
-            coeff = row[c]
-            if coeff:
-                self.rows[i] = (row - coeff * v) % self.p
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < c:
-            pos += 1
-        self.rows.insert(pos, v)
+        self.rows = (self.rows - self.rows[:, c, None] * v) % self.p
+        pos = bisect.bisect(self.pivots, c)
+        self.rows = np.concatenate(
+            (self.rows[:pos], v[None, :], self.rows[pos:]))
         self.pivots.insert(pos, c)
         return True
 
-    def matrix(self) -> np.ndarray:
-        if not self.rows:
-            return np.zeros((0, self.width), dtype=np.int64)
-        return np.array(self.rows, dtype=np.int64)
-
     def copy(self) -> "RowSpace":
         dup = RowSpace(self.width, self.p)
-        dup.rows = [row.copy() for row in self.rows]
+        dup.rows = self.rows.copy()
         dup.pivots = list(self.pivots)
         return dup

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MismatchError, ResourceLimitError
-from .gfp import inv_mod, nullspace
+from .gfp import inv_mod, rref
 from .hilbert import RationalSeries, quotient_series
 from .present import (COMMUTATIVE, Presentation, elimination_key,
                       exterior_mask, mono_degree, mono_divides, mono_key,
@@ -261,8 +261,9 @@ def annihilator(G: GroebnerBasis, ideal_gens, max_degree: int) -> tuple:
 
     In each degree n the component Ann_n is the kernel of
     x -> (x*f_1, ..., x*f_k) on standard-monomial coordinates, computed
-    through normal forms.  Exact per degree; homogeneous elements kill the
-    whole ideal once they kill its generators, by graded commutativity.
+    through normal forms and counted by rank-nullity.  Exact per degree;
+    homogeneous elements kill the whole ideal once they kill its
+    generators, by graded commutativity.
     """
     P = G.presentation
     gens, p = P.gens, P.p
@@ -292,5 +293,5 @@ def annihilator(G: GroebnerBasis, ideal_gens, max_degree: int) -> tuple:
                     M[r, tindex[m]] = c
             blocks.append(M)
         stacked = np.concatenate(blocks, axis=1)
-        dims.append(nullspace(stacked.T, p).shape[0])
+        dims.append(len(sm) - len(rref(stacked, p)[1]))
     return tuple(dims)

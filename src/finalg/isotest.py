@@ -577,12 +577,14 @@ def verify_certificate(A: Presentation, B: Presentation, certificate: dict,
 
     `certificate` maps each A generator name to a polynomial string over
     B's generators, whose monomials must all have the generator's degree;
-    an image that does not parse fails the check.  Independent of the
-    search that produced it.
+    an image that is not a string or does not parse fails the check.
+    Independent of the search that produced it.
     """
     if A.p != B.p or A.mode != B.mode:
         return False
     if set(certificate) != set(A.gens.names):
+        return False
+    if not all(isinstance(text, str) for text in certificate.values()):
         return False
     if TB is None:
         TB = TruncatedAlgebra(B, pair_bound(A, B))

@@ -30,6 +30,8 @@ def test_rref_frozen_examples():
     assert R.tolist() == [[1, 0, 1], [0, 1, 1]]
     R, pivots = gfp.rref([[0, 0], [0, 0]], 3)
     assert pivots == [] and R.shape[0] == 0
+    R, pivots = gfp.rref([], 5)
+    assert pivots == [] and R.shape == (0, 0)
 
 
 def test_rank_against_span_enumeration():
@@ -53,43 +55,50 @@ def test_rref_idempotent():
         assert np.array_equal(R1, R2)
 
 
-def test_nullspace_properties():
-    rng = random.Random(13)
-    for _ in range(80):
-        p = rng.choice([2, 3, 5])
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        mat = np.array([[rng.randrange(p) for _ in range(cols)]
-                        for _ in range(rows)], dtype=np.int64)
-        ker = gfp.nullspace(mat, p)
-        assert ker.shape[0] == cols - len(gfp.rref(mat, p)[1])
-        if ker.shape[0]:
-            assert not ((mat @ ker.T) % p).any()
-            assert len(gfp.rref(ker, p)[1]) == ker.shape[0]
-
-
-def test_nullspace_frozen():
-    ker = gfp.nullspace([[1, 1]], 2)
-    assert ker.tolist() == [[1, 1]]
-    ker = gfp.nullspace([[1, 2, 0], [0, 0, 1]], 3)
-    assert ker.shape[0] == 1
-    assert ker[0].tolist() == [1, 1, 0]
-
-
 def test_rowspace_incremental():
     rng = random.Random(3)
     for _ in range(40):
-        p = rng.choice([2, 3])
-        vecs = [[rng.randrange(p) for _ in range(5)] for _ in range(6)]
-        rs = gfp.RowSpace(5, p)
+        p = rng.choice([2, 3, 5])
+        # brute_rank walks p^rows combinations, so fewer rows at p = 5
+        width, count = (5, 6) if p < 5 else (4, 4)
+        vecs = [[rng.randrange(p) for _ in range(width)]
+                for _ in range(count)]
+        rs = gfp.RowSpace(width, p)
         expected_rank = 0
         for i, v in enumerate(vecs):
             grew = rs.add(v)
             expected_rank = brute_rank(vecs[:i + 1], p)
             assert rs.dim == expected_rank
             assert grew == (brute_rank(vecs[:i], p) < expected_rank)
-            assert rs.contains(v)
+            assert not rs.residues([v]).any()
+        assert rs.rows.shape == (rs.dim, width)
+        assert np.array_equal(rs.rows, gfp.rref(vecs, p)[0])
         other = rs.copy()
         assert other.dim == rs.dim
-        other.add([1, 0, 0, 0, 0])
+        other.add([1] + [0] * (width - 1))
         assert rs.dim == expected_rank  # copy is independent
+
+    # a residue is zero exactly on the span, and what it took off is in it
+    for _ in range(60):
+        p = rng.choice([2, 3, 5])
+        width = rng.randint(1, 4)
+        basis = [[rng.randrange(p) for _ in range(width)]
+                 for _ in range(rng.randint(0, 3))]
+        rs = gfp.RowSpace(width, p)
+        for v in basis:
+            rs.add(v)
+        block = np.array([[rng.randrange(p) for _ in range(width)]
+                          for _ in range(6)], dtype=np.int64)
+        res = rs.residues(block)
+        for row, r in zip(block.tolist(), res.tolist()):
+            in_span = brute_rank(basis + [row], p) == brute_rank(basis, p)
+            assert (not any(r)) == in_span
+        for diff in ((block - res) % p).tolist():
+            assert brute_rank(basis + [diff], p) == brute_rank(basis, p)
+
+    # a zero-dimensional component
+    rs = gfp.RowSpace(0, 5)
+    assert not rs.add([])
+    assert rs.dim == 0 and rs.rows.shape == (0, 0)
+    assert rs.residues(np.zeros((3, 0), dtype=np.int64)).shape == (3, 0)
+    assert rs.copy().dim == 0

@@ -128,7 +128,7 @@ def test_free_algebra_certificate_order():
     assert verdict.certificate == {"x": "x", "y": "y"}
 
 
-def test_verify_certificate_examples():
+def test_verify_certificate_examples(corpus):
     free = parse(FREE2)
     assert verify_certificate(free, free, {"x": "x", "y": "y"})
     assert not verify_certificate(free, free, {"x": "x", "y": "x"})
@@ -143,6 +143,10 @@ def test_verify_certificate_examples():
     # and an image that does not parse
     assert not verify_certificate(c4, c4, {"x": "q", "y": "y"})
     assert not verify_certificate(c4, c4, {"x": "x+", "y": "y"})
+    # or is not a string at all
+    for image in (1, None):
+        assert not verify_certificate(corpus["c4"], corpus["c8"],
+                                      {"x": image, "y": "y"})
 
 
 def test_mode_and_characteristic_mismatch(corpus):

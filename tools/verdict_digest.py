@@ -17,11 +17,17 @@ ROOT/bench/gen.py, writes nothing under ROOT, and decides:
   leaves (32,768 at d = 7);
 - every ordered pair of corpus/div4 and corpus/div8 files of equal
   characteristic and mode, over presentations parsed once, so later pairs
-  read what earlier ones memoized.
+  read what earlier ones memoized;
+- for each generator x of each commutative corpus/div4 and corpus/div8
+  file P, freshly parsed, the `groebner` group records the annihilator
+  dims of x up to `default_bound(P)` and the kept polynomials of
+  eliminating every other generator with that degree cap.
 
 A record is the outcome, reason, certificate and statistics of a verdict
 (for a classify run, each evidence record, each entry and each
-`graded_isomorphism` call the run makes).  Statistics leave out
+`graded_isomorphism` call the run makes; a `groebner` record has no
+outcome and keeps its file, generator, dims and polynomials as
+statistics).  Statistics leave out
 `wall_time_ms` and every KEY named on the command line.  One line per
 group and one total give the record count and a sha256 over the records;
 equal lines on two trees mean equal verdicts.  A second line per group
@@ -167,6 +173,25 @@ def main(argv) -> int:
              for path in sorted(d.glob("*.alg"))]
     extend("corpus-pairs", lambda: [verdict(A, B) for A in files for B in files
                                     if (A.p, A.mode) == (B.p, B.mode)])
+
+    def ideal_toolkit(path):
+        P = finalg.parse_file(path)
+        if P.mode != "commutative":
+            return []
+        bound = finalg.default_bound(P)
+        G = finalg.groebner_basis(P)
+        out = []
+        for i, name in enumerate(P.gens.names):
+            ann = finalg.annihilator(G, [P.parse_poly(name)], bound)
+            kept, _ = finalg.eliminate(P, (i,), degree_cap=bound)
+            out.append(record(None, None, None, {
+                "file": f"{path.parent.name}/{path.name}", "generator": name,
+                "annihilator": list(ann),
+                "eliminate": [P.format_poly(g) for g in kept]}))
+        return out
+    extend("groebner", lambda: [r for d in corpus
+                                for path in sorted(d.glob("*.alg"))
+                                for r in ideal_toolkit(path)])
 
     groups["total"] = [r for records in groups.values() for r in records]
     work["total"] = [sum(w[k] for w in work.values()) for k in range(2)]
