@@ -10,11 +10,11 @@ term order those are precisely the standard monomials.
 Every monomial of degree n keeps its normal form, a coordinate vector on
 that basis.  The powers of the augmentation ideal are read off those
 vectors: I^c is spanned by the monomials with at least c generator
-factors, so one rref per degree gives the whole power filtration, and the
-decomposables are I^2.  Multiplication tables serve only products of
-coordinate vectors, taken one at a time or as a block: a 2-d array of
-candidate vectors, one per row, which products, evaluation and the
-generation test treat row by row in whole-array operations.
+factors, and the decomposables are I^2.  The filtration takes an rref only
+where a normal form mixes in fewer factors than its monomial has.
+Multiplication tables serve only products of coordinate vectors, one at a
+time or as a block: a 2-d array of candidate vectors, one per row, which
+products, evaluation and the generation test treat in whole-array steps.
 
 Construction counts the monomials of every degree, without listing
 them, and checks the resource limits of every degree.  Each degree's
@@ -340,9 +340,10 @@ class TruncatedAlgebra:
 
     # ------------------------------------------------- ideal powers
 
-    def _factors(self, mono) -> int:
-        """Number of generator factors: exponent sum or word length."""
-        return sum(mono) if self.mode == COMMUTATIVE else len(mono)
+    def _factors(self, monos) -> np.ndarray:
+        """Numbers of generator factors: exponent sums or word lengths."""
+        return np.array([sum(m) if self.mode == COMMUTATIVE else len(m)
+                         for m in monos], dtype=np.int64)
 
     def _nf_rows(self, n: int, monos) -> np.ndarray:
         """Normal forms of degree-n monomials, one row each."""
@@ -356,8 +357,9 @@ class TruncatedAlgebra:
         self._check(n)
         got = self._decomposables.get(n)
         if got is None:
-            monos = [m for m in self._monomials(n) if self._factors(m) >= 2]
-            got = RowSpace.spanned_by(self._nf_rows(n, monos), self.p)
+            monos = self._monomials(n)
+            rows = self._nf_rows(n, monos)[self._factors(monos) >= 2]
+            got = RowSpace.spanned_by(rows, self.p)
             self._decomposables[n] = got
         return got
 
@@ -388,21 +390,30 @@ class TruncatedAlgebra:
     def power_filtration_dims(self) -> list:
         """dim of I^c in degrees <= bound, for c = 1..bound.
 
-        I is the augmentation ideal (everything of positive degree), and
-        I^c is spanned by the monomials with at least c factors.  In each
-        degree the normal forms of the monomials, longest first, are the
-        columns of one rref; its pivot columns are a greedy independent
-        prefix, so the pivots among the monomials with at least c factors
-        count dim I^c_n for every c at once.
+        I is the augmentation ideal, and I^c_n is spanned by the normal
+        forms of the degree-n monomials with at least c factors.  Sorted by
+        factor count, longest first, these columns form prefixes, so one
+        rref's pivots count dim I^c_n for every c.  Only monomials whose
+        normal forms reach standard monomials with fewer factors join the
+        standard ones' unit columns, on the rows they reach: any other
+        monomial is spanned by unit columns in every prefix holding it, and
+        a prefix reaches any other row only with its unit column, one pivot.
         """
         if self._filtration is None:
-            dims = [0] * self.bound
+            tally = np.zeros(self.bound + 1, dtype=np.int64)  # by factor count
             for n in range(1, self.bound + 1):
-                monos = sorted(self._monomials(n), key=self._factors,
-                               reverse=True)
-                _, pivots = rref(self._nf_rows(n, monos).T, self.p)
-                for col in pivots:
-                    for c in range(self._factors(monos[col])):
-                        dims[c] += 1
-            self._filtration = dims
+                monos = self._monomials(n)
+                N, f = self._nf_rows(n, monos), self._factors(monos)
+                counts = self._factors(self._basis[n])
+                low = N.astype(bool) & (counts < f[:, None])
+                mixed, rows = low.any(axis=1), low.any(axis=0)
+                if mixed.any():
+                    cols = np.concatenate((np.eye(rows.sum(), dtype=np.int64),
+                                           N[np.ix_(mixed, rows)]))
+                    c = np.concatenate((counts[rows], f[mixed]))
+                    order = np.argsort(-c, kind="stable")
+                    _, pivots = rref(cols[order].T, self.p)
+                    counts = np.concatenate((counts[~rows], c[order][pivots]))
+                tally += np.bincount(counts, minlength=self.bound + 1)
+            self._filtration = tally[::-1].cumsum()[::-1][1:].tolist()
         return list(self._filtration)

@@ -4,7 +4,9 @@ import random
 import numpy as np
 import pytest
 
+from finalg import truncated
 from finalg.errors import ResourceLimitError
+from finalg.gfp import rref
 from finalg.isotest import graded_isomorphism
 from finalg.present import parse
 from finalg.truncated import TruncatedAlgebra, default_bound, truncation_bound
@@ -409,3 +411,98 @@ def test_associative_relation_rows_are_kept_once():
     assert rows.shape == (1013, 1024)
     assert len({r.tobytes() for r in rows}) == 1013
     assert T.dim(10) == 11   # the words y^a x^b
+
+
+# relations whose terms have different factor counts, so normal forms mix
+# standard monomials with fewer factors than their monomials have
+CUBIC = ("algebra cubic\nchar 2\nmode commutative\ngen x 1\ngen y 1\n"
+         "gen z 2\nrel x^3+y*z\n")
+SQUARE_W = ("algebra square_w\nchar 2\nmode commutative\ngen x 1\ngen w 2\n"
+            "rel x^2+w\n")
+# power filtrations at the default bound, 10 for each
+MIXED_FILTRATIONS = {
+    ASSOC_P3: [97, 95, 91, 84, 72, 52, 26, 11, 4, 1],
+    CUBIC: [90, 87, 82, 75, 66, 55, 44, 33, 22, 11],
+    SQUARE_W: [10, 9, 8, 7, 6, 5, 4, 3, 2, 1],
+}
+
+
+def _factor_count(T, mono) -> int:
+    return sum(mono) if T.mode == "commutative" else len(mono)
+
+
+def _normal_forms(T, n) -> dict:
+    return {m: T.reduce_poly({m: 1})[n]
+            for m in T.presentation.monomials_of_degree(n)}
+
+
+def _filtration_by_definition(T) -> list:
+    """dim I^c for c = 1..bound: in each degree, the rank of the normal
+    forms of the monomials with at least c factors, one rref per c."""
+    forms = {n: _normal_forms(T, n) for n in range(1, T.bound + 1)}
+    dims = []
+    for c in range(1, T.bound + 1):
+        total = 0
+        for n, nf in forms.items():
+            rows = [v for m, v in nf.items() if _factor_count(T, m) >= c]
+            if rows:
+                mat = np.reshape(rows, (len(rows), T.dim(n)))
+                total += len(rref(mat, T.p)[1])
+        dims.append(total)
+    return dims
+
+
+def test_power_filtration_matches_its_definition(corpus):
+    # commutative and associative presentations at p = 2 and p = 3, the
+    # corpus and the rings whose relations mix factor counts
+    rng = random.Random(8821)
+    engines = [TruncatedAlgebra(pres, 10) for pres in corpus.values()]
+    engines += [TruncatedAlgebra(random_presentation(rng), 6)
+                for _ in range(150)]
+    engines += [TruncatedAlgebra(_random_associative(rng), 5)
+                for _ in range(150)]
+    engines += [TruncatedAlgebra(parse(text)) for text in MIXED_FILTRATIONS]
+    assert {(T.mode, T.p) for T in engines} == {
+        (mode, p) for mode in ("commutative", "associative") for p in (2, 3)}
+    for T in engines:
+        assert T.power_filtration_dims() == _filtration_by_definition(T), (
+            T.presentation)
+
+
+def test_filtration_eliminates_only_where_factor_counts_mix(corpus,
+                                                            monkeypatch):
+    # F2[x, y, z] has no relations, so every normal form is a standard
+    # monomial and no rref runs once the degrees are reduced; a mixed ring
+    # takes one rref in each degree where some monomial's normal form holds
+    # a standard monomial with fewer factors, over those monomials and the
+    # unit columns of the standard monomials they hold so, on those rows
+    shapes = []
+
+    def counted(mat, p):
+        shapes.append(np.shape(mat))
+        return rref(mat, p)
+    monkeypatch.setattr(truncated, "rref", counted)
+    T = TruncatedAlgebra(corpus["c2c2c2"], 10)
+    T.dims()
+    shapes.clear()
+    assert T.power_filtration_dims() == [
+        sum((n + 1) * (n + 2) // 2 for n in range(c, 11))
+        for c in range(1, 11)]
+    assert shapes == []
+    for text, want in MIXED_FILTRATIONS.items():
+        T = TruncatedAlgebra(parse(text))
+        T.dims()
+        expected = []
+        for n in range(1, T.bound + 1):
+            basis = T.basis(n)
+            held = {m: {b for b, c in zip(basis, v)
+                        if c and _factor_count(T, b) < _factor_count(T, m)}
+                    for m, v in _normal_forms(T, n).items()}
+            rows = set().union(*held.values())
+            if rows:
+                mixed = [m for m in held if held[m]]
+                expected.append((len(rows), len(rows) + len(mixed)))
+        assert 0 < len(expected) < T.bound
+        shapes.clear()
+        assert T.power_filtration_dims() == want
+        assert shapes == expected

@@ -21,14 +21,19 @@ ROOT/bench/gen.py, writes nothing under ROOT, and decides:
 - for each generator x of each commutative corpus/div4 and corpus/div8
   file P, freshly parsed, the `groebner` group records the annihilator
   dims of x up to `default_bound(P)` and the kept polynomials of
-  eliminating every other generator with that degree cap.
+  eliminating every other generator with that degree cap;
+- the `engines` group records the dims and power filtration that a
+  `TruncatedAlgebra` at the default bound gives for every corpus/div4 and
+  corpus/div8 file, 100 presentations from `gen.random_presentation`
+  (seed 6007) and three rings whose relations mix factor counts, so a
+  change to the engine's invariants shows even where no verdict moves.
 
 A record is the outcome, reason, certificate and statistics of a verdict
 (for a classify run, each evidence record, each entry and each
-`graded_isomorphism` call the run makes; a `groebner` record has no
-outcome and keeps its file, generator, dims and polynomials as
-statistics).  Statistics leave out
-`wall_time_ms` and every KEY named on the command line.  One line per
+`graded_isomorphism` call the run makes; `groebner` and `engines` records
+have no outcome and keep as statistics the file, generator, dims and
+polynomials, or the presentation, dims and filtration).  Statistics leave
+out `wall_time_ms` and every KEY named on the command line.  One line per
 group and one total give the record count and a sha256 over the records;
 equal lines on two trees mean equal verdicts.  A second line per group
 and total, tagged `verdicts`, digests the (outcome, certificate) of each
@@ -192,6 +197,25 @@ def main(argv) -> int:
     extend("groebner", lambda: [r for d in corpus
                                 for path in sorted(d.glob("*.alg"))
                                 for r in ideal_toolkit(path)])
+
+    def engine(name, P):
+        T = finalg.TruncatedAlgebra(P)
+        return record(None, None, None, {
+            "presentation": name, "dims": T.dims(),
+            "filtration": T.power_filtration_dims()})
+    rng = random.Random(6007)
+    mixed = [
+        "char 3\nmode associative\ngen x 1\ngen u 2\ngen v 2\n"
+        "rel x*x+u+2*v\nrel u*v-v*u\n",
+        "char 2\nmode commutative\ngen x 1\ngen y 1\ngen z 2\nrel x^3+y*z\n",
+        "char 2\nmode commutative\ngen x 1\ngen w 2\nrel x^2+w\n"]
+    extend("engines", lambda: [
+        *(engine(f"{d.name}/{path.name}", finalg.parse_file(path))
+          for d in corpus for path in sorted(d.glob("*.alg"))),
+        *(engine(f"random/{k}", gen.random_presentation(rng, f"r{k}"))
+          for k in range(100)),
+        *(engine(f"mixed/{k}", finalg.parse(f"algebra mixed{k}\n{text}"))
+          for k, text in enumerate(mixed))])
 
     groups["total"] = [r for records in groups.values() for r in records]
     work["total"] = [sum(w[k] for w in work.values()) for k in range(2)]
