@@ -101,16 +101,12 @@ class RowSpace:
 
     def add(self, vec) -> bool:
         """Insert a vector; True if it enlarged the space."""
-        v = np.array(vec, dtype=np.int64, ndmin=2)
-        v = (self.residues(v) if self.pivots else v % self.p)[0]
+        v = self.residues(np.array(vec, dtype=np.int64, ndmin=2))[0]
         nz = v.nonzero()[0]
         if nz.size == 0:
             return False
         c = int(nz[0])
         v = (v * inv_mod(v[c], self.p)) % self.p
-        if not self.pivots:   # nothing to reduce or clear
-            self.rows, self.pivots = v[None, :], [c]
-            return True
         self.rows = (self.rows - self.rows[:, c, None] * v) % self.p
         pos = bisect.bisect(self.pivots, c)
         self.rows = np.concatenate(

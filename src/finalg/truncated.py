@@ -391,13 +391,16 @@ class TruncatedAlgebra:
         """dim of I^c in degrees <= bound, for c = 1..bound.
 
         I is the augmentation ideal, and I^c_n is spanned by the normal
-        forms of the degree-n monomials with at least c factors.  Sorted by
-        factor count, longest first, these columns form prefixes, so one
-        rref's pivots count dim I^c_n for every c.  Only monomials whose
-        normal forms reach standard monomials with fewer factors join the
-        standard ones' unit columns, on the rows they reach: any other
-        monomial is spanned by unit columns in every prefix holding it, and
-        a prefix reaches any other row only with its unit column, one pivot.
+        forms of the degree-n monomials with at least c factors.  Call a
+        standard monomial low if the normal form of some monomial with more
+        factors holds it.  Any other standard monomial s is held only by
+        forms of monomials with at most as many factors as s, and s is its
+        own form, so I^c_n is spanned by the other standard monomials with
+        at least c factors and the forms restricted to the low rows.
+        Sorted by factor count, longest first, the restricted forms with at
+        least c factors are a prefix of one rref's columns, so its pivots,
+        one per low row, count dim I^c_n for every c at once.  A degree
+        with no low standard monomial runs no rref.
         """
         if self._filtration is None:
             tally = np.zeros(self.bound + 1, dtype=np.int64)  # by factor count
@@ -405,15 +408,13 @@ class TruncatedAlgebra:
                 monos = self._monomials(n)
                 N, f = self._nf_rows(n, monos), self._factors(monos)
                 counts = self._factors(self._basis[n])
-                low = N.astype(bool) & (counts < f[:, None])
-                mixed, rows = low.any(axis=1), low.any(axis=0)
-                if mixed.any():
-                    cols = np.concatenate((np.eye(rows.sum(), dtype=np.int64),
-                                           N[np.ix_(mixed, rows)]))
-                    c = np.concatenate((counts[rows], f[mixed]))
-                    order = np.argsort(-c, kind="stable")
-                    _, pivots = rref(cols[order].T, self.p)
-                    counts = np.concatenate((counts[~rows], c[order][pivots]))
+                rows = (N.astype(bool) & (counts < f[:, None])).any(axis=0)
+                if rows.any():   # rref the forms reaching the low rows
+                    R = N[:, rows]
+                    keep = R.any(axis=1)
+                    order = np.argsort(-f[keep], kind="stable")
+                    _, pivots = rref(R[keep][order].T, self.p)
+                    counts[rows] = f[keep][order][pivots]
                 tally += np.bincount(counts, minlength=self.bound + 1)
             self._filtration = tally[::-1].cumsum()[::-1][1:].tolist()
         return list(self._filtration)

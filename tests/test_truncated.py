@@ -419,11 +419,16 @@ CUBIC = ("algebra cubic\nchar 2\nmode commutative\ngen x 1\ngen y 1\n"
          "gen z 2\nrel x^3+y*z\n")
 SQUARE_W = ("algebra square_w\nchar 2\nmode commutative\ngen x 1\ngen w 2\n"
             "rel x^2+w\n")
+# here the term order does not list the monomials by factor count: the
+# same elimination over them unsorted would read dim I^3 as 20, not 21
+UNSORTED = ("algebra unsorted\nchar 2\nmode commutative\ngen x 1\ngen y 2\n"
+            "gen z 2\nrel x^2*y+y^2+x^2*z\nrel x^3+x*y\n")
 # power filtrations at the default bound, 10 for each
 MIXED_FILTRATIONS = {
     ASSOC_P3: [97, 95, 91, 84, 72, 52, 26, 11, 4, 1],
     CUBIC: [90, 87, 82, 75, 66, 55, 44, 33, 22, 11],
     SQUARE_W: [10, 9, 8, 7, 6, 5, 4, 3, 2, 1],
+    UNSORTED: [28, 25, 21, 16, 11, 6, 4, 3, 2, 1],
 }
 
 
@@ -474,8 +479,8 @@ def test_filtration_eliminates_only_where_factor_counts_mix(corpus,
     # F2[x, y, z] has no relations, so every normal form is a standard
     # monomial and no rref runs once the degrees are reduced; a mixed ring
     # takes one rref in each degree where some monomial's normal form holds
-    # a standard monomial with fewer factors, over those monomials and the
-    # unit columns of the standard monomials they hold so, on those rows
+    # a standard monomial with fewer factors (a low one): its rows are the
+    # low standard monomials, its columns the normal forms reaching them
     shapes = []
 
     def counted(mat, p):
@@ -494,14 +499,13 @@ def test_filtration_eliminates_only_where_factor_counts_mix(corpus,
         T.dims()
         expected = []
         for n in range(1, T.bound + 1):
-            basis = T.basis(n)
-            held = {m: {b for b, c in zip(basis, v)
-                        if c and _factor_count(T, b) < _factor_count(T, m)}
-                    for m, v in _normal_forms(T, n).items()}
-            rows = set().union(*held.values())
-            if rows:
-                mixed = [m for m in held if held[m]]
-                expected.append((len(rows), len(rows) + len(mixed)))
+            basis, forms = T.basis(n), _normal_forms(T, n)
+            low = [j for j, b in enumerate(basis)
+                   if any(v[j] and _factor_count(T, b) < _factor_count(T, m)
+                          for m, v in forms.items())]
+            if low:
+                reaching = [m for m, v in forms.items() if v[low].any()]
+                expected.append((len(low), len(reaching)))
         assert 0 < len(expected) < T.bound
         shapes.clear()
         assert T.power_filtration_dims() == want

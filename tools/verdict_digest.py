@@ -25,7 +25,7 @@ ROOT/bench/gen.py, writes nothing under ROOT, and decides:
 - the `engines` group records the dims and power filtration that a
   `TruncatedAlgebra` at the default bound gives for every corpus/div4 and
   corpus/div8 file, 100 presentations from `gen.random_presentation`
-  (seed 6007) and three rings whose relations mix factor counts, so a
+  (seed 6007) and four rings whose relations mix factor counts, so a
   change to the engine's invariants shows even where no verdict moves.
 
 A record is the outcome, reason, certificate and statistics of a verdict
@@ -208,7 +208,9 @@ def main(argv) -> int:
         "char 3\nmode associative\ngen x 1\ngen u 2\ngen v 2\n"
         "rel x*x+u+2*v\nrel u*v-v*u\n",
         "char 2\nmode commutative\ngen x 1\ngen y 1\ngen z 2\nrel x^3+y*z\n",
-        "char 2\nmode commutative\ngen x 1\ngen w 2\nrel x^2+w\n"]
+        "char 2\nmode commutative\ngen x 1\ngen w 2\nrel x^2+w\n",
+        "char 2\nmode commutative\ngen x 1\ngen y 2\ngen z 2\n"
+        "rel x^2*y+y^2+x^2*z\nrel x^3+x*y\n"]
     extend("engines", lambda: [
         *(engine(f"{d.name}/{path.name}", finalg.parse_file(path))
           for d in corpus for path in sorted(d.glob("*.alg"))),
