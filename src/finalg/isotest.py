@@ -209,15 +209,11 @@ class _Side:
 
     def zero_flags(self) -> tuple:
         """Which generators are zero in the algebra, as far as the bound
-        sees (those above it count as nonzero).  A generator in the
-        engine's standard basis is a basis vector, so only the others
-        need reducing."""
+        sees (those above it count as nonzero)."""
         def compute(P):
             T = self.engine()
-            return tuple(
-                d <= T.bound and _gen_mono(P, i) not in T.basis(d)
-                and T.element({_gen_mono(P, i): 1}) is None
-                for i, d in enumerate(P.gens.degrees))
+            return tuple(d <= T.bound and T.is_zero({_gen_mono(P, i): 1})
+                         for i, d in enumerate(P.gens.degrees))
         return self.entry("zero_generators", compute)
 
     def vanishing_powers(self) -> tuple:

@@ -8,13 +8,14 @@ the non-pivot monomials as the component basis.  With columns in decreasing
 term order those are precisely the standard monomials.
 
 Every monomial of degree n keeps its normal form, a coordinate vector on
-that basis.  The powers of the augmentation ideal are read off those
-vectors: I^c is spanned by the monomials with at least c generator
-factors, and the decomposables are I^2.  The filtration takes an rref only
-where a normal form mixes in fewer factors than its monomial has.
-Multiplication tables serve only products of coordinate vectors, one at a
-time or as a block: a 2-d array of candidate vectors, one per row, which
-products, evaluation and the generation test treat in whole-array steps.
+that basis: a row of one matrix per degree, found by the monomial's row
+index.  The powers of the augmentation ideal are read off those rows: I^c
+is spanned by the monomials with at least c generator factors, and the
+decomposables are I^2.  The filtration takes an rref only where a normal
+form mixes in fewer factors than its monomial has.  Multiplication tables
+serve only products of coordinate vectors, one at a time or as a block: a
+2-d array of candidate vectors, one per row, which products, evaluation
+and the generation test treat in whole-array steps.
 
 Construction counts the monomials of every degree, without listing
 them, and checks the resource limits of every degree.  Each degree's
@@ -26,13 +27,17 @@ Everything an instance exposes (bases, normal forms, multiplication
 tables, ideal-power filtrations) is exact for degrees within the bound;
 degrees beyond it raise BoundExceededError.  Instances are immutable after
 construction apart from internal caches, so sharing one across threads for
-reads is safe: a degree's normal forms are stored last, after its basis,
-and a reader reduces every degree whose normal forms it does not see, so
-two threads may reduce a degree twice but both get the same result.  Two
-threads may likewise list a degree's monomials twice, and get equal lists.
+reads is safe: a reduced degree (row index, normal forms, basis and factor
+counts) is published by one assignment, so a reader sees all of it or
+none, and a reader reduces every degree it does not see, so two threads
+may reduce a degree twice but both get the same result.  A reduction that
+raises publishes nothing.  Two threads may likewise list a degree's
+monomials twice, and get equal lists.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +58,15 @@ CANDIDATE_LIST_BUDGET = 300_000
 # Most cells of the temporary that one chunk of a product of two blocks
 # (`multiply_vec`) holds, 2 MB as int64.
 _PRODUCT_CELLS = 1 << 18
+
+
+class _Degree(NamedTuple):
+    """One reduced degree, stored whole (see the module docstring)."""
+    index: dict          # monomial -> its row of `forms`
+    forms: np.ndarray    # normal forms, one row per monomial in term order
+    basis: list          # the standard monomials
+    free: list           # their rows
+    factors: np.ndarray  # generator factors of each monomial
 
 
 def truncation_bound(P: Presentation) -> int:
@@ -105,8 +119,7 @@ class TruncatedAlgebra:
                     f"{RELATION_CELL_BUDGET}; lower the bound")
         # filled per degree on first use; None until then
         self._monos: list = [None] * (bound + 1)
-        self._basis: list = [None] * (bound + 1)
-        self._nf: list = [None] * (bound + 1)
+        self._degrees: list = [None] * (bound + 1)
 
     # ------------------------------------------------------------- build
 
@@ -134,14 +147,13 @@ class TruncatedAlgebra:
                              for a in range(n - r + 1))
         return count
 
-    def _relation_rows(self, n: int) -> np.ndarray:
+    def _relation_rows(self, n: int, index: dict) -> np.ndarray:
         """The nonzero cofactor multiples of the relations in degree n, one
-        row each over the degree-n monomials.  Distinct cofactors give
-        distinct rows in commutative mode; in associative mode a word that
-        holds a relation's monomial twice would repeat a row, so each row
-        is kept once."""
+        row each, with a column per degree-n monomial at its `index`.
+        Distinct cofactors give distinct rows in commutative mode; in
+        associative mode a word that holds a relation's monomial twice would
+        repeat a row, so each row is kept once."""
         monos, p, gens, mode = self._monomials, self.p, self.gens, self.mode
-        index = {m: j for j, m in enumerate(monos(n))}
         rows: dict = {}   # (column, value) pairs -> None, in first-seen order
         for r, rel in self._relations:
             if r > n:
@@ -171,40 +183,40 @@ class TruncatedAlgebra:
             R[i, j] = c
         return R
 
-    def _reduce_degree(self, n: int):
+    def _reduce_degree(self, n: int) -> _Degree:
         """Row reduce degree n's relation rows: the non-pivot monomials are
         its basis, and every monomial's normal form is a row of one matrix,
         the identity on the basis and minus the reduced row elsewhere."""
         monos = self._monomials(n)
-        R, pivots = rref(self._relation_rows(n), self.p)
+        index = {m: j for j, m in enumerate(monos)}
+        R, pivots = rref(self._relation_rows(n, index), self.p)
         pivot_set = set(pivots)
         free = [j for j in range(len(monos)) if j not in pivot_set]
         forms = np.zeros((len(monos), len(free)), dtype=np.int64)
         forms[free, range(len(free))] = 1
         forms[pivots] = (-R[:, free]) % self.p
-        self._basis[n] = [monos[j] for j in free]
-        # rows are copied out so that the matrix is freed here: keeping
-        # views of it raised the hard-pairs benchmark's peak RSS by 0.6 MB
-        self._nf[n] = {m: row.copy() for m, row in zip(monos, forms)}
+        factors = np.array([sum(m) if self.mode == COMMUTATIVE else len(m)
+                            for m in monos], dtype=np.int64)
+        got = self._degrees[n] = _Degree(
+            index, forms, [monos[j] for j in free], free, factors)
+        return got
 
     # --------------------------------------------------------- accessors
 
-    def _check(self, n: int):
-        """Raise past the bound; reduce degree n on its first use."""
+    def _degree(self, n: int) -> _Degree:
+        """Degree n, reduced on its first use; raise past the bound."""
         if not 0 <= n <= self.bound:
             raise BoundExceededError(
                 f"degree {n} outside the truncation bound {self.bound}")
-        if self._nf[n] is None:
-            self._reduce_degree(n)
+        got = self._degrees[n]
+        return self._reduce_degree(n) if got is None else got
 
     def dim(self, n: int) -> int:
-        self._check(n)
-        return len(self._basis[n])
+        return len(self._degree(n).basis)
 
     def basis(self, n: int) -> list:
         """Standard-monomial basis of the degree-n component."""
-        self._check(n)
-        return list(self._basis[n])
+        return list(self._degree(n).basis)
 
     def dims(self) -> list:
         return [self.dim(n) for n in range(self.bound + 1)]
@@ -214,14 +226,14 @@ class TruncatedAlgebra:
         comps: dict[int, np.ndarray] = {}
         for m, c in f.items():
             n = mono_degree(m, self.gens, self.mode)
-            self._check(n)
-            vec = comps.setdefault(n, np.zeros(len(self._basis[n]), dtype=np.int64))
-            vec += c * self._nf[n][m]
-        return {n: np.mod(v, self.p) for n, v in comps.items()}
+            d = self._degree(n)
+            row = c * d.forms[d.index[m]]
+            comps[n] = comps[n] + row if n in comps else row
+        return {n: v % self.p for n, v in comps.items()}
 
     def is_zero(self, f: dict) -> bool:
         """Exact word-problem test for elements presented in degrees <= bound."""
-        return all(not v.any() for v in self.reduce_poly(f).values())
+        return not any(map(np.count_nonzero, self.reduce_poly(f).values()))
 
     def element(self, f: dict):
         """Homogeneous polynomial -> (degree, coordinate vector)."""
@@ -233,9 +245,8 @@ class TruncatedAlgebra:
         return next(iter(comps.items()))
 
     def poly_of_vec(self, n: int, vec) -> dict:
-        self._check(n)
         out = {}
-        for m, c in zip(self._basis[n], np.mod(np.asarray(vec, dtype=np.int64), self.p)):
+        for m, c in zip(self._degree(n).basis, np.mod(np.asarray(vec, dtype=np.int64), self.p)):
             if c:
                 out[m] = int(c)
         return out
@@ -244,19 +255,17 @@ class TruncatedAlgebra:
 
     def table(self, a: int, b: int) -> np.ndarray:
         """Structure constants basis(a) x basis(b) -> A_{a+b}, cached."""
-        self._check(a)
-        self._check(b)
-        self._check(a + b)
+        A, B, C = self._degree(a), self._degree(b), self._degree(a + b)
         key = (a, b)
         T = self._tables.get(key)
         if T is None:
-            da, db, dc = self.dim(a), self.dim(b), self.dim(a + b)
-            T = np.zeros((da, db, dc), dtype=np.int64)
-            for i, u in enumerate(self._basis[a]):
-                for j, v in enumerate(self._basis[b]):
+            T = np.zeros((len(A.basis), len(B.basis), len(C.basis)),
+                         dtype=np.int64)
+            for i, u in enumerate(A.basis):
+                for j, v in enumerate(B.basis):
                     sign, m = mono_mul(u, v, self.gens, self.mode, self.p)
                     if sign:
-                        T[i, j] = (sign * self._nf[a + b][m]) % self.p
+                        T[i, j] = (sign * C.forms[C.index[m]]) % self.p
             self._tables[key] = T
         return T
 
@@ -340,26 +349,13 @@ class TruncatedAlgebra:
 
     # ------------------------------------------------- ideal powers
 
-    def _factors(self, monos) -> np.ndarray:
-        """Numbers of generator factors: exponent sums or word lengths."""
-        return np.array([sum(m) if self.mode == COMMUTATIVE else len(m)
-                         for m in monos], dtype=np.int64)
-
-    def _nf_rows(self, n: int, monos) -> np.ndarray:
-        """Normal forms of degree-n monomials, one row each."""
-        self._check(n)
-        return np.array([self._nf[n][m] for m in monos],
-                        dtype=np.int64).reshape(len(monos), self.dim(n))
-
     def decomposables(self, n: int) -> RowSpace:
         """Row space of I^2 in degree n, the products of positive-degree
         elements: the span of the monomials with at least two factors."""
-        self._check(n)
         got = self._decomposables.get(n)
         if got is None:
-            monos = self._monomials(n)
-            rows = self._nf_rows(n, monos)[self._factors(monos) >= 2]
-            got = RowSpace.spanned_by(rows, self.p)
+            d = self._degree(n)
+            got = RowSpace.spanned_by(d.forms[d.factors >= 2], self.p)
             self._decomposables[n] = got
         return got
 
@@ -405,9 +401,9 @@ class TruncatedAlgebra:
         if self._filtration is None:
             tally = np.zeros(self.bound + 1, dtype=np.int64)  # by factor count
             for n in range(1, self.bound + 1):
-                monos = self._monomials(n)
-                N, f = self._nf_rows(n, monos), self._factors(monos)
-                counts = self._factors(self._basis[n])
+                d = self._degree(n)
+                N, f = d.forms, d.factors
+                counts = f[d.free]
                 rows = (N.astype(bool) & (counts < f[:, None])).any(axis=0)
                 if rows.any():   # rref the forms reaching the low rows
                     R = N[:, rows]

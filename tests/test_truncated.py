@@ -407,7 +407,8 @@ def test_associative_relation_rows_are_kept_once():
     T = TruncatedAlgebra(parse("algebra a\nchar 2\nmode associative\n"
                                "gen x 1\ngen y 1\nrel x*y\n"), 10)
     assert T._relation_row_count(10) == 2304
-    rows = T._relation_rows(10)
+    rows = T._relation_rows(10, {m: j for j, m
+                                 in enumerate(T._monomials(10))})
     assert rows.shape == (1013, 1024)
     assert len({r.tobytes() for r in rows}) == 1013
     assert T.dim(10) == 11   # the words y^a x^b
@@ -510,3 +511,33 @@ def test_filtration_eliminates_only_where_factor_counts_mix(corpus,
         shapes.clear()
         assert T.power_filtration_dims() == want
         assert shapes == expected
+
+
+def test_a_reduction_that_raises_leaves_its_degree_unreduced(monkeypatch):
+    # degree 3 of UNSORTED is the first with relation rows; its rref
+    # raises once, after its monomials and relation rows are built, so the
+    # degree must stay unreduced: the next read reduces it again, and the
+    # engine then reads as a fresh one does
+    shapes, raised = [], []
+
+    def raising_once(mat, p):
+        shapes.append(np.shape(mat))
+        if len(mat) and not raised:
+            raised.append(np.shape(mat))
+            raise RuntimeError("interrupted")
+        return rref(mat, p)
+    monkeypatch.setattr(truncated, "rref", raising_once)
+    T = TruncatedAlgebra(parse(UNSORTED))
+    fresh = TruncatedAlgebra(parse(UNSORTED))
+    with pytest.raises(RuntimeError, match="interrupted"):
+        T.power_filtration_dims()
+    assert raised == [shapes[-1]] == [(1, 3)]
+    assert T.dim(3) == fresh.dim(3)
+    assert shapes[-2:] == raised * 2   # reduced again, from the same rows
+    assert (T.power_filtration_dims() == fresh.power_filtration_dims()
+            == MIXED_FILTRATIONS[UNSORTED])
+    for n in range(T.bound + 1):
+        assert T.basis(n) == fresh.basis(n)
+        got, want = _normal_forms(T, n), _normal_forms(fresh, n)
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[m], want[m]) for m in got)

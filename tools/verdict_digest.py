@@ -22,7 +22,9 @@ ROOT/bench/gen.py, writes nothing under ROOT, and decides:
   file P, freshly parsed, the `groebner` group records the annihilator
   dims of x up to `default_bound(P)` and the kept polynomials of
   eliminating every other generator with that degree cap;
-- the `engines` group records the dims and power filtration that a
+- the `engines` group records the dims, the power filtration, the rows
+  of `decomposables(n)` for each generator degree n and a sha256 of each
+  `table(a, b)` with 1 <= a <= b and a + b <= bound that a
   `TruncatedAlgebra` at the default bound gives for every corpus/div4 and
   corpus/div8 file, 100 presentations from `gen.random_presentation`
   (seed 6007) and four rings whose relations mix factor counts, so a
@@ -32,8 +34,8 @@ A record is the outcome, reason, certificate and statistics of a verdict
 (for a classify run, each evidence record, each entry and each
 `graded_isomorphism` call the run makes; `groebner` and `engines` records
 have no outcome and keep as statistics the file, generator, dims and
-polynomials, or the presentation, dims and filtration).  Statistics leave
-out `wall_time_ms` and every KEY named on the command line.  One line per
+polynomials, or the presentation and what its engine gives).  Statistics
+leave out `wall_time_ms` and every KEY named on the command line.  One line per
 group and one total give the record count and a sha256 over the records;
 equal lines on two trees mean equal verdicts.  A second line per group
 and total, tagged `verdicts`, digests the (outcome, certificate) of each
@@ -202,7 +204,13 @@ def main(argv) -> int:
         T = finalg.TruncatedAlgebra(P)
         return record(None, None, None, {
             "presentation": name, "dims": T.dims(),
-            "filtration": T.power_filtration_dims()})
+            "filtration": T.power_filtration_dims(),
+            "decomposables": {n: T.decomposables(n).rows.tolist()
+                              for n in sorted(set(P.gens.degrees))},
+            "tables": {f"{a} {b}": hashlib.sha256(
+                T.table(a, b).tobytes()).hexdigest()
+                for a in range(1, T.bound // 2 + 1)
+                for b in range(a, T.bound - a + 1)}})
     rng = random.Random(6007)
     mixed = [
         "char 3\nmode associative\ngen x 1\ngen u 2\ngen v 2\n"
