@@ -1,10 +1,12 @@
-"""Dense exact linear algebra over the prime field GF(p).
+"""Exact linear algebra over the prime field GF(p).
 
-Matrices are numpy integer arrays with entries reduced mod p.  The
-characteristic is passed explicitly to every operation; nothing here keeps
-global state, and all routines are deterministic (leftmost pivot, topmost
-row).  There is one echelon form: `rref` computes it, and a `RowSpace`
-holds it as one matrix and reduces against it with `residues`.
+There is one elimination kernel, `echelon`: it takes sparse rows, dicts of
+column -> nonzero residue, and returns their reduced row echelon form,
+which is unique, so nothing depends on the order the rows come in.  `rref`
+is its dense adapter for numpy integer arrays with entries reduced mod p,
+and a `RowSpace` holds a reduced form as one matrix and reduces against it
+with `residues`.  The characteristic is passed explicitly to every
+operation; nothing here keeps global state.
 """
 
 from __future__ import annotations
@@ -36,35 +38,69 @@ def inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, -1, p)
 
 
+def echelon(rows, p: int):
+    """Reduced row echelon form of sparse rows.
+
+    Each row is a dict of column -> nonzero residue (or its items).  Every
+    incoming row is reduced against the pivot rows by its leading (least)
+    column until that column holds no pivot, and then scaled to a unit
+    lead and kept as a pivot row; back-substitution from the rightmost
+    pivot then clears every pivot column of the other rows.  Returns
+    (pivots, reduced): the pivot columns in increasing order and, for each,
+    its reduced row as a dict holding the unit pivot.  The reduced form of
+    a row space is unique, so it does not depend on the order of the rows.
+    """
+    lead: dict = {}   # pivot column -> its row, unit there, zero to the left
+    for row in rows:
+        row = dict(row)
+        while row:
+            c = min(row)
+            other = lead.get(c)
+            if other is None:
+                break
+            _subtract(row, row[c], other, p)
+        if row:
+            inv = pow(row[c], -1, p)
+            if inv != 1:
+                row = {j: v * inv % p for j, v in row.items()}
+            lead[c] = row
+    pivots = sorted(lead)
+    for c in reversed(pivots):
+        row = lead[c]
+        for j in [j for j in row if j != c and j in lead]:
+            _subtract(row, row[j], lead[j], p)
+    return pivots, [lead[c] for c in pivots]
+
+
+def _subtract(row: dict, f: int, other: dict, p: int) -> None:
+    """row -= f * other in place, dropping the entries that vanish."""
+    for j, v in other.items():
+        w = (row.get(j, 0) - f * v) % p
+        if w:
+            row[j] = w
+        else:
+            del row[j]
+
+
 def rref(mat, p: int):
-    """Reduced row echelon form.
+    """Reduced row echelon form of a dense matrix, by `echelon`.
 
     Returns (R, pivots) where R has unit pivots with zeros above and below,
-    and pivots lists the pivot column of each nonzero row in order.  Pivot
-    choice: leftmost column, topmost available row.  An empty list gives a
-    (0, 0) array.
+    and pivots lists the pivot column of each nonzero row in order.  An
+    empty list gives a (0, 0) array.
     """
-    R = np.array(mat, dtype=np.int64, ndmin=2) % p
-    nrows, ncols = R.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        rows = np.nonzero(R[r:, c])[0]
-        if rows.size == 0:
-            continue
-        lead = r + int(rows[0])
-        if lead != r:
-            R[[r, lead]] = R[[lead, r]]
-        R[r] = (R[r] * inv_mod(R[r, c], p)) % p
-        others = np.nonzero(R[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            R[others] = (R[others] - np.outer(R[others, c], R[r])) % p
-        pivots.append(c)
-        r += 1
-    return R[: len(pivots)], pivots
+    mat = np.array(mat, dtype=np.int64, ndmin=2) % p
+    rows: list = [{} for _ in range(len(mat))]
+    i, j = mat.nonzero()
+    for r, c, v in zip(i.tolist(), j.tolist(), mat[i, j].tolist()):
+        rows[r][c] = v
+    pivots, reduced = echelon(rows, p)
+    R = np.zeros((len(pivots), mat.shape[1]), dtype=np.int64)
+    at = [(r, c, v) for r, row in enumerate(reduced) for c, v in row.items()]
+    if at:
+        i, j, v = zip(*at)
+        R[i, j] = v
+    return R, pivots
 
 
 class RowSpace:

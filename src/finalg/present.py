@@ -125,8 +125,8 @@ def mono_mul(u, v, gens: GeneratorSet, mode: str, p: int):
     """
     if mode == ASSOCIATIVE:
         return 1, u + v
-    ext = exterior_mask(gens, p, mode)
     if p != 2:
+        ext = exterior_mask(gens, p, mode)
         for i, e in enumerate(ext):
             if e and u[i] + v[i] >= 2:
                 return 0, None

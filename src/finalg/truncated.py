@@ -3,9 +3,11 @@
 Because relations are homogeneous, the degree-n component of the relation
 ideal is spanned by cofactor multiples of the relations, so each graded
 component A_n with n <= bound is computed exactly by linear algebra: list
-the monomials of degree n, row reduce the relation consequences, and keep
+the monomials of degree n, eliminate the relation consequences, and keep
 the non-pivot monomials as the component basis.  With columns in decreasing
-term order those are precisely the standard monomials.
+term order those are precisely the standard monomials.  The consequences
+are built as sparse rows, a few (column, value) pairs each, and go straight
+to `gfp.echelon`; no dense relation matrix is formed.
 
 Every monomial of degree n keeps its normal form, a coordinate vector on
 that basis: a row of one matrix per degree, found by the monomial's row
@@ -42,14 +44,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BoundExceededError, ResourceLimitError
-from .gfp import RowSpace, rref
+from .gfp import RowSpace, echelon, rref
 from .present import (COMMUTATIVE, Presentation, mono_degree, mono_mul,
                       monomial_counts)
 
 DEFAULT_MONOMIAL_CEILING = 200_000
-# Most cells (cofactor rows x monomials) one degree's relation matrix may
-# have, about 80 MB as int64.  The monomial ceiling alone does not bound
-# memory: the rows grow with every cofactor of every relation.
+# Most cells (cofactor rows x monomials) one degree's elimination may span.
+# The rows are sparse, but elimination fills them in, up to one entry per
+# monomial each, so this bounds the kernel's work and memory.  The monomial
+# ceiling alone does not: the rows grow with every cofactor of every
+# relation.
 RELATION_CELL_BUDGET = 10_000_000
 # Most candidate images, summed over a pair's generators, that
 # `graded_isomorphism` lists before it searches; an image is one row of an
@@ -147,12 +151,13 @@ class TruncatedAlgebra:
                              for a in range(n - r + 1))
         return count
 
-    def _relation_rows(self, n: int, index: dict) -> np.ndarray:
-        """The nonzero cofactor multiples of the relations in degree n, one
-        row each, with a column per degree-n monomial at its `index`.
-        Distinct cofactors give distinct rows in commutative mode; in
-        associative mode a word that holds a relation's monomial twice would
-        repeat a row, so each row is kept once."""
+    def _relation_rows(self, n: int, index: dict) -> list:
+        """The nonzero cofactor multiples of the relations in degree n, as
+        sparse rows: each a tuple of (column, value) pairs, with a column
+        per degree-n monomial at its `index`.  Distinct cofactors give
+        distinct rows in commutative mode; in associative mode a word that
+        holds a relation's monomial twice would repeat a row, so each row
+        is kept once."""
         monos, p, gens, mode = self._monomials, self.p, self.gens, self.mode
         rows: dict = {}   # (column, value) pairs -> None, in first-seen order
         for r, rel in self._relations:
@@ -176,25 +181,26 @@ class TruncatedAlgebra:
                         for v in monos(n - r - a):
                             rows[tuple((index[u + m + v], c)
                                        for m, c in terms)] = None
-        R = np.zeros((len(rows), len(index)), dtype=np.int64)
-        at = [(i, j, c) for i, row in enumerate(rows) for j, c in row]
-        if at:
-            i, j, c = zip(*at)
-            R[i, j] = c
-        return R
+        return list(rows)
 
     def _reduce_degree(self, n: int) -> _Degree:
-        """Row reduce degree n's relation rows: the non-pivot monomials are
-        its basis, and every monomial's normal form is a row of one matrix,
-        the identity on the basis and minus the reduced row elsewhere."""
-        monos = self._monomials(n)
+        """Eliminate degree n's sparse relation rows by `echelon`: the
+        non-pivot monomials are its basis, and every monomial's normal form
+        is a row of one matrix, the identity on the basis and minus the
+        reduced row elsewhere."""
+        monos, p = self._monomials(n), self.p
         index = {m: j for j, m in enumerate(monos)}
-        R, pivots = rref(self._relation_rows(n, index), self.p)
+        pivots, reduced = echelon(self._relation_rows(n, index), p)
         pivot_set = set(pivots)
         free = [j for j in range(len(monos)) if j not in pivot_set]
+        column = {j: k for k, j in enumerate(free)}
+        at = [(j, k, 1) for k, j in enumerate(free)]
+        at += [(c, column[j], -v % p) for c, row in zip(pivots, reduced)
+               for j, v in row.items() if j != c]
         forms = np.zeros((len(monos), len(free)), dtype=np.int64)
-        forms[free, range(len(free))] = 1
-        forms[pivots] = (-R[:, free]) % self.p
+        if at:
+            i, k, v = zip(*at)
+            forms[i, k] = v
         factors = np.array([sum(m) if self.mode == COMMUTATIVE else len(m)
                             for m in monos], dtype=np.int64)
         got = self._degrees[n] = _Degree(

@@ -664,19 +664,21 @@ def test_statistics_contract(corpus):
 def test_dims_refutation_reduces_only_the_degrees_compared(corpus,
                                                            monkeypatch):
     # c2 and c2c2 differ in degree 1, so each engine reduces degrees 0
-    # and 1 out of 0..10, and the dims memos stop there too
-    widths = []
-    rref = finalg.truncated.rref
+    # and 1 out of 0..10, each once, and the dims memos stop there too
+    reduced = []
+    reduce_degree = TruncatedAlgebra._reduce_degree
 
-    def counted(mat, p):
-        widths.append(mat.shape[1])
-        return rref(mat, p)
-    monkeypatch.setattr(finalg.truncated, "rref", counted)
+    def counted(self, n):
+        reduced.append((self.presentation, n))
+        return reduce_degree(self, n)
+    monkeypatch.setattr(TruncatedAlgebra, "_reduce_degree", counted)
     A, B = _fresh(corpus["c2"]), _fresh(corpus["c2c2"])
     verdict = graded_isomorphism(A, B)
     assert verdict.statistics["bound"] == 10
     assert verdict.statistics["first_dims_difference"] == 1
-    assert sorted(widths) == [1, 1, 1, 2]   # degrees 0 and 1 of each side
+    assert sorted(n for P, n in reduced if P is A) == [0, 1]
+    assert sorted(n for P, n in reduced if P is B) == [0, 1]
+    assert len(reduced) == 4   # degrees 0 and 1 of each side
     assert A._memo[("dims", 10, DEFAULT_MONOMIAL_CEILING)] == (1, 1)
     assert B._memo[("dims", 10, DEFAULT_MONOMIAL_CEILING)] == (1, 2)
     # a pair whose dims agree reads on past the memoized prefix

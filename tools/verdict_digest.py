@@ -23,7 +23,8 @@ ROOT/bench/gen.py, writes nothing under ROOT, and decides:
   dims of x up to `default_bound(P)` and the kept polynomials of
   eliminating every other generator with that degree cap;
 - the `engines` group records the dims, the power filtration, the rows
-  of `decomposables(n)` for each generator degree n and a sha256 of each
+  of `decomposables(n)` for each generator degree n, a sha256 of each
+  degree's normal-form matrix (shape, entries and basis) and of each
   `table(a, b)` with 1 <= a <= b and a + b <= bound that a
   `TruncatedAlgebra` at the default bound gives for every corpus/div4 and
   corpus/div8 file, 100 presentations from `gen.random_presentation`
@@ -200,6 +201,12 @@ def main(argv) -> int:
                                 for path in sorted(d.glob("*.alg"))
                                 for r in ideal_toolkit(path)])
 
+    def forms_digest(d):
+        forms = d.forms.astype("<i8")
+        return hashlib.sha256(json.dumps(
+            [forms.shape, repr(d.basis)]).encode()
+            + forms.tobytes()).hexdigest()
+
     def engine(name, P):
         T = finalg.TruncatedAlgebra(P)
         return record(None, None, None, {
@@ -207,6 +214,8 @@ def main(argv) -> int:
             "filtration": T.power_filtration_dims(),
             "decomposables": {n: T.decomposables(n).rows.tolist()
                               for n in sorted(set(P.gens.degrees))},
+            "forms": {n: forms_digest(T._degree(n))
+                      for n in range(T.bound + 1)},
             "tables": {f"{a} {b}": hashlib.sha256(
                 T.table(a, b).tobytes()).hexdigest()
                 for a in range(1, T.bound // 2 + 1)
