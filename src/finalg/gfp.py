@@ -2,11 +2,13 @@
 
 There is one elimination kernel, `echelon`: it takes sparse rows, dicts of
 column -> nonzero residue, and returns their reduced row echelon form,
-which is unique, so nothing depends on the order the rows come in.  `rref`
-is its dense adapter for numpy integer arrays with entries reduced mod p,
-and a `RowSpace` holds a reduced form as one matrix and reduces against it
-with `residues`.  The characteristic is passed explicitly to every
-operation; nothing here keeps global state.
+which is unique, so nothing depends on the order the rows come in.  Its
+two passes, `forward` and `back_substitute`, may also run apart, for just
+the pivots or just some reduced rows.  `rref` is its dense adapter for
+numpy integer arrays with entries reduced mod p, and a `RowSpace` holds a
+reduced form as one matrix and reduces against it with `residues`.  The
+characteristic is passed explicitly to every operation; nothing here keeps
+global state.
 """
 
 from __future__ import annotations
@@ -39,18 +41,20 @@ def inv_mod(a: int, p: int) -> int:
 
 
 def echelon(rows, p: int):
-    """Reduced row echelon form of sparse rows.
+    """Reduced row echelon form of sparse rows, dicts of column -> nonzero
+    residue (or their items): the pivot columns in increasing order and
+    each one's reduced row, a dict with a unit there.  It is unique."""
+    lead = forward(rows, p)
+    pivots = sorted(lead)
+    reduced = back_substitute(lead, pivots, {}, p)
+    return pivots, [reduced[c] for c in pivots]
 
-    Each row is a dict of column -> nonzero residue (or its items).  Every
-    incoming row is reduced against the pivot rows by its leading (least)
-    column until that column holds no pivot, and then scaled to a unit
-    lead and kept as a pivot row; back-substitution from the rightmost
-    pivot then clears every pivot column of the other rows.  Returns
-    (pivots, reduced): the pivot columns in increasing order and, for each,
-    its reduced row as a dict holding the unit pivot.  The reduced form of
-    a row space is unique, so it does not depend on the order of the rows.
-    """
-    lead: dict = {}   # pivot column -> its row, unit there, zero to the left
+
+def forward(rows, p: int) -> dict:
+    """The forward pass: pivot column -> its row, with a unit there and
+    zeros to its left.  Each row is reduced by its leading (least) column
+    until that column holds no pivot, and then kept."""
+    lead: dict = {}
     for row in rows:
         row = dict(row)
         while row:
@@ -64,12 +68,25 @@ def echelon(rows, p: int):
             if inv != 1:
                 row = {j: v * inv % p for j, v in row.items()}
             lead[c] = row
-    pivots = sorted(lead)
-    for c in reversed(pivots):
-        row = lead[c]
+    return lead
+
+
+def back_substitute(lead: dict, want, done: dict, p: int) -> dict:
+    """Add to `done`, pivot -> reduced row, the rows of the pivots `want`
+    and of each pivot they reach, from the forward rows `lead`: rightmost
+    first, each whole, by one assignment.  Returns `done`."""
+    need, stack = set(), [c for c in want if c not in done]
+    while stack:
+        c = stack.pop()
+        if c not in need:
+            need.add(c)
+            stack += [j for j in lead[c] if j in lead and j not in done]
+    for c in sorted(need, reverse=True):
+        row = dict(lead[c])
         for j in [j for j in row if j != c and j in lead]:
-            _subtract(row, row[j], lead[j], p)
-    return pivots, [lead[c] for c in pivots]
+            _subtract(row, row[j], done[j], p)
+        done[c] = row
+    return done
 
 
 def _subtract(row: dict, f: int, other: dict, p: int) -> None:

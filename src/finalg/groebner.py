@@ -64,7 +64,7 @@ def normal_form(f: dict, basis, P: Presentation, order=DEGREVLEX) -> dict:
         raise MismatchError("Groebner reduction needs commutative mode")
     key = _order_key(order, P.gens)
     leads = [_lead(g, key)[0] for g in basis]
-    gens, p = P.gens, P.p
+    gens, p, ext = P.gens, P.p, exterior_mask(P.gens, P.p, P.mode)
     work = poly_canon(dict(f), gens, P.mode, p)
     out: dict = {}
     while work:
@@ -79,7 +79,7 @@ def normal_form(f: dict, basis, P: Presentation, order=DEGREVLEX) -> dict:
             del work[w]
             continue
         q = tuple(a - b for a, b in zip(w, leads[hit]))
-        sign, _ = mono_mul(q, leads[hit], gens, COMMUTATIVE, p)
+        sign, _ = mono_mul(q, leads[hit], gens, COMMUTATIVE, p, ext)
         step = term_mul_poly((-c * sign) % p, q, basis[hit], gens, COMMUTATIVE, p)
         work = poly_add(work, step, gens, COMMUTATIVE, p)
     return poly_canon(out, gens, COMMUTATIVE, p)
@@ -175,8 +175,8 @@ def buchberger(P: Presentation, order=DEGREVLEX,
                 continue  # product criterion, classical proof applies
             qi = tuple(a - b for a, b in zip(w, u))
             qj = tuple(a - b for a, b in zip(w, v))
-            si, _ = mono_mul(qi, u, gens, COMMUTATIVE, p)
-            sj, _ = mono_mul(qj, v, gens, COMMUTATIVE, p)
+            si, _ = mono_mul(qi, u, gens, COMMUTATIVE, p, ext)
+            sj, _ = mono_mul(qj, v, gens, COMMUTATIVE, p, ext)
             A = term_mul_poly(si % p, qi, basis[i], gens, COMMUTATIVE, p)
             B = term_mul_poly(sj % p, qj, basis[j], gens, COMMUTATIVE, p)
             spoly = poly_add(A, poly_scale(B, -1, gens, COMMUTATIVE, p),

@@ -212,7 +212,7 @@ class _Side:
         sees (those above it count as nonzero)."""
         def compute(P):
             T = self.engine()
-            return tuple(d <= T.bound and T.is_zero({_gen_mono(P, i): 1})
+            return tuple(d <= T.bound and T.vanishes(_gen_mono(P, i))
                          for i, d in enumerate(P.gens.degrees))
         return self.entry("zero_generators", compute)
 
@@ -226,7 +226,7 @@ class _Side:
             return tuple(
                 0 if ext[i] else next(
                     (m for m in range(2, T.bound // d + 1)
-                     if T.is_zero({_gen_mono(P, i, m): 1})), 0)
+                     if T.vanishes(_gen_mono(P, i, m))), 0)
                 for i, d in enumerate(P.gens.degrees))
         return self.entry("vanishing_powers", compute)
 

@@ -117,16 +117,16 @@ def elimination_key(front, gens: GeneratorSet):
     return key
 
 
-def mono_mul(u, v, gens: GeneratorSet, mode: str, p: int):
+def mono_mul(u, v, gens: GeneratorSet, mode: str, p: int, ext=None):
     """Product of two monomials: (sign, monomial) or (0, None) if it dies.
 
     The sign counts transpositions of odd-degree factors; exterior squares
-    annihilate at odd p.
+    annihilate at odd p.  A loop passes in `ext`, the `exterior_mask`.
     """
     if mode == ASSOCIATIVE:
         return 1, u + v
     if p != 2:
-        ext = exterior_mask(gens, p, mode)
+        ext = exterior_mask(gens, p, mode) if ext is None else ext
         for i, e in enumerate(ext):
             if e and u[i] + v[i] >= 2:
                 return 0, None

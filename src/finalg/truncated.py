@@ -6,14 +6,16 @@ component A_n with n <= bound is computed exactly by linear algebra: list
 the monomials of degree n, eliminate the relation consequences, and keep
 the non-pivot monomials as the component basis.  With columns in decreasing
 term order those are precisely the standard monomials.  The consequences
-are built as sparse rows, a few (column, value) pairs each, and go straight
-to `gfp.echelon`; no dense relation matrix is formed.
+are built as sparse rows, a few (column, value) pairs each, for the forward
+pass of the elimination, `gfp.forward`; no dense relation matrix is formed.
 
-Every monomial of degree n keeps its normal form, a coordinate vector on
-that basis: a row of one matrix per degree, found by the monomial's row
-index.  The powers of the augmentation ideal are read off those rows: I^c
-is spanned by the monomials with at least c generator factors, and the
-decomposables are I^2.  The filtration takes an rref only where a normal
+A monomial's normal form, its coordinate vector on that basis, is a unit
+vector for a standard monomial; a pivot's is back-substituted from the
+rows it reaches (`gfp.back_substitute`) on first read, and kept.  The
+powers of the augmentation ideal are read off the normal forms: I^c is
+spanned by the monomials with at least c generator factors, and the
+decomposables are I^2.  The filtration reads all the forms, `forms`, only
+where a forward row mixes factor counts, and takes an rref only where a
 form mixes in fewer factors than its monomial has.  Multiplication tables
 serve only products of coordinate vectors, one at a time or as a block: a
 2-d array of candidate vectors, one per row, which products, evaluation
@@ -29,24 +31,23 @@ Everything an instance exposes (bases, normal forms, multiplication
 tables, ideal-power filtrations) is exact for degrees within the bound;
 degrees beyond it raise BoundExceededError.  Instances are immutable after
 construction apart from internal caches, so sharing one across threads for
-reads is safe: a reduced degree (row index, normal forms, basis and factor
+reads is safe: a reduced degree (row index, forward rows, basis and factor
 counts) is published by one assignment, so a reader sees all of it or
 none, and a reader reduces every degree it does not see, so two threads
 may reduce a degree twice but both get the same result.  A reduction that
-raises publishes nothing.  Two threads may likewise list a degree's
+raises publishes nothing.  So is each reduced row a degree builds later,
+and none is changed after.  Two threads may likewise list a degree's
 monomials twice, and get equal lists.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import BoundExceededError, ResourceLimitError
-from .gfp import RowSpace, echelon, rref
-from .present import (COMMUTATIVE, Presentation, mono_degree, mono_mul,
-                      monomial_counts)
+from .gfp import RowSpace, back_substitute, forward, rref
+from .present import (COMMUTATIVE, Presentation, exterior_mask, mono_degree,
+                      mono_mul, monomial_counts)
 
 DEFAULT_MONOMIAL_CEILING = 200_000
 # Most cells (cofactor rows x monomials) one degree's elimination may span.
@@ -64,13 +65,35 @@ CANDIDATE_LIST_BUDGET = 300_000
 _PRODUCT_CELLS = 1 << 18
 
 
-class _Degree(NamedTuple):
-    """One reduced degree, stored whole (see the module docstring)."""
-    index: dict          # monomial -> its row of `forms`
-    forms: np.ndarray    # normal forms, one row per monomial in term order
-    basis: list          # the standard monomials
-    free: list           # their rows
-    factors: np.ndarray  # generator factors of each monomial
+class _Degree:
+    """One reduced degree (see the module docstring): the monomial -> row
+    index, the forward rows by pivot, the standard monomials and their rows,
+    each monomial's generator factors, and the reduced rows found so far."""
+
+    def __init__(self, index, lead, basis, free, factors, p):
+        self.index, self.lead, self.basis, self.free = index, lead, basis, free
+        self.factors, self.p, self.reduced = factors, p, {}
+        self.column = {j: k for k, j in enumerate(free)}
+
+    def entries(self, j: int) -> list:
+        """(column, value) of each nonzero of row j's normal form."""
+        if j not in self.lead:
+            return [(self.column[j], 1)]
+        row = back_substitute(self.lead, (j,), self.reduced, self.p)[j]
+        return [(self.column[c], self.p - v) for c, v in row.items() if c != j]
+
+    def rows(self, js) -> np.ndarray:
+        """The normal forms of the monomials at rows js, one per row."""
+        out = np.zeros((len(js), len(self.free)), dtype=np.int64)
+        for i, j in enumerate(js):
+            for k, v in self.entries(j):
+                out[i, k] = v
+        return out
+
+    @property
+    def forms(self) -> np.ndarray:
+        """Every normal form, one row per monomial in term order."""
+        return self.rows(range(len(self.index)))
 
 
 def truncation_bound(P: Presentation) -> int:
@@ -103,6 +126,7 @@ class TruncatedAlgebra:
         self.mode = presentation.mode
         self.gens = presentation.gens
         self.monomial_ceiling = monomial_ceiling
+        self._ext = exterior_mask(self.gens, self.p, self.mode)
         # (degree, relation) of every nonzero relation
         self._relations = [(presentation.poly_degree(rel), rel)
                            for rel in presentation.relations if rel]
@@ -170,7 +194,7 @@ class TruncatedAlgebra:
                 for cof in monos(n - r):
                     row = []
                     for m, c in terms:
-                        sign, mm = mono_mul(cof, m, gens, mode, p)
+                        sign, mm = mono_mul(cof, m, gens, mode, p, self._ext)
                         if sign:
                             row.append((index[mm], (sign * c) % p))
                     if row:
@@ -184,27 +208,16 @@ class TruncatedAlgebra:
         return list(rows)
 
     def _reduce_degree(self, n: int) -> _Degree:
-        """Eliminate degree n's sparse relation rows by `echelon`: the
-        non-pivot monomials are its basis, and every monomial's normal form
-        is a row of one matrix, the identity on the basis and minus the
-        reduced row elsewhere."""
-        monos, p = self._monomials(n), self.p
+        """Eliminate degree n's sparse relation rows by `gfp.forward`: the
+        non-pivot monomials are its basis; normal forms wait for a reader."""
+        monos = self._monomials(n)
         index = {m: j for j, m in enumerate(monos)}
-        pivots, reduced = echelon(self._relation_rows(n, index), p)
-        pivot_set = set(pivots)
-        free = [j for j in range(len(monos)) if j not in pivot_set]
-        column = {j: k for k, j in enumerate(free)}
-        at = [(j, k, 1) for k, j in enumerate(free)]
-        at += [(c, column[j], -v % p) for c, row in zip(pivots, reduced)
-               for j, v in row.items() if j != c]
-        forms = np.zeros((len(monos), len(free)), dtype=np.int64)
-        if at:
-            i, k, v = zip(*at)
-            forms[i, k] = v
+        lead = forward(self._relation_rows(n, index), self.p)
+        free = [j for j in range(len(monos)) if j not in lead]
         factors = np.array([sum(m) if self.mode == COMMUTATIVE else len(m)
                             for m in monos], dtype=np.int64)
         got = self._degrees[n] = _Degree(
-            index, forms, [monos[j] for j in free], free, factors)
+            index, lead, [monos[j] for j in free], free, factors, self.p)
         return got
 
     # --------------------------------------------------------- accessors
@@ -233,13 +246,19 @@ class TruncatedAlgebra:
         for m, c in f.items():
             n = mono_degree(m, self.gens, self.mode)
             d = self._degree(n)
-            row = c * d.forms[d.index[m]]
+            row = c * d.rows([d.index[m]])[0]
             comps[n] = comps[n] + row if n in comps else row
         return {n: v % self.p for n, v in comps.items()}
 
     def is_zero(self, f: dict) -> bool:
         """Exact word-problem test for elements presented in degrees <= bound."""
         return not any(map(np.count_nonzero, self.reduce_poly(f).values()))
+
+    def vanishes(self, m) -> bool:
+        """Is the monomial m zero?  A standard monomial never is."""
+        d = self._degree(mono_degree(m, self.gens, self.mode))
+        j = d.index[m]
+        return j in d.lead and not d.entries(j)
 
     def element(self, f: dict):
         """Homogeneous polynomial -> (degree, coordinate vector)."""
@@ -269,9 +288,10 @@ class TruncatedAlgebra:
                          dtype=np.int64)
             for i, u in enumerate(A.basis):
                 for j, v in enumerate(B.basis):
-                    sign, m = mono_mul(u, v, self.gens, self.mode, self.p)
+                    sign, m = mono_mul(u, v, self.gens, self.mode, self.p,
+                                       self._ext)
                     if sign:
-                        T[i, j] = (sign * C.forms[C.index[m]]) % self.p
+                        T[i, j] = (sign * C.rows([C.index[m]])[0]) % self.p
             self._tables[key] = T
         return T
 
@@ -361,7 +381,8 @@ class TruncatedAlgebra:
         got = self._decomposables.get(n)
         if got is None:
             d = self._degree(n)
-            got = RowSpace.spanned_by(d.forms[d.factors >= 2], self.p)
+            many = np.flatnonzero(d.factors >= 2).tolist()
+            got = RowSpace.spanned_by(d.rows(many), self.p)
             self._decomposables[n] = got
         return got
 
@@ -394,29 +415,31 @@ class TruncatedAlgebra:
 
         I is the augmentation ideal, and I^c_n is spanned by the normal
         forms of the degree-n monomials with at least c factors.  Call a
-        standard monomial low if the normal form of some monomial with more
-        factors holds it.  Any other standard monomial s is held only by
-        forms of monomials with at most as many factors as s, and s is its
-        own form, so I^c_n is spanned by the other standard monomials with
-        at least c factors and the forms restricted to the low rows.
-        Sorted by factor count, longest first, the restricted forms with at
-        least c factors are a prefix of one rref's columns, so its pivots,
-        one per low row, count dim I^c_n for every c at once.  A degree
-        with no low standard monomial runs no rref.
+        standard monomial low if the form of a monomial with more factors
+        holds it; there is none unless some forward row mixes factor counts,
+        and only then is `forms` read.  Any other standard monomial s is
+        held only by forms of monomials with at most as many factors as s,
+        and s is its own form, so I^c_n is spanned by the other standard
+        monomials with at least c factors and the forms restricted to the
+        low rows.  Sorted longest first, those with at least c factors are
+        a prefix of one rref's columns, whose pivots count dim I^c_n for
+        every c at once.
         """
         if self._filtration is None:
             tally = np.zeros(self.bound + 1, dtype=np.int64)  # by factor count
             for n in range(1, self.bound + 1):
                 d = self._degree(n)
-                N, f = d.forms, d.factors
+                f = d.factors
                 counts = f[d.free]
-                rows = (N.astype(bool) & (counts < f[:, None])).any(axis=0)
-                if rows.any():   # rref the forms reaching the low rows
-                    R = N[:, rows]
-                    keep = R.any(axis=1)
-                    order = np.argsort(-f[keep], kind="stable")
-                    _, pivots = rref(R[keep][order].T, self.p)
-                    counts[rows] = f[keep][order][pivots]
+                if any(f[j] != f[c] for c, row in d.lead.items() for j in row):
+                    N = d.forms
+                    rows = (N.astype(bool) & (counts < f[:, None])).any(axis=0)
+                    if rows.any():   # rref the forms reaching the low rows
+                        R = N[:, rows]
+                        keep = R.any(axis=1)
+                        order = np.argsort(-f[keep], kind="stable")
+                        _, pivots = rref(R[keep][order].T, self.p)
+                        counts[rows] = f[keep][order][pivots]
                 tally += np.bincount(counts, minlength=self.bound + 1)
             self._filtration = tally[::-1].cumsum()[::-1][1:].tolist()
         return list(self._filtration)

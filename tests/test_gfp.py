@@ -120,6 +120,30 @@ def test_echelon_and_rref_match_the_reference():
             assert again == (kernel_pivots, reduced)
 
 
+def test_forward_pass_matches_the_reference():
+    # the forward pass alone: the same pivots as the reduced form, each
+    # row with a unit lead and zeros to its left, and together the same
+    # span; back-substituting any pivots gives their reduced rows
+    rng = random.Random(2711)
+    for p in (2, 3, 5, 7):
+        for mat in _kernel_cases(rng, p):
+            R, pivots = _reference_rref(mat, p)
+            lead = gfp.forward(_sparse(mat), p)
+            assert sorted(lead) == pivots
+            for c, row in lead.items():
+                assert row[c] == 1 and min(row) == c
+                assert all(0 < v < p for v in row.values())
+            rows = _dense(sorted(lead), [lead[c] for c in sorted(lead)],
+                          mat.shape[1])
+            assert np.array_equal(_reference_rref(rows, p)[0], R)
+            want = rng.sample(pivots, len(pivots) // 2)
+            done = gfp.back_substitute(lead, want, {}, p)
+            assert set(want) <= set(done) <= set(pivots)
+            for c, row in done.items():
+                assert np.array_equal(_dense([c], [row], mat.shape[1])[0],
+                                      R[pivots.index(c)])
+
+
 def test_rref_frozen_examples():
     R, pivots = gfp.rref([[1, 2], [2, 4]], 5)
     assert pivots == [0]

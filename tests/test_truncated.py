@@ -6,7 +6,7 @@ import pytest
 
 from finalg import truncated
 from finalg.errors import ResourceLimitError
-from finalg.gfp import echelon, rref
+from finalg.gfp import forward, rref
 from finalg.isotest import graded_isomorphism
 from finalg.present import parse
 from finalg.truncated import TruncatedAlgebra, default_bound, truncation_bound
@@ -324,9 +324,14 @@ def _random_associative(rng):
     """Up to three generators of degree <= 2 and up to two homogeneous
     relations of degree <= 3 and at most three terms, in associative
     mode."""
-    p = rng.choice([2, 3])
+    return _random_presentation(rng, rng.choice([2, 3]), "associative")
+
+
+def _random_presentation(rng, p, mode):
+    """As `_random_associative`, at the characteristic p and in the mode
+    given."""
     names = ["x", "y", "z"][:rng.randint(1, 3)]
-    free = parse(f"algebra a\nchar {p}\nmode associative\n" + "".join(
+    free = parse(f"algebra a\nchar {p}\nmode {mode}\n" + "".join(
         f"gen {n} {rng.randint(1, 2)}\n" for n in names))
     relations = []
     for _ in range(rng.randint(0, 2)):
@@ -529,8 +534,8 @@ def test_a_reduction_that_raises_leaves_its_degree_unreduced(monkeypatch):
         if rows and not raised:
             raised.append(rows)
             raise RuntimeError("interrupted")
-        return echelon(rows, p)
-    monkeypatch.setattr(truncated, "echelon", raising_once)
+        return forward(rows, p)
+    monkeypatch.setattr(truncated, "forward", raising_once)
     T = TruncatedAlgebra(parse(UNSORTED))
     fresh = TruncatedAlgebra(parse(UNSORTED))
     with pytest.raises(RuntimeError, match="interrupted"):
@@ -548,3 +553,89 @@ def test_a_reduction_that_raises_leaves_its_degree_unreduced(monkeypatch):
         got, want = _normal_forms(T, n), _normal_forms(fresh, n)
         assert got.keys() == want.keys()
         assert all(np.array_equal(got[m], want[m]) for m in got)
+
+
+def _reference_forms(T, n):
+    """Degree n's normal forms, one row per monomial in term order, from
+    `_reference_rref` of its relation rows: the identity on the standard
+    monomials, minus the reduced row off the pivot elsewhere.  Returns
+    them and the standard monomials."""
+    monos = T._monomials(n)
+    rows = T._relation_rows(n, {m: j for j, m in enumerate(monos)})
+    mat = np.zeros((len(rows), len(monos)), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, v in row:
+            mat[i, j] = v
+    R, pivots = _reference_rref(mat, T.p)
+    free = [j for j in range(len(monos)) if j not in pivots]
+    forms = np.eye(len(monos), dtype=np.int64)[:, free]
+    forms[pivots] = -R[:, free] % T.p
+    return forms, [monos[j] for j in free]
+
+
+def test_normal_forms_read_in_any_order_match_the_reference():
+    # rows read one at a time in a shuffled order, and the whole `forms`
+    # matrix read after some rows and before the others, give the normal
+    # forms of an independent reduction, in both modes at p = 2, 3 and 5
+    rng = random.Random(4409)
+    for p in (2, 3, 5):
+        for mode, bound in (("commutative", 6), ("associative", 5)):
+            for _ in range(8):
+                pres = _random_presentation(rng, p, mode)
+                lazy, whole = (TruncatedAlgebra(pres, bound) for _ in "ab")
+                reference = {n: _reference_forms(lazy, n)
+                             for n in range(bound + 1)}
+                want = {n: forms for n, (forms, _) in reference.items()}
+                reads = [(n, j, m) for n in want
+                         for j, m in enumerate(lazy._monomials(n))]
+                for n, j, m in rng.sample(reads, len(reads)):
+                    assert np.array_equal(lazy.reduce_poly({m: 1})[n],
+                                          want[n][j]), (pres, n, m)
+                    assert lazy.vanishes(m) == (not want[n][j].any())
+                for n, forms in want.items():
+                    monos = whole._monomials(n)
+                    early = rng.sample(range(len(monos)), len(monos) // 2)
+                    for j in early:
+                        whole.reduce_poly({monos[j]: 1})
+                    assert np.array_equal(whole._degree(n).forms, forms)
+                    for j in range(len(monos)):
+                        assert np.array_equal(
+                            whole.reduce_poly({monos[j]: 1})[n], forms[j])
+                    assert whole.basis(n) == reference[n][1]
+
+
+def test_screens_build_forms_only_where_factor_counts_mix(corpus,
+                                                          monkeypatch):
+    # dims, the filtration, the decomposables and the generation test read
+    # single rows; the matrix of all the forms is built only in a degree
+    # where some normal form mixes factor counts
+    built, original = [], truncated._Degree.forms
+
+    def counted(d):
+        built.append(d)
+        return original.fget(d)
+    monkeypatch.setattr(truncated._Degree, "forms", property(counted))
+    texts = [None, ASSOC_COMM, *MIXED_FILTRATIONS]
+    for text in texts:
+        pres = corpus["c2c2c2"] if text is None else parse(text)
+        T = TruncatedAlgebra(pres, 10)
+        built.clear()
+        T.dims()
+        T.power_filtration_dims()
+        for n in range(1, T.bound + 1):
+            T.decomposables(n)
+        images = [T.element(pres.parse_poly(name))
+                  for name in pres.gens.names]
+        assert T.generates(images)
+        got = sorted(T._degrees.index(d) for d in built)
+        mixed = []
+        for n in range(1, T.bound + 1):
+            (forms, basis), monos = _reference_forms(T, n), T._monomials(n)
+            counts = [_factor_count(T, m) for m in monos]
+            basis = [_factor_count(T, b) for b in basis]
+            if any(v and basis[k] != counts[j]
+                   for j, form in enumerate(forms)
+                   for k, v in enumerate(form)):
+                mixed.append(n)
+        assert got == mixed, pres
+        assert (text in MIXED_FILTRATIONS) == (0 < len(mixed) < T.bound)
