@@ -80,7 +80,8 @@ def normal_form(f: dict, basis, P: Presentation, order=DEGREVLEX) -> dict:
             continue
         q = tuple(a - b for a, b in zip(w, leads[hit]))
         sign, _ = mono_mul(q, leads[hit], gens, COMMUTATIVE, p, ext)
-        step = term_mul_poly((-c * sign) % p, q, basis[hit], gens, COMMUTATIVE, p)
+        step = term_mul_poly((-c * sign) % p, q, basis[hit], gens, COMMUTATIVE,
+                             p, ext)
         work = poly_add(work, step, gens, COMMUTATIVE, p)
     return poly_canon(out, gens, COMMUTATIVE, p)
 
@@ -164,7 +165,7 @@ def buchberger(P: Presentation, order=DEGREVLEX,
         if kind == 1:
             # implicit exterior square: reduce x_j * g_i
             step = tuple(1 if v == j else 0 for v in range(len(gens)))
-            spoly = term_mul_poly(1, step, basis[i], gens, COMMUTATIVE, p)
+            spoly = term_mul_poly(1, step, basis[i], gens, COMMUTATIVE, p, ext)
         else:
             u, v = leads[i], leads[j]
             w = tuple(max(a, b) for a, b in zip(u, v))
@@ -177,8 +178,8 @@ def buchberger(P: Presentation, order=DEGREVLEX,
             qj = tuple(a - b for a, b in zip(w, v))
             si, _ = mono_mul(qi, u, gens, COMMUTATIVE, p, ext)
             sj, _ = mono_mul(qj, v, gens, COMMUTATIVE, p, ext)
-            A = term_mul_poly(si % p, qi, basis[i], gens, COMMUTATIVE, p)
-            B = term_mul_poly(sj % p, qj, basis[j], gens, COMMUTATIVE, p)
+            A = term_mul_poly(si % p, qi, basis[i], gens, COMMUTATIVE, p, ext)
+            B = term_mul_poly(sj % p, qj, basis[j], gens, COMMUTATIVE, p, ext)
             spoly = poly_add(A, poly_scale(B, -1, gens, COMMUTATIVE, p),
                              gens, COMMUTATIVE, p)
         if not spoly:
@@ -267,6 +268,7 @@ def annihilator(G: GroebnerBasis, ideal_gens, max_degree: int) -> tuple:
     """
     P = G.presentation
     gens, p = P.gens, P.p
+    ext = exterior_mask(gens, p, P.mode)
     fs = [poly_canon(dict(f), gens, P.mode, p) for f in ideal_gens]
     fs = [f for f in fs if f]
     fdegs = [poly_degree(f, gens, P.mode) for f in fs]
@@ -288,7 +290,8 @@ def annihilator(G: GroebnerBasis, ideal_gens, max_degree: int) -> tuple:
             tindex = {m: i for i, m in enumerate(target)}
             M = np.zeros((len(sm), len(target)), dtype=np.int64)
             for r, s in enumerate(sm):
-                prod = G.normal_form(term_mul_poly(1, s, f, gens, P.mode, p))
+                prod = G.normal_form(term_mul_poly(1, s, f, gens, P.mode, p,
+                                                   ext))
                 for m, c in prod.items():
                     M[r, tindex[m]] = c
             blocks.append(M)

@@ -243,10 +243,10 @@ def poly_scale(f: dict, c: int, gens, mode, p) -> dict:
     return poly_canon({m: (co * c) % p for m, co in f.items()}, gens, mode, p)
 
 
-def term_mul_poly(coeff: int, mono, f: dict, gens, mode, p) -> dict:
+def term_mul_poly(coeff: int, mono, f: dict, gens, mode, p, ext=None) -> dict:
     out: dict = {}
     for m, c in f.items():
-        sign, mm = mono_mul(mono, m, gens, mode, p)
+        sign, mm = mono_mul(mono, m, gens, mode, p, ext)
         if sign == 0:
             continue
         out[mm] = (out.get(mm, 0) + coeff * sign * c) % p

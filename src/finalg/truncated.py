@@ -12,11 +12,11 @@ pass of the elimination, `gfp.forward`; no dense relation matrix is formed.
 A monomial's normal form, its coordinate vector on that basis, is a unit
 vector for a standard monomial; a pivot's is back-substituted from the
 rows it reaches (`gfp.back_substitute`) on first read, and kept.  The
-powers of the augmentation ideal are read off the normal forms: I^c is
-spanned by the monomials with at least c generator factors, and the
-decomposables are I^2.  The filtration reads all the forms, `forms`, only
-where a forward row mixes factor counts, and takes an rref only where a
-form mixes in fewer factors than its monomial has.  Multiplication tables
+powers of the augmentation ideal need no normal form: I^c is spanned by
+the monomials with at least c generator factors, so dim I^c_n is their
+count less the dimension of the relations among them, which one forward
+pass counts for every c (`power_filtration_dims`).  The decomposables are
+I^2, spanned by the normal forms of those monomials.  Multiplication tables
 serve only products of coordinate vectors, one at a time or as a block: a
 2-d array of candidate vectors, one per row, which products, evaluation
 and the generation test treat in whole-array steps.
@@ -45,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BoundExceededError, ResourceLimitError
-from .gfp import RowSpace, back_substitute, forward, rref
+from .gfp import RowSpace, back_substitute, forward
 from .present import (COMMUTATIVE, Presentation, exterior_mask, mono_degree,
                       mono_mul, monomial_counts)
 
@@ -89,11 +89,6 @@ class _Degree:
             for k, v in self.entries(j):
                 out[i, k] = v
         return out
-
-    @property
-    def forms(self) -> np.ndarray:
-        """Every normal form, one row per monomial in term order."""
-        return self.rows(range(len(self.index)))
 
 
 def truncation_bound(P: Presentation) -> int:
@@ -413,33 +408,33 @@ class TruncatedAlgebra:
     def power_filtration_dims(self) -> list:
         """dim of I^c in degrees <= bound, for c = 1..bound.
 
-        I is the augmentation ideal, and I^c_n is spanned by the normal
-        forms of the degree-n monomials with at least c factors.  Call a
-        standard monomial low if the form of a monomial with more factors
-        holds it; there is none unless some forward row mixes factor counts,
-        and only then is `forms` read.  Any other standard monomial s is
-        held only by forms of monomials with at most as many factors as s,
-        and s is its own form, so I^c_n is spanned by the other standard
-        monomials with at least c factors and the forms restricted to the
-        low rows.  Sorted longest first, those with at least c factors are
-        a prefix of one rref's columns, whose pivots count dim I^c_n for
-        every c at once.
+        I is the augmentation ideal.  I^c_n is the image of V^c_n, the span
+        of the degree-n monomials with at least c factors, so dim I^c_n is
+        dim V^c_n less the dimension of R^c_n, the relations inside V^c_n.
+        Key the columns by (factor count, column), fewer factors first:
+        V^c_n is then a suffix of them, and an echelon form of the degree's
+        relations under that key has exactly dim R^c_n pivots in that
+        suffix, for every c at once.  The forward rows are such a form
+        already unless one of them mixes factor counts; then one `forward`
+        pass over them, re-keyed, gives one.
         """
         if self._filtration is None:
-            tally = np.zeros(self.bound + 1, dtype=np.int64)  # by factor count
-            for n in range(1, self.bound + 1):
+            m = self.bound + 1
+            net = np.zeros(m, dtype=np.int64)   # monomials less pivots
+            pivots = []                           # factor count of each pivot
+            for n in range(1, m):
                 d = self._degree(n)
-                f = d.factors
-                counts = f[d.free]
-                if any(f[j] != f[c] for c, row in d.lead.items() for j in row):
-                    N = d.forms
-                    rows = (N.astype(bool) & (counts < f[:, None])).any(axis=0)
-                    if rows.any():   # rref the forms reaching the low rows
-                        R = N[:, rows]
-                        keep = R.any(axis=1)
-                        order = np.argsort(-f[keep], kind="stable")
-                        _, pivots = rref(R[keep][order].T, self.p)
-                        counts[rows] = f[keep][order][pivots]
-                tally += np.bincount(counts, minlength=self.bound + 1)
-            self._filtration = tally[::-1].cumsum()[::-1][1:].tolist()
+                net += np.bincount(d.factors, minlength=m)
+                if not d.lead:
+                    continue
+                f, lead = d.factors.tolist(), d.lead
+                if any(f[j] != f[c] for c, row in lead.items() for j in row):
+                    w = len(f)
+                    lead = forward(({f[j] * w + j: v for j, v in row.items()}
+                                    for row in lead.values()), self.p)
+                    pivots += [k // w for k in lead]
+                else:
+                    pivots += [f[c] for c in lead]
+            net -= np.bincount(np.array(pivots, dtype=np.int64), minlength=m)
+            self._filtration = net[::-1].cumsum()[::-1][1:].tolist()
         return list(self._filtration)

@@ -4,9 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from finalg import truncated
+from finalg import gfp, truncated
 from finalg.errors import ResourceLimitError
-from finalg.gfp import forward, rref
+from finalg.gfp import forward
 from finalg.isotest import graded_isomorphism
 from finalg.present import parse
 from finalg.truncated import TruncatedAlgebra, default_bound, truncation_bound
@@ -467,7 +467,7 @@ def _filtration_by_definition(T) -> list:
 
 
 def test_power_filtration_matches_its_definition(corpus):
-    # commutative and associative presentations at p = 2 and p = 3, the
+    # commutative and associative presentations at p = 2, 3, 5 and 7, the
     # corpus and the rings whose relations mix factor counts
     rng = random.Random(8821)
     engines = [TruncatedAlgebra(pres, 10) for pres in corpus.values()]
@@ -476,49 +476,75 @@ def test_power_filtration_matches_its_definition(corpus):
     engines += [TruncatedAlgebra(_random_associative(rng), 5)
                 for _ in range(150)]
     engines += [TruncatedAlgebra(parse(text)) for text in MIXED_FILTRATIONS]
+    # at p = 5 and 7 the re-keyed forward pass scales rows by inverses
+    # other than 1
+    engines += [TruncatedAlgebra(_random_presentation(rng, p, mode), bound)
+                for p in (5, 7)
+                for mode, bound in (("commutative", 6), ("associative", 5))
+                for _ in range(40)]
     assert {(T.mode, T.p) for T in engines} == {
-        (mode, p) for mode in ("commutative", "associative") for p in (2, 3)}
+        (mode, p) for mode in ("commutative", "associative")
+        for p in (2, 3, 5, 7)}
     for T in engines:
         assert T.power_filtration_dims() == _filtration_by_definition(T), (
             T.presentation)
 
 
-def test_filtration_eliminates_only_where_factor_counts_mix(corpus,
-                                                            monkeypatch):
-    # F2[x, y, z] has no relations, so every normal form is a standard
-    # monomial and no rref runs once the degrees are reduced; a mixed ring
-    # takes one rref in each degree where some monomial's normal form holds
-    # a standard monomial with fewer factors (a low one): its rows are the
-    # low standard monomials, its columns the normal forms reaching them
-    shapes = []
+def _mixed_degrees(T) -> list:
+    """The degrees whose forward rows mix factor counts."""
+    return [n for n in range(1, T.bound + 1)
+            if any(len({_factor_count(T, T._monomials(n)[j]) for j in row}) > 1
+                   for row in T._degree(n).lead.values())]
 
-    def counted(mat, p):
-        shapes.append(np.shape(mat))
-        return rref(mat, p)
-    monkeypatch.setattr(truncated, "rref", counted)
-    T = TruncatedAlgebra(corpus["c2c2c2"], 10)
-    T.dims()
-    shapes.clear()
-    assert T.power_filtration_dims() == [
-        sum((n + 1) * (n + 2) // 2 for n in range(c, 11))
-        for c in range(1, 11)]
-    assert shapes == []
-    for text, want in MIXED_FILTRATIONS.items():
-        T = TruncatedAlgebra(parse(text))
+
+SCREENED = [None, ASSOC_COMM, *MIXED_FILTRATIONS]
+
+
+def test_filtration_runs_one_forward_pass_where_factor_counts_mix(
+        corpus, monkeypatch):
+    # once the degrees are reduced, the filtration builds no normal form
+    # and runs no rref: it takes one forward pass in each degree whose
+    # forward rows mix factor counts, over that degree's rows, and none
+    # elsewhere; F2[x, y, z] has no relations and takes none at all
+    passes, others = [], []
+
+    def counted(rows, p):
+        rows = list(rows)
+        passes.append(len(rows))
+        return forward(rows, p)
+    monkeypatch.setattr(truncated, "forward", counted)
+    monkeypatch.setattr(truncated, "back_substitute",
+                        lambda *args: others.append(args))
+    monkeypatch.setattr(gfp, "rref", lambda *args: others.append(args))
+    assert not hasattr(truncated, "rref")
+    for text in SCREENED:
+        pres = corpus["c2c2c2"] if text is None else parse(text)
+        T = TruncatedAlgebra(pres, 10)
         T.dims()
-        expected = []
-        for n in range(1, T.bound + 1):
-            basis, forms = T.basis(n), _normal_forms(T, n)
-            low = [j for j, b in enumerate(basis)
-                   if any(v[j] and _factor_count(T, b) < _factor_count(T, m)
-                          for m, v in forms.items())]
-            if low:
-                reaching = [m for m, v in forms.items() if v[low].any()]
-                expected.append((len(low), len(reaching)))
-        assert 0 < len(expected) < T.bound
-        shapes.clear()
-        assert T.power_filtration_dims() == want
-        assert shapes == expected
+        mixed = _mixed_degrees(T)
+        passes.clear()
+        filtration = T.power_filtration_dims()
+        assert passes == [len(T._degree(n).lead) for n in mixed], pres
+        assert others == []
+        if text in MIXED_FILTRATIONS:
+            assert filtration == MIXED_FILTRATIONS[text]
+            assert 0 < len(mixed) < T.bound
+        elif text is None:
+            assert mixed == []
+            assert filtration == [sum((n + 1) * (n + 2) // 2
+                                      for n in range(c, 11))
+                                  for c in range(1, 11)]
+
+
+def test_dims_and_filtration_build_no_normal_form(corpus):
+    # a normal form is back-substituted only when a reader asks for one;
+    # neither the dims nor the filtration does
+    for text in SCREENED:
+        pres = corpus["c2c2c2"] if text is None else parse(text)
+        T = TruncatedAlgebra(pres, 10)
+        T.dims()
+        T.power_filtration_dims()
+        assert [n for n, d in enumerate(T._degrees) if d.reduced] == [], pres
 
 
 def test_a_reduction_that_raises_leaves_its_degree_unreduced(monkeypatch):
@@ -574,8 +600,8 @@ def _reference_forms(T, n):
 
 
 def test_normal_forms_read_in_any_order_match_the_reference():
-    # rows read one at a time in a shuffled order, and the whole `forms`
-    # matrix read after some rows and before the others, give the normal
+    # rows read one at a time in a shuffled order, and the matrix of every
+    # row read after some rows and before the others, give the normal
     # forms of an independent reduction, in both modes at p = 2, 3 and 5
     rng = random.Random(4409)
     for p in (2, 3, 5):
@@ -597,45 +623,9 @@ def test_normal_forms_read_in_any_order_match_the_reference():
                     early = rng.sample(range(len(monos)), len(monos) // 2)
                     for j in early:
                         whole.reduce_poly({monos[j]: 1})
-                    assert np.array_equal(whole._degree(n).forms, forms)
+                    d = whole._degree(n)
+                    assert np.array_equal(d.rows(range(len(d.index))), forms)
                     for j in range(len(monos)):
                         assert np.array_equal(
                             whole.reduce_poly({monos[j]: 1})[n], forms[j])
                     assert whole.basis(n) == reference[n][1]
-
-
-def test_screens_build_forms_only_where_factor_counts_mix(corpus,
-                                                          monkeypatch):
-    # dims, the filtration, the decomposables and the generation test read
-    # single rows; the matrix of all the forms is built only in a degree
-    # where some normal form mixes factor counts
-    built, original = [], truncated._Degree.forms
-
-    def counted(d):
-        built.append(d)
-        return original.fget(d)
-    monkeypatch.setattr(truncated._Degree, "forms", property(counted))
-    texts = [None, ASSOC_COMM, *MIXED_FILTRATIONS]
-    for text in texts:
-        pres = corpus["c2c2c2"] if text is None else parse(text)
-        T = TruncatedAlgebra(pres, 10)
-        built.clear()
-        T.dims()
-        T.power_filtration_dims()
-        for n in range(1, T.bound + 1):
-            T.decomposables(n)
-        images = [T.element(pres.parse_poly(name))
-                  for name in pres.gens.names]
-        assert T.generates(images)
-        got = sorted(T._degrees.index(d) for d in built)
-        mixed = []
-        for n in range(1, T.bound + 1):
-            (forms, basis), monos = _reference_forms(T, n), T._monomials(n)
-            counts = [_factor_count(T, m) for m in monos]
-            basis = [_factor_count(T, b) for b in basis]
-            if any(v and basis[k] != counts[j]
-                   for j, form in enumerate(forms)
-                   for k, v in enumerate(form)):
-                mixed.append(n)
-        assert got == mixed, pres
-        assert (text in MIXED_FILTRATIONS) == (0 < len(mixed) < T.bound)

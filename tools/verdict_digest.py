@@ -202,7 +202,7 @@ def main(argv) -> int:
                                 for r in ideal_toolkit(path)])
 
     def forms_digest(d):
-        forms = d.forms.astype("<i8")
+        forms = d.rows(range(len(d.index))).astype("<i8")
         return hashlib.sha256(json.dumps(
             [forms.shape, repr(d.basis)]).encode()
             + forms.tobytes()).hexdigest()
