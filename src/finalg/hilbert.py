@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError
 
@@ -61,68 +62,60 @@ def poly_mul(a, b) -> IntPoly:
 
 
 def _content(a) -> int:
-    from math import gcd
     g = 0
     for c in a:
-        g = gcd(g, abs(c))
+        g = gcd(g, c)
     return g or 1
 
 
+def _primitive(a) -> list:
+    """a over its content, with a positive leading coefficient."""
+    g = _content(a) if a[-1] > 0 else -_content(a)
+    return [c // g for c in a]
+
+
+def _pseudo_remainder(a, b) -> list:
+    """A nonzero multiple of a mod b, with integer coefficients and the
+    trailing zeros dropped: each step scales the rest by lead(b) only when
+    lead(b) does not divide its leading coefficient."""
+    r, lead, width = list(a), b[-1], len(b)
+    while len(r) >= width:
+        q, rest = divmod(r[-1], lead)
+        if rest:
+            q, r = r[-1], [c * lead for c in r]
+        shift = len(r) - width
+        for i, c in enumerate(b):
+            r[shift + i] -= q * c
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
 def _poly_gcd(a, b) -> IntPoly:
-    """Primitive gcd of two integer polynomials, positive leading coefficient."""
-    A = [Fraction(c) for c in a]
-    B = [Fraction(c) for c in b]
-
-    def trimf(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    A, B = trimf(A), trimf(B)
-    while B:
-        # A mod B by long division over Q
-        R = A[:]
-        while len(R) >= len(B) and trimf(R):
-            q = R[-1] / B[-1]
-            shift = len(R) - len(B)
-            for i, c in enumerate(B):
-                R[shift + i] -= q * c
-            R = trimf(R)
-            if not R:
-                break
-        A, B = B, R
-    if not A:
-        return (0,)
-    # clear denominators, make primitive, positive lead
-    from math import gcd, lcm
-    den = 1
-    for c in A:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in A]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
+    """Primitive gcd of two nonzero integer polynomials, positive leading
+    coefficient, by the primitive pseudo-remainder sequence."""
+    a, b = _primitive(_trim(a)), _primitive(_trim(b))
+    while b:
+        a, b = b, _pseudo_remainder(a, b)
+        if b:
+            b = _primitive(b)
+    return tuple(a)
 
 
 def _poly_div_exact(a, b) -> IntPoly:
-    """Quotient a / b when the division is exact."""
-    if a == (0,):
-        return (0,)
-    A = [Fraction(c) for c in a]
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        q = A[k + len(b) - 1] / b[-1]
+    """Quotient a / b when the division is exact over the integers."""
+    r, lead, width = list(a), b[-1], len(b)
+    out = [0] * max(len(a) - width + 1, 0)
+    for k in reversed(range(len(out))):
+        q, rest = divmod(r[k + width - 1], lead)
+        if rest:
+            raise ArithmeticError("inexact polynomial division")
         out[k] = q
-        if q:
-            for i, c in enumerate(b):
-                A[k + i] -= q * c
-    if any(A) or any(c.denominator != 1 for c in out):
+        for i, c in enumerate(b):
+            r[k + i] -= q * c
+    if any(r):
         raise ArithmeticError("inexact polynomial division")
-    return _trim([int(c) for c in out])
+    return _trim(out)
 
 
 # ------------------------------------------------------------- series text
@@ -208,7 +201,6 @@ class RationalSeries:
         if len(g) > 1:
             num = _poly_div_exact(num, g)
             den = _poly_div_exact(den, g)
-        from math import gcd
         c = gcd(_content(num), _content(den))
         if c > 1:
             num = tuple(x // c for x in num)

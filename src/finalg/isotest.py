@@ -14,9 +14,13 @@ The decision procedure:
    the images generate B, so testing the two conditions over the whole
    candidate space decides the question.  The search evaluates each
    relation once over a block of one generator's rows, with the earlier
-   generators' images fixed, and tests the last generator's rows for
-   generation at once; it walks the rows in candidate order, so it
-   finds and counts what a walk one tuple at a time would.
+   generators' images fixed.  For generation it carries, per generator
+   degree of B, the reduced span of B's decomposables and the images
+   fixed so far, extended by one row where a row adds rank, so the last
+   generator's rows are tested at once by one reduction against it, or
+   refuted whole when a degree falls short by more than one row can
+   fill.  It walks the rows in candidate order, so it finds and counts
+   what a walk one tuple at a time would.
 3. Optional pruning (commutative mode): before the full search, each
    generator's candidate images are screened as one block.  When a power
    x^m of a non-exterior generator x vanishes in A within the bound (the
@@ -379,22 +383,37 @@ def _relation_plans(A: Presentation):
 
 
 def _search(k: int, A: Presentation, TB: TruncatedAlgebra, cand_lists,
-            plans_by_depth, images, stats):
+            plans_by_depth, images, spans, stats):
     """Depth-first over candidate images from generator k on; returns the
     first tuple whose relations vanish and whose images generate B.
 
     Each relation is checked as soon as every generator it mentions has
     an image, cutting whole subtrees instead of waiting for full tuples.
     Generator k's candidates are a block, taken `_BLOCK_ROWS` rows at a
-    time: each relation of depth k + 1 is evaluated once over the rows,
-    and at the last generator one `generates` call tests the rows that
-    pass.  The rows are walked in candidate order, and the counters count
-    up to the tuple found only, as a walk of one candidate at a time does.
-    A module-level function rather than a closure, so that a call leaves
-    no reference cycle holding the engine.
+    time, and each relation of depth k + 1 is evaluated once over the
+    rows.  `spans` maps each generator degree n of B to the reduced span
+    of B's decomposables in degree n and the images of degree n fixed
+    above depth k; the images generate B exactly when every such span,
+    with the last image added, is the whole degree.  At an interior depth
+    one `residues` call says which passing rows add rank to their
+    degree's span: such a row's subtree gets a copy with the row added,
+    any other row's shares its parent's.  At the last depth a block is
+    refuted whole when some degree falls short by more than its one row
+    can fill, and otherwise the rows that pass are tested by one
+    `residues` call against the one dimension missing, if any.  The rows
+    are walked in candidate order, and the counters count up to the tuple
+    found only, as a walk of one candidate at a time does.  A
+    module-level function rather than a closure, so that a call leaves no
+    reference cycle holding the engine.
     """
     deg = A.gens.degrees[k]
     cands = cand_lists[k]
+    span = spans.get(deg)
+    last = k + 1 == len(cand_lists)
+    if last:
+        short = {n: TB.dim(n) - s.dim for n, s in spans.items()}
+        hopeless = any(s > (n == deg) for n, s in short.items())
+        rank_test = not hopeless and short.get(deg, 0) == 1
     for start in range(0, len(cands), _BLOCK_ROWS):
         block = cands[start:start + _BLOCK_ROWS]
         images[k] = (deg, block)
@@ -406,20 +425,31 @@ def _search(k: int, A: Presentation, TB: TruncatedAlgebra, cand_lists,
                 fails = cut if fails is None else fails | cut
         passing = (range(len(block)) if fails is None
                    else np.flatnonzero(~fails).tolist())
-        if k + 1 < len(cand_lists):
+        rows = block if len(passing) == len(block) else block[passing]
+        if not last and passing:
+            adds = (np.zeros(len(passing), dtype=bool) if span is None
+                    else span.residues(rows).any(axis=1))
             for i, j in enumerate(passing):
                 images[k] = (deg, block[j])
+                below = spans
+                if adds[i]:
+                    child = span.copy()
+                    child.add(block[j])
+                    below = {**spans, deg: child}
                 found = _search(k + 1, A, TB, cand_lists, plans_by_depth,
-                                images, stats)
+                                images, below, stats)
                 if found is not None:
                     # j - i rows before row j failed a relation
                     stats["relation_failures"] += j - i
                     return found
         elif passing:
-            rows = block if len(passing) == len(block) else block[passing]
-            images[k] = (deg, rows)
-            hits = np.flatnonzero(TB.generates(images))
-            if hits.size:
+            if hopeless:
+                hits = ()
+            elif rank_test:
+                hits = np.flatnonzero(span.residues(rows).any(axis=1))
+            else:
+                hits = (0,)
+            if len(hits):
                 i = int(hits[0])
                 j = passing[i]
                 stats["enumerated"] += i + 1
@@ -546,8 +576,9 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
         cand_lists = ladder.survivors
 
     try:
+        spans = {n: TB.decomposables(n) for n in set(B.gens.degrees)}
         found = _search(0, A, TB, cand_lists, _relation_plans(A),
-                        [None] * len(degrees), stats)
+                        [None] * len(degrees), spans, stats)
     except ResourceLimitError as exc:
         return done(IsoVerdict("inconclusive", f"resource limit: {exc}"))
 

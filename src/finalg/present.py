@@ -147,75 +147,78 @@ def mono_divides(u, w) -> bool:
     return all(a <= b for a, b in zip(u, w))
 
 
-def _exponent_walk(i, left, acc, degrees, ext, out):
-    """Exponent vectors of degree `left` in generators 0..i, completed by
-    `acc`, the exponents of the later generators, last first.  Walking from
-    the last generator to the first with exponents ascending lists them in
-    decreasing term order; the first generator's exponent is what is left."""
-    if i == 0:
-        e, rest = divmod(left, degrees[0])
-        if not rest and (e <= 1 or not ext[0]):
-            out.append((e, *reversed(acc)))
-        return
-    top = left // degrees[i]
-    if ext[i]:
-        top = min(top, 1)
-    for e in range(top + 1):
-        acc.append(e)
-        _exponent_walk(i - 1, left - e * degrees[i], acc, degrees, ext, out)
-        acc.pop()
+def monomials_from_below(n: int, lists, gens: GeneratorSet, mode: str,
+                         p: int, prefix) -> list:
+    """The monomials of degree n in decreasing term order, built from
+    `lists`, whose entry m holds degree m's for every m < n, and `prefix`,
+    the `prefix_counts` of at least degrees 0..n-1.
 
-
-def _word_walk(left, acc, degrees, out):
-    """Words of degree `left` after the prefix `acc`.  Taking generators
-    first to last lists them in decreasing term order, since two words of
-    one degree first differ at a position both have: neither is a proper
-    prefix of the other."""
-    if left == 0:
-        out.append(tuple(acc))
-        return
-    for i, d in enumerate(degrees):
-        if d <= left:
-            acc.append(i)
-            _word_walk(left - d, acc, degrees, out)
-            acc.pop()
+    Associative: the words of degree n are each generator i put in front
+    of the words of degree n - d_i, taking generators first to last.
+    Commutative: the order compares exponents from the last generator to
+    the first, so the monomials whose last factor is x_i come after those
+    in earlier generators alone, and are x_i times the monomials of degree
+    n - d_i in generators 0..i (0..i-1 for an exterior x_i), in the order
+    of their list, of which they are a prefix as long as its count."""
+    if n == 0:
+        return [mono_one(gens, mode)]
+    out = []
+    if mode == COMMUTATIVE:
+        ext = exterior_mask(gens, p, mode)
+        for i, d in enumerate(gens.degrees):
+            if d <= n:
+                count = prefix[i if ext[i] else i + 1][n - d]
+                out += [m[:i] + (m[i] + 1,) + m[i + 1:]
+                        for m in lists[n - d][:count]]
+    else:
+        for i, d in enumerate(gens.degrees):
+            if d <= n:
+                out += [(i,) + w for w in lists[n - d]]
+    return out
 
 
 def monomials_of_degree(gens: GeneratorSet, n: int, mode: str, p: int):
-    """All monomials of total degree n, listed in decreasing order."""
+    """All monomials of total degree n, listed in decreasing order, by
+    `monomials_from_below` from degree 0 up."""
     if n < 0:
         return []
-    if n == 0:
-        return [mono_one(gens, mode)]
-    # the walks are module-level, not recursive closures, so a call leaves
-    # no reference cycle behind
-    out = []
-    if mode == COMMUTATIVE:
-        _exponent_walk(len(gens) - 1, n, [], gens.degrees,
-                       exterior_mask(gens, p, mode), out)
-    else:
-        _word_walk(n, [], gens.degrees, out)
-    return out
+    prefix = prefix_counts(gens, n, mode, p)
+    lists: list = []
+    for m in range(n + 1):
+        lists.append(monomials_from_below(m, lists, gens, mode, p, prefix))
+    return lists[n]
+
+
+def prefix_counts(gens: GeneratorSet, bound: int, mode: str, p: int) -> list:
+    """Monomial counts over each prefix of the generators: row i holds
+    the number of monomials in generators 0..i-1 of each degree 0..bound,
+    so row 0 counts the unit alone and the last row is `monomial_counts`.
+    Counted without listing.  Commutative: generators are added one at a
+    time, an exterior one with exponent 0 or 1 and any other with any
+    exponent.  Associative: a word of degree n ends in some generator of
+    degree d, so c[n] = sum of c[n - d] over the prefix's degrees."""
+    rows = [[1] + [0] * bound]
+    ext = exterior_mask(gens, p, mode)
+    for i, d in enumerate(gens.degrees):
+        counts = list(rows[-1])
+        if mode != COMMUTATIVE:
+            for n in range(1, bound + 1):
+                counts[n] = sum(counts[n - e] for e in gens.degrees[:i + 1]
+                                if e <= n)
+        else:
+            # descending reuses the previous generators' counts (exponent
+            # 0 or 1); ascending reuses this generator's own (any exponent)
+            order = range(bound, d - 1, -1) if ext[i] else range(d, bound + 1)
+            for n in order:
+                counts[n] += counts[n - d]
+        rows.append(counts)
+    return rows
 
 
 def monomial_counts(gens: GeneratorSet, bound: int, mode: str, p: int) -> list:
     """len(monomials_of_degree(n)) for n = 0..bound, counted without
-    listing.  Commutative: generators are added one at a time, an exterior
-    one with exponent 0 or 1 and any other with any exponent.  Associative:
-    a word of degree n ends in some generator of degree d, so
-    c[n] = sum of c[n - d] over the generator degrees."""
-    counts = [1] + [0] * bound
-    if mode == COMMUTATIVE:
-        for d, ext in zip(gens.degrees, exterior_mask(gens, p, mode)):
-            # descending reuses the previous generators' counts (exponent
-            # 0 or 1); ascending reuses this generator's own (any exponent)
-            order = range(bound, d - 1, -1) if ext else range(d, bound + 1)
-            for n in order:
-                counts[n] += counts[n - d]
-    else:
-        for n in range(1, bound + 1):
-            counts[n] = sum(counts[n - d] for d in gens.degrees if d <= n)
-    return counts
+    listing (see `prefix_counts`)."""
+    return prefix_counts(gens, bound, mode, p)[-1]
 
 
 # ------------------------------------------------------------ polynomials

@@ -4,7 +4,8 @@ Because relations are homogeneous, the degree-n component of the relation
 ideal is spanned by cofactor multiples of the relations, so each graded
 component A_n with n <= bound is computed exactly by linear algebra: list
 the monomials of degree n, eliminate the relation consequences, and keep
-the non-pivot monomials as the component basis.  With columns in decreasing
+the non-pivot monomials as the component basis.  Degree n's list is built
+from the lists of the degrees below it (`present.monomials_from_below`).  With columns in decreasing
 term order those are precisely the standard monomials.  The consequences
 are built as sparse rows, a few (column, value) pairs each, for the forward
 pass of the elimination, `gfp.forward`; no dense relation matrix is formed.
@@ -22,10 +23,10 @@ serve only products of coordinate vectors, one at a time or as a block: a
 and the generation test treat in whole-array steps.
 
 Construction counts the monomials of every degree, without listing
-them, and checks the resource limits of every degree.  Each degree's
-monomials are listed, and its component reduced, only on first use, so a
-caller that reads only low degrees pays only for those (and for the
-cofactor degrees of their relation rows).
+them, and checks the resource limits of every degree.  A degree's
+monomials are listed on first use, with those of every degree below it
+not listed yet, and its component is reduced on first use, so a caller
+that reads only low degrees pays only for those.
 
 Everything an instance exposes (bases, normal forms, multiplication
 tables, ideal-power filtrations) is exact for degrees within the bound;
@@ -37,7 +38,8 @@ none, and a reader reduces every degree it does not see, so two threads
 may reduce a degree twice but both get the same result.  A reduction that
 raises publishes nothing.  So is each reduced row a degree builds later,
 and none is changed after.  Two threads may likewise list a degree's
-monomials twice, and get equal lists.
+monomials twice, and get equal lists: each list is published whole, after
+the lists below it.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 from .errors import BoundExceededError, ResourceLimitError
 from .gfp import RowSpace, back_substitute, forward
 from .present import (COMMUTATIVE, Presentation, exterior_mask, mono_degree,
-                      mono_mul, monomial_counts)
+                      mono_mul, monomials_from_below, prefix_counts)
 
 DEFAULT_MONOMIAL_CEILING = 200_000
 # Most cells (cofactor rows x monomials) one degree's elimination may span.
@@ -125,7 +127,8 @@ class TruncatedAlgebra:
         # (degree, relation) of every nonzero relation
         self._relations = [(presentation.poly_degree(rel), rel)
                            for rel in presentation.relations if rel]
-        self._counts = monomial_counts(self.gens, bound, self.mode, self.p)
+        self._prefix = prefix_counts(self.gens, bound, self.mode, self.p)
+        self._counts = self._prefix[-1]
         self._tables: dict = {}
         self._decomposables: dict = {}
         self._filtration: list[int] | None = None
@@ -148,11 +151,14 @@ class TruncatedAlgebra:
 
     def _monomials(self, n: int) -> list:
         """The monomials of degree n, in decreasing term order, listed on
-        first use."""
-        monos = self._monos[n]
-        if monos is None:
-            monos = self._monos[n] = self.presentation.monomials_of_degree(n)
-        return monos
+        first use with every degree below it, each from the lists below."""
+        monos = self._monos
+        if monos[n] is None:
+            for m in range(n + 1):
+                if monos[m] is None:
+                    monos[m] = monomials_from_below(
+                        m, monos, self.gens, self.mode, self.p, self._prefix)
+        return monos[n]
 
     def _relation_row_count(self, n: int) -> int:
         """Number of cofactor multiples of the relations in degree n, an

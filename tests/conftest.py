@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 
 import finalg
-from finalg.present import COMMUTATIVE, GeneratorSet, Presentation, substitute
+from finalg.present import (COMMUTATIVE, GeneratorSet, Presentation,
+                            exterior_mask, substitute)
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS4 = ROOT / "corpus" / "div4"
@@ -84,6 +85,55 @@ def brute_basis(rows, p: int) -> list:
         span = {tuple((s + c * x) % p for s, x in zip(pt, vec))
                 for pt in span for c in range(p)}
     return basis
+
+
+def _exponent_walk(i, left, acc, degrees, ext, out):
+    """Exponent vectors of degree `left` in generators 0..i, completed by
+    `acc`, the exponents of the later generators, last first.  Walking from
+    the last generator to the first with exponents ascending lists them in
+    decreasing term order; the first generator's exponent is what is left."""
+    if i == 0:
+        e, rest = divmod(left, degrees[0])
+        if not rest and (e <= 1 or not ext[0]):
+            out.append((e, *reversed(acc)))
+        return
+    top = left // degrees[i]
+    if ext[i]:
+        top = min(top, 1)
+    for e in range(top + 1):
+        acc.append(e)
+        _exponent_walk(i - 1, left - e * degrees[i], acc, degrees, ext, out)
+        acc.pop()
+
+
+def _word_walk(left, acc, degrees, out):
+    """Words of degree `left` after the prefix `acc`.  Taking generators
+    first to last lists them in decreasing term order, since two words of
+    one degree first differ at a position both have: neither is a proper
+    prefix of the other."""
+    if left == 0:
+        out.append(tuple(acc))
+        return
+    for i, d in enumerate(degrees):
+        if d <= left:
+            acc.append(i)
+            _word_walk(left - d, acc, degrees, out)
+            acc.pop()
+
+
+def walk_monomials(gens: GeneratorSet, n: int, mode: str, p: int) -> list:
+    """The monomials of degree n in decreasing term order, by a recursive
+    walk of one degree alone: the reference of the library's lister, which
+    builds each degree from the lists below it."""
+    if n < 0:
+        return []
+    out: list = []
+    if mode == COMMUTATIVE:
+        _exponent_walk(len(gens) - 1, n, [], gens.degrees,
+                       exterior_mask(gens, p, mode), out)
+    else:
+        _word_walk(n, [], gens.degrees, out)
+    return out
 
 
 def memo_values(P: Presentation) -> list:

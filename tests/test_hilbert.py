@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ from finalg.hilbert import (RationalSeries, count_nonzero_vectors,
                             dims_from_series, equal, format_int_poly,
                             monomial_ideal_numerator, parse_int_poly,
                             parse_series, quotient_series)
-from tests.conftest import naive_division, quotient_monomial_dims
+from tests.conftest import (CORPUS4, CORPUS8, naive_division,
+                            quotient_monomial_dims)
 
 
 def test_parse_int_poly():
@@ -166,3 +168,107 @@ def test_sparse_series_of_a_high_degree_generator():
     assert str(fp.series.canonical()) == "1+t+t^999+t^1000 / 1"
     want = [1 if n in (0, 1, 999, 1000) else 0 for n in range(1999)]
     assert dims_from_series(fp.series, 1998) == list(fp.dims) == want
+
+
+# ------------------------------------ canonical form against its reference
+
+def _fraction_gcd(a, b):
+    """Primitive gcd, positive leading coefficient, by Euclid over Q: the
+    reference of the library's integer pseudo-remainder sequence."""
+    A = [Fraction(c) for c in a]
+    B = [Fraction(c) for c in b]
+
+    def trimf(v):
+        while v and v[-1] == 0:
+            v.pop()
+        return v
+
+    A, B = trimf(A), trimf(B)
+    while B:
+        R = A[:]
+        while len(R) >= len(B) and trimf(R):
+            q = R[-1] / B[-1]
+            shift = len(R) - len(B)
+            for i, c in enumerate(B):
+                R[shift + i] -= q * c
+            R = trimf(R)
+            if not R:
+                break
+        A, B = B, R
+    den = math.lcm(*(c.denominator for c in A))
+    ints = [int(c * den) for c in A]
+    g = math.gcd(*ints)
+    ints = [c // g for c in ints]
+    return tuple(-c for c in ints) if ints[-1] < 0 else tuple(ints)
+
+
+def _fraction_div_exact(a, b):
+    A = [Fraction(c) for c in a]
+    out = [Fraction(0)] * (len(a) - len(b) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        q = A[k + len(b) - 1] / b[-1]
+        out[k] = q
+        for i, c in enumerate(b):
+            A[k + i] -= q * c
+    assert not any(A) and all(c.denominator == 1 for c in out)
+    return hilbert._trim([int(c) for c in out])
+
+
+def fraction_canonical(series):
+    """(num, den) of the canonical form, computed over `Fraction`s."""
+    num, den = series.num, series.den
+    if num == (0,):
+        return (0,), (1,)
+    g = _fraction_gcd(num, den)
+    if len(g) > 1:
+        num, den = _fraction_div_exact(num, g), _fraction_div_exact(den, g)
+    c = math.gcd(*num, *den)
+    num, den = tuple(x // c for x in num), tuple(x // c for x in den)
+    if den[0] < 0:
+        num, den = tuple(-x for x in num), tuple(-x for x in den)
+    return num, den
+
+
+def _random_int_poly(rng, degree, low=-3, high=3):
+    coeffs = [rng.randint(low, high) for _ in range(degree + 1)]
+    coeffs[-1] = coeffs[-1] or rng.choice((-2, -1, 1, 2))
+    return tuple(coeffs)
+
+
+def test_canonical_matches_the_fraction_reference():
+    # 600 seeded series, most with a common factor to cancel: a shared
+    # random factor, powers of (1 - t^w) as in Hilbert series, or both
+    rng = random.Random(4813)
+    for k in range(600):
+        g = (1,)
+        if k % 3:
+            g = _random_int_poly(rng, rng.randint(1, 3))
+        if k % 4 == 0:
+            for _ in range(rng.randint(1, 3)):
+                w = rng.randint(1, 4)
+                g = hilbert.poly_mul(g, (1,) + (0,) * (w - 1) + (-1,))
+        num = hilbert.poly_mul(g, _random_int_poly(rng, rng.randint(0, 4)))
+        den = hilbert.poly_mul(g, _random_int_poly(rng, rng.randint(0, 4)))
+        if k % 10 == 0:
+            num = tuple(5 * c for c in num)
+        if den[0] == 0:
+            den = hilbert.poly_add(den, (rng.choice((-1, 1)),))
+        if den == (0,) or den[0] == 0:
+            continue
+        series = RationalSeries(num, den)
+        got = series.canonical()
+        assert (got.num, got.den) == fraction_canonical(series), series
+
+
+def test_canonical_matches_the_reference_on_the_corpus():
+    files = sorted(CORPUS4.glob("*.alg")) + sorted(CORPUS8.glob("*.alg"))
+    seen = 0
+    for path in files:
+        P = parse(path.read_text())
+        fp = fingerprint(P)
+        for series in (P.declared_series, fp.series):
+            if series is not None:
+                got = series.canonical()
+                assert (got.num, got.den) == fraction_canonical(series), path
+                seen += 1
+    assert seen >= len(files)

@@ -18,8 +18,8 @@ from finalg.isotest import (_DIMS_DIFFER, candidate_space_size,
                             verify_certificate)
 from finalg.present import parse
 from finalg.truncated import DEFAULT_MONOMIAL_CEILING, TruncatedAlgebra
-from tests.conftest import (CORPUS4, CORPUS8, PROBE10, WIDE, disguise,
-                            memo_values, random_presentation)
+from tests.conftest import (CORPUS4, CORPUS8, PROBE10, WIDE, brute_rank,
+                            disguise, memo_values, random_presentation)
 
 FREE2 = "algebra free2\nchar 2\nmode commutative\ngen x 1\ngen y 1\n"
 
@@ -752,14 +752,14 @@ def _checked_search(monkeypatch):
     search = finalg.isotest._search
     runs = []
 
-    def both(k, A, TB, cand_lists, plans, images, stats):
+    def both(k, A, TB, cand_lists, plans, images, spans, stats):
         if k:
-            return search(k, A, TB, cand_lists, plans, images, stats)
+            return search(k, A, TB, cand_lists, plans, images, spans, stats)
         counts = dict.fromkeys(SEARCH_COUNTERS, 0)
         ref = _reference_search(0, A, TB, cand_lists, plans,
                                 [None] * len(images), counts)
         before = {key: stats[key] for key in SEARCH_COUNTERS}
-        got = search(0, A, TB, cand_lists, plans, images, stats)
+        got = search(0, A, TB, cand_lists, plans, images, spans, stats)
         runs.append(((got, {key: stats[key] - before[key]
                             for key in SEARCH_COUNTERS}), (ref, counts)))
         return got
@@ -846,3 +846,78 @@ def test_batched_search_matches_the_walk_one_tuple_at_a_time(block_rows,
     assert sum(c["relation_failures"] > 0 for (_, c), _ in runs) >= 10
     assert sum(c["generation_failures"] > 0 for (_, c), _ in runs) >= 5
     assert any(v.size == 0 for tup in found for v in tup)
+
+
+def _quadrics(p, *rels):
+    """An associative presentation on x, y, z of degree 2 with the given
+    relations, as in the benchmark's search families."""
+    return parse(f"algebra q\nchar {p}\nmode associative\ngen x 2\ngen y 2\n"
+                 "gen z 2\n" + "".join(f"rel {r}\n" for r in rels))
+
+
+def test_search_never_calls_generates(monkeypatch):
+    # the search carries a reduced span per degree, so `generates` runs
+    # only in `verify_certificate`, after the search returns
+    inside, during, leaves = [], [], []
+    search, generates = finalg.isotest._search, TruncatedAlgebra.generates
+
+    def tracked(k, A, TB, cand_lists, plans, images, spans, stats):
+        inside.append(k)
+        try:
+            return search(k, A, TB, cand_lists, plans, images, spans, stats)
+        finally:
+            inside.pop()
+
+    def spy(self, images):
+        during.append(bool(inside))
+        return generates(self, images)
+    monkeypatch.setattr(finalg.isotest, "_search", tracked)
+    monkeypatch.setattr(TruncatedAlgebra, "generates", spy)
+    anti = _quadrics(3, "x*y-y*x")
+    pairs = [(anti, _quadrics(3, "x*y+y*x")), (anti, dataclasses.replace(anti)),
+             (_comm(2, "x:1 y:1 z:1", "x*y*z"), _comm(2, "x:1 y:1 z:1", "x*z*y")),
+             (_comm(3, "x:2 y:2 z:2", "x*y"), _comm(3, "x:2 y:2 z:2", "z*y"))]
+    for A, B in pairs:
+        for kwargs in ({}, {"prune": False, "use_fingerprints": False}):
+            leaves.append(graded_isomorphism(A, B, **kwargs).statistics)
+    assert sum(s["generation_failures"] > 0 for s in leaves) >= 2
+    assert sum(s["enumerated"] > 0 for s in leaves) == len(leaves)
+    assert during and not any(during)
+
+
+def test_last_depth_skips_the_rank_test_when_two_images_are_dependent(
+        monkeypatch):
+    # B_2 is spanned by x, y and z with no decomposables: when the images
+    # of x and y are dependent, z's one row cannot fill the two missing
+    # dimensions, so the last depth counts its rows as generation failures
+    # with no `residues` call; when they are independent it runs one.  On
+    # x*y-y*x against x*y+y*x every pair of images that passes the
+    # relation is dependent; against itself a map is found
+    search, residues = finalg.isotest._search, finalg.gfp.RowSpace.residues
+    calls, leaves = [], []
+
+    def tracked(k, A, TB, cand_lists, plans, images, spans, stats):
+        if k + 1 < len(cand_lists):
+            return search(k, A, TB, cand_lists, plans, images, spans, stats)
+        before = len(calls)
+        got = search(k, A, TB, cand_lists, plans, images, spans, stats)
+        rank = brute_rank([[int(c) for c in images[i][1]] for i in (0, 1)],
+                          A.p)
+        leaves.append((rank < 2, len(calls) - before))
+        return got
+
+    def spy(self, block):
+        calls.append(len(block))
+        return residues(self, block)
+    monkeypatch.setattr(finalg.isotest, "_search", tracked)
+    monkeypatch.setattr(finalg.gfp.RowSpace, "residues", spy)
+    anti = _quadrics(3, "x*y-y*x")
+    verdict = graded_isomorphism(anti, _quadrics(3, "x*y+y*x"))
+    assert verdict.reason == "search exhausted"
+    assert len(leaves) > 10
+    assert all(short and not n for short, n in leaves)
+    leaves.clear()
+    verdict = graded_isomorphism(anti, dataclasses.replace(anti))
+    assert verdict.outcome == "inconclusive" and verdict.certificate
+    assert leaves[-1] == (False, 1)
+    assert all(not n for short, n in leaves if short)

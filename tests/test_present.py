@@ -7,8 +7,10 @@ from finalg.errors import ParseError
 from finalg.present import (ASSOCIATIVE, COMMUTATIVE, GeneratorSet,
                             Presentation, format_poly, mono_mul,
                             monomial_counts, monomials_of_degree, parse,
-                            parse_poly, poly_mul, serialize, substitute)
-from tests.conftest import CORPUS8, FIXTURE_NAMES, free_algebra_dims
+                            parse_poly, poly_mul, prefix_counts, serialize,
+                            substitute)
+from tests.conftest import (CORPUS8, FIXTURE_NAMES, free_algebra_dims,
+                            walk_monomials)
 
 
 def make_gens(pairs):
@@ -177,6 +179,37 @@ def test_monomial_counts_match_the_listings():
                 want = [len(monomials_of_degree(gens, n, mode, p))
                         for n in range(13)]
                 assert counts == want, (pairs, mode, p)
+
+
+def test_lister_matches_the_walks():
+    # p = 2, 3, 5, 7 in both modes, with exterior generators (odd degree
+    # at odd p) and mixed degrees, against the one-degree walks
+    for pairs in ([("x", 1)], [("x", 3)], [("x", 1), ("y", 1)],
+                  [("x", 1), ("y", 2), ("z", 3)],
+                  [("x", 1), ("y", 1), ("u", 2), ("w", 3)],
+                  [("a", 2), ("b", 3), ("c", 3), ("d", 4)],
+                  [("a", 1), ("b", 1), ("c", 1), ("d", 5)]):
+        gens = make_gens(pairs)
+        for mode in (COMMUTATIVE, ASSOCIATIVE):
+            for p in (2, 3, 5, 7):
+                for n in range(13):
+                    assert monomials_of_degree(gens, n, mode, p) == (
+                        walk_monomials(gens, n, mode, p)), (pairs, mode, p, n)
+    gens = make_gens([("x", 1)])
+    assert monomials_of_degree(gens, -1, COMMUTATIVE, 2) == []
+
+
+def test_prefix_counts_count_each_prefix():
+    gens = make_gens([("x", 1), ("y", 2), ("z", 3)])
+    for mode in (COMMUTATIVE, ASSOCIATIVE):
+        for p in (2, 3):
+            rows = prefix_counts(gens, 9, mode, p)
+            assert rows[0] == [1] + [0] * 9
+            assert rows[-1] == monomial_counts(gens, 9, mode, p)
+            for i in range(1, len(rows)):
+                front = make_gens(list(zip(gens.names[:i], gens.degrees[:i])))
+                assert rows[i] == [len(walk_monomials(front, n, mode, p))
+                                   for n in range(10)]
 
 
 def test_substitute_is_multiplicative():

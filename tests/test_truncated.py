@@ -11,7 +11,7 @@ from finalg.isotest import graded_isomorphism
 from finalg.present import parse
 from finalg.truncated import TruncatedAlgebra, default_bound, truncation_bound
 from tests.conftest import (brute_basis, free_algebra_dims,
-                            random_presentation)
+                            random_presentation, walk_monomials)
 from tests.test_gfp import _reference_rref
 
 
@@ -380,12 +380,39 @@ def _listed(T):
 
 def test_construction_lists_no_monomials(corpus):
     # the limits are checked from counts, so a new engine holds no lists;
-    # reducing degree 3 of c4 (rel x^2) lists degree 3 and the cofactor
-    # degree 1 of its relation rows, and nothing else
+    # reducing degree 3 of c4 (rel x^2) lists degree 3 and, since each
+    # degree is built from the lists below it, every degree under it, and
+    # nothing above
     T = TruncatedAlgebra(corpus["c4"], 10)
     assert _listed(T) == set()
     assert T.dim(3) == 1
-    assert _listed(T) == {1, 3}
+    assert _listed(T) == {0, 1, 2, 3}
+
+
+def test_engine_lists_match_the_walks_in_any_reading_order():
+    # degrees read ascending, descending or at random give every engine
+    # the one-degree walk's list in each degree it read, and in each below
+    rng = random.Random(2029)
+    for pairs, mode, p in (("x:1 y:2 z:3", "commutative", 3),
+                           ("x:1 y:1 u:2 w:3", "commutative", 5),
+                           ("a:2 b:3 c:3", "commutative", 7),
+                           ("x:1 y:1 z:1", "commutative", 2),
+                           ("x:1 y:2", "associative", 3),
+                           ("x:1 y:1 z:2", "associative", 2)):
+        pres = parse(f"algebra a\nchar {p}\nmode {mode}\n" + "".join(
+            f"gen {g.split(':')[0]} {g.split(':')[1]}\n"
+            for g in pairs.split()))
+        bound = 7 if mode == "associative" else 10
+        want = [walk_monomials(pres.gens, n, mode, p)
+                for n in range(bound + 1)]
+        order = list(range(bound + 1))
+        rng.shuffle(order)
+        for degrees in (range(bound + 1), reversed(range(bound + 1)), order):
+            T = TruncatedAlgebra(pres, bound)
+            for n in degrees:
+                T.dim(n)
+                assert T._monos[:n + 1] == want[:n + 1], (pairs, n)
+            assert T._monos == want
 
 
 def test_dims_refutation_lists_only_the_degrees_compared(corpus,
