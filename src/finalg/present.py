@@ -148,10 +148,11 @@ def mono_divides(u, w) -> bool:
 
 
 def monomials_from_below(n: int, lists, gens: GeneratorSet, mode: str,
-                         p: int, prefix) -> list:
+                         ext, prefix) -> list:
     """The monomials of degree n in decreasing term order, built from
-    `lists`, whose entry m holds degree m's for every m < n, and `prefix`,
-    the `prefix_counts` of at least degrees 0..n-1.
+    `lists`, whose entry m holds degree m's for every m < n, `ext`, the
+    `exterior_mask`, and `prefix`, the `prefix_counts` of at least
+    degrees 0..n-1.
 
     Associative: the words of degree n are each generator i put in front
     of the words of degree n - d_i, taking generators first to last.
@@ -164,7 +165,6 @@ def monomials_from_below(n: int, lists, gens: GeneratorSet, mode: str,
         return [mono_one(gens, mode)]
     out = []
     if mode == COMMUTATIVE:
-        ext = exterior_mask(gens, p, mode)
         for i, d in enumerate(gens.degrees):
             if d <= n:
                 count = prefix[i if ext[i] else i + 1][n - d]
@@ -182,10 +182,10 @@ def monomials_of_degree(gens: GeneratorSet, n: int, mode: str, p: int):
     `monomials_from_below` from degree 0 up."""
     if n < 0:
         return []
-    prefix = prefix_counts(gens, n, mode, p)
+    ext, prefix = exterior_mask(gens, p, mode), prefix_counts(gens, n, mode, p)
     lists: list = []
     for m in range(n + 1):
-        lists.append(monomials_from_below(m, lists, gens, mode, p, prefix))
+        lists.append(monomials_from_below(m, lists, gens, mode, ext, prefix))
     return lists[n]
 
 

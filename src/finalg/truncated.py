@@ -157,7 +157,8 @@ class TruncatedAlgebra:
             for m in range(n + 1):
                 if monos[m] is None:
                     monos[m] = monomials_from_below(
-                        m, monos, self.gens, self.mode, self.p, self._prefix)
+                        m, monos, self.gens, self.mode, self._ext,
+                        self._prefix)
         return monos[n]
 
     def _relation_row_count(self, n: int) -> int:
