@@ -4,11 +4,12 @@ Because relations are homogeneous, the degree-n component of the relation
 ideal is spanned by cofactor multiples of the relations, so each graded
 component A_n with n <= bound is computed exactly by linear algebra: list
 the monomials of degree n, eliminate the relation consequences, and keep
-the non-pivot monomials as the component basis.  Degree n's list is built
-from the lists of the degrees below it (`present.monomials_from_below`).  With columns in decreasing
+the non-pivot monomials as the component basis.  With columns in decreasing
 term order those are precisely the standard monomials.  The consequences
 are built as sparse rows, a few (column, value) pairs each, for the forward
 pass of the elimination, `gfp.forward`; no dense relation matrix is formed.
+Degree n's monomials are built from the lists of the degrees below it
+(`present.monomials_from_below`).
 
 A monomial's normal form, its coordinate vector on that basis, is a unit
 vector for a standard monomial; a pivot's is back-substituted from the
