@@ -31,8 +31,9 @@ from .gfp import inv_mod, rref
 from .hilbert import RationalSeries, quotient_series
 from .present import (COMMUTATIVE, Presentation, elimination_key,
                       exterior_mask, mono_degree, mono_divides, mono_key,
-                      mono_mul, monomials_of_degree, poly_add, poly_canon,
-                      poly_degree, poly_scale, term_mul_poly)
+                      mono_mul, monomials_of_degree, monomials_up_to,
+                      poly_add, poly_canon, poly_degree, poly_scale,
+                      term_mul_poly)
 
 DEFAULT_PAIR_CEILING = 100_000
 
@@ -220,9 +221,13 @@ def standard_monomials(G: GroebnerBasis, n: int) -> list:
         raise ResourceLimitError(
             f"basis truncated at degree {G.truncated_at}, degree {n} requested")
     P = G.presentation
+    return _standard(G, monomials_of_degree(P.gens, n, P.mode, P.p))
+
+
+def _standard(G: GroebnerBasis, monos) -> list:
+    """The monomials of `monos` that no leading monomial divides."""
     leads = G.leads()
-    return [m for m in monomials_of_degree(P.gens, n, P.mode, P.p)
-            if not any(mono_divides(lm, m) for lm in leads)]
+    return [m for m in monos if not any(mono_divides(lm, m) for lm in leads)]
 
 
 def series_of_quotient(G: GroebnerBasis) -> RationalSeries:
@@ -272,21 +277,22 @@ def annihilator(G: GroebnerBasis, ideal_gens, max_degree: int) -> tuple:
     fs = [poly_canon(dict(f), gens, P.mode, p) for f in ideal_gens]
     fs = [f for f in fs if f]
     fdegs = [poly_degree(f, gens, P.mode) for f in fs]
-    if G.truncated_at is not None:
-        top = max_degree + max(fdegs, default=0)
-        if top > G.truncated_at:
-            raise ResourceLimitError(
-                f"annihilator to degree {max_degree} needs normal forms to "
-                f"degree {top}, basis truncated at {G.truncated_at}")
+    top = max_degree + max(fdegs, default=0)
+    if G.truncated_at is not None and top > G.truncated_at:
+        raise ResourceLimitError(
+            f"annihilator to degree {max_degree} needs normal forms to "
+            f"degree {top}, basis truncated at {G.truncated_at}")
+    standard = [_standard(G, monos)
+                for monos in monomials_up_to(gens, top, P.mode, p)]
     dims = []
     for n in range(max_degree + 1):
-        sm = standard_monomials(G, n)
+        sm = standard[n]
         if not sm or not fs:
             dims.append(len(sm))
             continue
         blocks = []
         for f, e in zip(fs, fdegs):
-            target = standard_monomials(G, n + e)
+            target = standard[n + e]
             tindex = {m: i for i, m in enumerate(target)}
             M = np.zeros((len(sm), len(target)), dtype=np.int64)
             for r, s in enumerate(sm):

@@ -178,21 +178,24 @@ def monomials_from_below(n: int, lists, gens: GeneratorSet, mode: str,
 
 
 def monomials_of_degree(gens: GeneratorSet, n: int, mode: str, p: int):
-    """All monomials of total degree n, listed in decreasing order, by
+    """All monomials of total degree n, listed in decreasing order."""
+    return monomials_up_to(gens, n, mode, p)[n] if n >= 0 else []
+
+
+def monomials_up_to(gens: GeneratorSet, top: int, mode: str, p: int) -> list:
+    """`monomials_of_degree` of every degree 0..top, built by
     `monomials_from_below` from degree 0 up."""
-    if n < 0:
-        return []
-    ext, prefix = exterior_mask(gens, p, mode), prefix_counts(gens, n, mode, p)
+    ext, prefix = exterior_mask(gens, p, mode), prefix_counts(gens, top, mode, p)
     lists: list = []
-    for m in range(n + 1):
+    for m in range(top + 1):
         lists.append(monomials_from_below(m, lists, gens, mode, ext, prefix))
-    return lists[n]
+    return lists
 
 
 def prefix_counts(gens: GeneratorSet, bound: int, mode: str, p: int) -> list:
     """Monomial counts over each prefix of the generators: row i holds
     the number of monomials in generators 0..i-1 of each degree 0..bound,
-    so row 0 counts the unit alone and the last row is `monomial_counts`.
+    so row 0 counts the unit alone and the last row counts them all.
     Counted without listing.  Commutative: generators are added one at a
     time, an exterior one with exponent 0 or 1 and any other with any
     exponent.  Associative: a word of degree n ends in some generator of
@@ -213,12 +216,6 @@ def prefix_counts(gens: GeneratorSet, bound: int, mode: str, p: int) -> list:
                 counts[n] += counts[n - d]
         rows.append(counts)
     return rows
-
-
-def monomial_counts(gens: GeneratorSet, bound: int, mode: str, p: int) -> list:
-    """len(monomials_of_degree(n)) for n = 0..bound, counted without
-    listing (see `prefix_counts`)."""
-    return prefix_counts(gens, bound, mode, p)[-1]
 
 
 # ------------------------------------------------------------ polynomials

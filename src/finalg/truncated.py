@@ -389,29 +389,18 @@ class TruncatedAlgebra:
             self._decomposables[n] = got
         return got
 
-    def generates(self, images: list):
+    def generates(self, images: list) -> bool:
         """Do the images, with all decomposables, span every component up
         to the top generator degree?  That is exactly generation, since the
-        quotient by decomposables is where indecomposables live.
-
-        One image may be a block (see `multiply_vec`); the answer is then a
-        boolean array, one entry per row.  A row completes the span of the
-        other images exactly when that span misses one dimension of its
-        degree and the row is not in it, so the whole block is reduced
-        against that span at once."""
-        block = next((img for img in images if np.ndim(img[1]) == 2), None)
-        ok = True if block is None else np.ones(len(block[1]), dtype=bool)
+        quotient by decomposables is where indecomposables live."""
         for n in sorted(set(self.gens.degrees)):
             span = self.decomposables(n).copy()
             for deg, vec in images:
-                if deg == n and np.ndim(vec) == 1:
+                if deg == n:
                     span.add(vec)
-            missing = self.dim(n) - span.dim
-            if block is not None and block[0] == n and missing == 1:
-                ok = span.residues(block[1]).any(axis=1)
-            elif missing:
-                return False if block is None else np.zeros_like(ok)
-        return ok
+            if span.dim < self.dim(n):
+                return False
+        return True
 
     def power_filtration_dims(self) -> list:
         """dim of I^c in degrees <= bound, for c = 1..bound.

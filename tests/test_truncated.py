@@ -209,9 +209,6 @@ def test_generates_needs_every_summand(corpus):
     zero2 = (2, np.zeros(T.dim(2), dtype=np.int64))
     assert T.generates([x, y])
     assert not T.generates([x, zero2])
-    # a block of images of y: one answer per row
-    block = np.stack([y[1], zero2[1]])
-    assert T.generates([x, (2, block)]).tolist() == [True, False]
 
 
 def test_power_filtration_frozen(corpus):

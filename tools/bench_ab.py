@@ -13,7 +13,8 @@ many pairs the change won (ties count for neither side), the median's
 move against the metric's bound, and whether a gain can be claimed: the
 change wins at least nine tenths of at least ten pairs, and the medians
 differ, in the better direction, by more than the parent's interquartile
-range.  It also prints each side's failed verdicts.
+range, with no larger share of failed verdicts than the parent's.  It
+also prints each side's failed verdicts.
 """
 
 from __future__ import annotations
@@ -26,16 +27,19 @@ import sys
 from pathlib import Path
 
 
-def claim_holds(parent, change, better: str) -> tuple:
+def claim_holds(parent, change, better: str, failed: tuple) -> tuple:
     """(wins, holds) for paired runs of one metric: wins counts the pairs
     whose change reads better than its parent, and holds says whether the
     change wins nine tenths of at least ten pairs with medians apart by
-    more than the interquartile range of the parent's runs."""
+    more than the interquartile range of the parent's runs.  `failed` is
+    the share of failed verdicts on each side, (parent, change); a change
+    that fails a larger share shows no gain."""
     sign = 1 if better == "lower" else -1
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     q1, _, q3 = statistics.quantiles(parent, n=4)
     gap = sign * (statistics.median(parent) - statistics.median(change))
-    holds = len(parent) >= 10 and 10 * wins >= 9 * len(parent) and gap > q3 - q1
+    holds = (len(parent) >= 10 and 10 * wins >= 9 * len(parent)
+             and gap > q3 - q1 and failed[1] <= failed[0])
     return wins, holds
 
 
@@ -75,9 +79,11 @@ def main(argv=None) -> int:
             for side in order), flush=True)
     print(f"workload {args.workload}  seed {args.seed}  pairs {args.pairs}  "
           f"run_seconds {spec['run_seconds']}")
+    shares = []
     for side in ("parent", "change"):
         failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])
+        shares.append(failed / attempted if attempted else 0.0)
         print(f"{side}: {failed} of {attempted} verdicts failed")
     for metric in spec["end_to_end"]:
         name = metric["name"]
@@ -87,7 +93,7 @@ def main(argv=None) -> int:
         if len(values) < 2:
             continue
         wins, holds = claim_holds(values["parent"], values["change"],
-                                  metric["better"])
+                                  metric["better"], tuple(shares))
         mp, mc = (statistics.median(values[s]) for s in ("parent", "change"))
         quarts = {s: statistics.quantiles(values[s], n=4) for s in values}
         move = (mc - mp) / mp if mp else 0.0
