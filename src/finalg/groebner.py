@@ -24,10 +24,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import MismatchError, ResourceLimitError
-from .gfp import inv_mod, rref
+from .gfp import forward, inv_mod
 from .hilbert import RationalSeries, quotient_series
 from .present import (COMMUTATIVE, Presentation, elimination_key,
                       exterior_mask, mono_degree, mono_divides, mono_key,
@@ -266,10 +264,12 @@ def annihilator(G: GroebnerBasis, ideal_gens, max_degree: int) -> tuple:
     `ideal_gens`, in degrees 0..max_degree.
 
     In each degree n the component Ann_n is the kernel of
-    x -> (x*f_1, ..., x*f_k) on standard-monomial coordinates, computed
-    through normal forms and counted by rank-nullity.  Exact per degree;
-    homogeneous elements kill the whole ideal once they kill its
-    generators, by graded commutativity.
+    x -> (x*f_1, ..., x*f_k) on standard-monomial coordinates.  Each
+    standard monomial s gives one sparse row, the normal forms of s*f_i
+    keyed by (i, monomial); one forward pass counts the rank, and
+    rank-nullity gives the kernel.  Exact per degree; homogeneous elements
+    kill the whole ideal once they kill its generators, by graded
+    commutativity.
     """
     P = G.presentation
     gens, p = P.gens, P.p
@@ -282,25 +282,12 @@ def annihilator(G: GroebnerBasis, ideal_gens, max_degree: int) -> tuple:
         raise ResourceLimitError(
             f"annihilator to degree {max_degree} needs normal forms to "
             f"degree {top}, basis truncated at {G.truncated_at}")
-    standard = [_standard(G, monos)
-                for monos in monomials_up_to(gens, top, P.mode, p)]
     dims = []
-    for n in range(max_degree + 1):
-        sm = standard[n]
-        if not sm or not fs:
-            dims.append(len(sm))
-            continue
-        blocks = []
-        for f, e in zip(fs, fdegs):
-            target = standard[n + e]
-            tindex = {m: i for i, m in enumerate(target)}
-            M = np.zeros((len(sm), len(target)), dtype=np.int64)
-            for r, s in enumerate(sm):
-                prod = G.normal_form(term_mul_poly(1, s, f, gens, P.mode, p,
-                                                   ext))
-                for m, c in prod.items():
-                    M[r, tindex[m]] = c
-            blocks.append(M)
-        stacked = np.concatenate(blocks, axis=1)
-        dims.append(len(sm) - len(rref(stacked, p)[1]))
+    for monos in monomials_up_to(gens, max_degree, P.mode, p):
+        sm = _standard(G, monos)
+        rows = ({(i, m): c for i, f in enumerate(fs)
+                 for m, c in G.normal_form(
+                     term_mul_poly(1, s, f, gens, P.mode, p, ext)).items()}
+                for s in sm)
+        dims.append(len(sm) - len(forward(rows, p)))
     return tuple(dims)

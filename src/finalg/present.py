@@ -68,7 +68,7 @@ class GeneratorSet:
 def exterior_mask(gens: GeneratorSet, p: int, mode: str):
     """Which generators carry an implicit square-zero (odd degree, odd p)."""
     if mode != COMMUTATIVE or p == 2:
-        return tuple(False for _ in gens.degrees)
+        return (False,) * len(gens.degrees)
     return tuple(d % 2 == 1 for d in gens.degrees)
 
 
@@ -254,10 +254,11 @@ def term_mul_poly(coeff: int, mono, f: dict, gens, mode, p, ext=None) -> dict:
 
 
 def poly_mul(f: dict, g: dict, gens, mode, p) -> dict:
+    ext = exterior_mask(gens, p, mode)
     out: dict = {}
     for mf, cf in f.items():
         for mg, cg in g.items():
-            sign, mm = mono_mul(mf, mg, gens, mode, p)
+            sign, mm = mono_mul(mf, mg, gens, mode, p, ext)
             if sign == 0:
                 continue
             out[mm] = (out.get(mm, 0) + cf * cg * sign) % p
@@ -362,7 +363,7 @@ def parse_poly(text: str, gens: GeneratorSet, mode: str, p: int,
         terms.append((-1 if run.count("-") % 2 else 1, term))
 
     out: dict = {}
-    one = mono_one(gens, mode)
+    one, ext = mono_one(gens, mode), exterior_mask(gens, p, mode)
     for tsign, term in terms:
         coeff = tsign % p
         mono = one
@@ -389,7 +390,7 @@ def parse_poly(text: str, gens: GeneratorSet, mode: str, p: int,
                     step = tuple(1 if k == idx else 0 for k in range(len(gens)))
                 else:
                     step = (idx,)
-                sg, mono2 = mono_mul(mono, step, gens, mode, p)
+                sg, mono2 = mono_mul(mono, step, gens, mode, p, ext)
                 if sg == 0:
                     msign = 0
                     break

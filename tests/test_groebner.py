@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from finalg.errors import ResourceLimitError
 from finalg.groebner import (annihilator, eliminate, groebner_basis,
                              series_of_quotient, standard_monomials)
 from finalg.hilbert import RationalSeries, equal
-from finalg.present import parse
+from finalg.present import (COMMUTATIVE, GeneratorSet, Presentation, parse,
+                            poly_canon)
 from finalg.truncated import TruncatedAlgebra
 from tests.conftest import brute_basis
 
@@ -108,18 +110,23 @@ def test_eliminate_pair_subset(corpus):
     assert [d8.format_poly(g) for g in kept] == ["x*y"]
 
 
-def ann_dims_by_tables(pres, ideal_polys, cap):
+def ann_dims_by_tables(pres, ideal_polys, cap, max_dim=None):
     """Annihilator dims through the truncated engine only.
 
     For each degree n, stack the multiplication-by-f maps out of component
     n and count the kernel by rank-nullity over a brute-force basis;
-    independent of the Groebner route and of `gfp`.
+    independent of the Groebner route and of `gfp`.  An f that is zero in
+    the quotient adds no map.  A degree of dimension above `max_dim` is
+    skipped and reads None.
     """
     fs = [pres.parse_poly(s) for s in ideal_polys]
     T = TruncatedAlgebra(pres, cap + max(pres.poly_degree(f) for f in fs))
     dims = []
     for n in range(cap + 1):
         dim_n = T.dim(n)
+        if max_dim is not None and dim_n > max_dim:
+            dims.append(None)
+            continue
         if dim_n == 0:
             dims.append(0)
             continue
@@ -127,12 +134,17 @@ def ann_dims_by_tables(pres, ideal_polys, cap):
         for f in fs:
             fd = pres.poly_degree(f)
             fv = T.element(f)
+            if fv is None:
+                continue
             rows = []
             for i in range(dim_n):
                 basis_vec = np.zeros(dim_n, dtype=np.int64)
                 basis_vec[i] = 1
                 rows.append(T.multiply_vec(n, basis_vec, fd, fv[1]))
             blocks.append(np.array(rows, dtype=np.int64))
+        if not blocks:
+            dims.append(dim_n)
+            continue
         stacked = np.concatenate(blocks, axis=1)
         dims.append(dim_n - len(brute_basis(stacked, pres.p)))
     return dims
@@ -155,6 +167,60 @@ def test_annihilator_against_table_oracle(corpus):
         got = list(annihilator(G, polys, 6))
         want = ann_dims_by_tables(pres, ideal, 6)
         assert got == want, (name, ideal)
+
+
+def _random_poly(rng, gens, deg, p):
+    monos = finalg.present.monomials_of_degree(gens, deg, COMMUTATIVE, p)
+    return poly_canon({m: rng.randrange(p) for m in monos}, gens,
+                      COMMUTATIVE, p)
+
+
+def test_annihilator_against_table_oracle_on_random_presentations():
+    # degree-1 generators are exterior at odd p; an ideal element equal to
+    # a relation is zero in the quotient and contributes nothing
+    rng = random.Random(4111)
+    compared = zero_elements = 0
+    for k in range(60):
+        p = (2, 3, 5)[k % 3]
+        degrees = (1,) + tuple(rng.randint(1, 2)
+                               for _ in range(rng.randint(0, 3)))
+        gens = GeneratorSet.from_pairs(list(zip("xyzw", degrees)))
+        rels = [_random_poly(rng, gens, rng.randint(2, 4), p)
+                for _ in range(rng.randint(k % 4 == 0, 2))]
+        rels = tuple(r for r in rels if r)
+        pres = Presentation(name=f"r{k}", p=p, mode=COMMUTATIVE, gens=gens,
+                            relations=rels)
+        ideal = []
+        while len(ideal) < 1 + k // 3 % 2:
+            f = _random_poly(rng, gens, rng.randint(1, 3), p)
+            if f:
+                ideal.append(pres.format_poly(f))
+        if k % 4 == 0 and rels:
+            ideal[-1] = pres.format_poly(rels[0])
+            zero_elements += 1
+        want = ann_dims_by_tables(pres, ideal, 6, max_dim=8)
+        got = annihilator(groebner_basis(pres),
+                          [pres.parse_poly(s) for s in ideal], 6)
+        for n, (g, w) in enumerate(zip(got, want)):
+            if w is not None:
+                assert g == w, (pres.p, degrees, rels, ideal, n)
+                compared += 1
+    assert zero_elements >= 10 and compared >= 300
+
+
+def test_annihilator_keeps_no_dense_matrix():
+    gens = "".join(f"gen x{i} 1\n" for i in range(1, 7))
+    pres = parse(f"algebra a\nchar 2\nmode commutative\n{gens}rel x1^2\n")
+    G = groebner_basis(pres)
+    tracemalloc.start()
+    try:
+        dims = annihilator(G, [pres.parse_poly("x1")], 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # x1 kills exactly x1 times the monomials of degree n - 1 in x2..x6
+    assert dims == (0, 1, 5, 15, 35, 70, 126, 210)
+    assert peak < 2 * 2**20
 
 
 def test_annihilator_frozen_c4(corpus):

@@ -21,7 +21,10 @@ ROOT/bench/gen.py, writes nothing under ROOT, and decides:
 - for each generator x of each commutative corpus/div4 and corpus/div8
   file P, freshly parsed, the `groebner` group records the annihilator
   dims of x up to `default_bound(P)` and the kept polynomials of
-  eliminating every other generator with that degree cap;
+  eliminating every other generator with that degree cap; for 40
+  presentations from `gen.random_presentation` (seed 7919, p = 2 and 3)
+  it records the annihilator dims, up to `default_bound(P)`, of each
+  generator and of the first two generators together;
 - the `engines` group records the dims, the power filtration, the rows
   of `decomposables(n)` for each generator degree n, a sha256 of each
   degree's normal-form matrix (shape, entries and basis) and of each
@@ -35,10 +38,11 @@ A record is the outcome, reason, certificate and statistics of a verdict
 (for a classify run, each evidence record, each entry and each
 `graded_isomorphism` call the run makes; `groebner` and `engines` records
 have no outcome and keep as statistics the file, generator, dims and
-polynomials, or the presentation and what its engine gives).  Statistics
-leave out `wall_time_ms` and every KEY named on the command line.  One line per
-group and one total give the record count and a sha256 over the records;
-equal lines on two trees mean equal verdicts.  A second line per group
+polynomials, the presentation, ideal and dims, or the presentation and
+what its engine gives).  Statistics leave out `wall_time_ms` and every
+KEY named on the command line.  One line per group and one total give
+the record count and a sha256 over the records; equal lines on two trees
+mean equal verdicts.  A second line per group
 and total, tagged `verdicts`, digests the (outcome, certificate) of each
 record alone, so a change that should move only reasons and statistics
 can show that its verdicts held.  A third line per group and total,
@@ -197,9 +201,24 @@ def main(argv) -> int:
                 "annihilator": list(ann),
                 "eliminate": [P.format_poly(g) for g in kept]}))
         return out
-    extend("groebner", lambda: [r for d in corpus
-                                for path in sorted(d.glob("*.alg"))
-                                for r in ideal_toolkit(path)])
+
+    def random_annihilators(k, P):
+        bound = finalg.default_bound(P)
+        G = finalg.groebner_basis(P)
+        names = list(P.gens.names)
+        ideals = [[n] for n in names] + [names[:2]] * (len(names) > 1)
+        return [record(None, None, None, {
+            "presentation": f"random/{k}", "ideal": ideal,
+            "annihilator": list(finalg.annihilator(
+                G, [P.parse_poly(n) for n in ideal], bound))})
+            for ideal in ideals]
+    rng = random.Random(7919)
+    extend("groebner", lambda: [
+        *(r for d in corpus for path in sorted(d.glob("*.alg"))
+          for r in ideal_toolkit(path)),
+        *(r for k in range(40)
+          for r in random_annihilators(
+              k, gen.random_presentation(rng, f"g{k}")))])
 
     def forms_digest(d):
         forms = d.rows(range(len(d.index))).astype("<i8")
