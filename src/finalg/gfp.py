@@ -64,8 +64,8 @@ def forward(rows, p: int) -> dict:
                 break
             _subtract(row, row[c], other, p)
         if row:
-            inv = pow(row[c], -1, p)
-            if inv != 1:
+            if row[c] != 1:
+                inv = pow(row[c], -1, p)
                 row = {j: v * inv % p for j, v in row.items()}
             lead[c] = row
     return lead

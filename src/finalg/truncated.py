@@ -8,8 +8,23 @@ the non-pivot monomials as the component basis.  With columns in decreasing
 term order those are precisely the standard monomials.  The consequences
 are built as sparse rows, a few (column, value) pairs each, for the forward
 pass of the elimination, `gfp.forward`; no dense relation matrix is formed.
-Degree n's monomials are built from the lists of the degrees below it
-(`present.monomials_from_below`).
+
+Inside the engine a monomial is a column, its place in its degree's
+listing, which follows `present.monomials_from_below`, and no product of
+monomials is formed.  In commutative mode a monomial is also a key, one
+integer holding each exponent in a bit field at least 2 bits wide and wide
+enough for the bound, so the key of a product is the sum of the keys.  A
+relation row's column is `index[cofactor + term]`; the sum reaches a
+guard bit, above the lowest bit of an exterior generator's field, where
+the product squares that generator, and the sign is the parity of the
+cofactor's bits under the term's sign mask.  Degree n's keys are listed
+from the lists below it, one addition per monomial, as are every degree's
+factor counts.  In associative mode the column of u·m·v is arithmetic on
+the listing: the place of u·m in front of any word of degree |v|, summed
+from the offset at which each letter's block starts in its degree, plus
+the column of v.  Tuples, exponent vectors and words, exist only at the
+edge: a monomial a caller passes is packed or summed into its column, and
+a degree's basis is decoded from its columns on first read.
 
 A monomial's normal form, its coordinate vector on that basis, is a unit
 vector for a standard monomial; a pivot's is back-substituted from the
@@ -24,33 +39,36 @@ serve only products of coordinate vectors, one at a time or as a block: a
 and the generation test treat in whole-array steps.
 
 Construction counts the monomials of every degree, without listing
-them, and checks the resource limits of every degree.  A degree's
-monomials are listed on first use, with those of every degree below it
-not listed yet, and its component is reduced on first use, so a caller
-that reads only low degrees pays only for those.
+them, and checks the resource limits of every degree.  A degree's keys
+are listed on first use, with those of every degree below it not listed
+yet, and its component is reduced on first use, so a caller that reads
+only low degrees pays only for those; a degree with no relation row
+lists nothing.
 
 Everything an instance exposes (bases, normal forms, multiplication
 tables, ideal-power filtrations) is exact for degrees within the bound;
 degrees beyond it raise BoundExceededError.  Instances are immutable after
 construction apart from internal caches, so sharing one across threads for
-reads is safe: a reduced degree (row index, forward rows, basis and factor
-counts) is published by one assignment, so a reader sees all of it or
-none, and a reader reduces every degree it does not see, so two threads
-may reduce a degree twice but both get the same result.  A reduction that
-raises publishes nothing.  So is each reduced row a degree builds later,
-and none is changed after.  Two threads may likewise list a degree's
-monomials twice, and get equal lists: each list is published whole, after
-the lists below it.
+reads is safe.  Each lazily built field is published by one assignment,
+after everything it is built from: a degree's keys and factor counts
+(after the lists below them), its key index, its reduction (forward rows
+and free columns), and in a reduced degree the decoded basis, each free
+column's place in it and each reduced row.  A reader sees all of a field
+or none of it, and builds what it does not see, so two threads may build
+a field twice but both get equal values.  A reduction that raises
+publishes nothing, and nothing published is changed after.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BoundExceededError, ResourceLimitError
 from .gfp import RowSpace, back_substitute, forward
 from .present import (COMMUTATIVE, Presentation, exterior_mask, mono_degree,
-                      mono_mul, monomials_from_below, prefix_counts)
+                      prefix_counts)
 
 DEFAULT_MONOMIAL_CEILING = 200_000
 # Most cells (cofactor rows x monomials) one degree's elimination may span.
@@ -69,14 +87,18 @@ _PRODUCT_CELLS = 1 << 18
 
 
 class _Degree:
-    """One reduced degree (see the module docstring): the monomial -> row
-    index, the forward rows by pivot, the standard monomials and their rows,
-    each monomial's generator factors, and the reduced rows found so far."""
+    """One reduced degree (see the module docstring): the forward rows by
+    pivot, the free (non-pivot) columns and the reduced rows found so far;
+    on first read, each free column's place in the basis, and the basis
+    itself, which the engine decodes."""
 
-    def __init__(self, index, lead, basis, free, factors, p):
-        self.index, self.lead, self.basis, self.free = index, lead, basis, free
-        self.factors, self.p, self.reduced = factors, p, {}
-        self.column = {j: k for k, j in enumerate(free)}
+    def __init__(self, lead, free, p):
+        self.lead, self.free, self.p, self.reduced = lead, free, p, {}
+        self.basis = None
+
+    @cached_property
+    def column(self) -> dict:
+        return {j: k for k, j in enumerate(self.free)}
 
     def entries(self, j: int) -> list:
         """(column, value) of each nonzero of row j's normal form."""
@@ -86,11 +108,13 @@ class _Degree:
         return [(self.column[c], self.p - v) for c, v in row.items() if c != j]
 
     def rows(self, js) -> np.ndarray:
-        """The normal forms of the monomials at rows js, one per row."""
+        """The normal forms of the monomials at rows js, one per row; a
+        row None, a monomial that is zero, gives zeros."""
         out = np.zeros((len(js), len(self.free)), dtype=np.int64)
         for i, j in enumerate(js):
-            for k, v in self.entries(j):
-                out[i, k] = v
+            if j is not None:
+                for k, v in self.entries(j):
+                    out[i, k] = v
         return out
 
 
@@ -125,11 +149,11 @@ class TruncatedAlgebra:
         self.gens = presentation.gens
         self.monomial_ceiling = monomial_ceiling
         self._ext = exterior_mask(self.gens, self.p, self.mode)
+        self._prefix = prefix_counts(self.gens, bound, self.mode, self.p)
+        self._counts = self._prefix[-1]
         # (degree, relation) of every nonzero relation
         self._relations = [(presentation.poly_degree(rel), rel)
                            for rel in presentation.relations if rel]
-        self._prefix = prefix_counts(self.gens, bound, self.mode, self.p)
-        self._counts = self._prefix[-1]
         self._tables: dict = {}
         self._decomposables: dict = {}
         self._filtration: list[int] | None = None
@@ -145,22 +169,176 @@ class TruncatedAlgebra:
                     f"monomials, more than the cell budget of "
                     f"{RELATION_CELL_BUDGET}; lower the bound")
         # filled per degree on first use; None until then
-        self._monos: list = [None] * (bound + 1)
+        self._keys: list = [None] * (bound + 1)
+        self._indexes: list = [None] * (bound + 1)
+        self._factors: list = [None] * (bound + 1)
         self._degrees: list = [None] * (bound + 1)
 
-    # ------------------------------------------------------------- build
+    # ----------------------------------------- layout, built on first use
+
+    @cached_property
+    def _shifts(self) -> range:
+        """Commutative: the bit at which each generator's exponent field
+        starts in a key.  A field is at least 2 bits wide and holds the
+        bound; every exponent, and every sum of two that the engine forms,
+        is at most the bound, so no field carries into the next."""
+        width = max(2, self.bound.bit_length())
+        return range(0, width * len(self.gens), width)
+
+    @cached_property
+    def _guard(self) -> int:
+        """Commutative: the bits above the lowest of each exterior field, of
+        which a key holds one exactly when it squares that generator."""
+        wide = (1 << self._shifts.step) - 2
+        return sum(wide << s for s, e in zip(self._shifts, self._ext) if e)
+
+    @cached_property
+    def _units(self) -> list:
+        """Commutative: each generator's key, the steps of `_key_list`."""
+        return [[1 << s for s in self._shifts]] * (self.bound + 1)
+
+    @cached_property
+    def _ones(self) -> list:
+        """The steps of `_factor_counts`: one factor per generator."""
+        return [[1] * len(self.gens)] * (self.bound + 1)
+
+    @cached_property
+    def _cut(self) -> list:
+        """For `_from_below`, the number of monomials of each degree that
+        each generator x_i extends: all of them in associative mode, and in
+        commutative mode those in generators 0..i (0..i-1 when x_i is
+        exterior), a prefix of each degree's list."""
+        if self.mode != COMMUTATIVE:
+            return [self._counts] * len(self.gens)
+        return [self._prefix[i if e else i + 1]
+                for i, e in enumerate(self._ext)]
+
+    @cached_property
+    def _offsets(self) -> list:
+        """Associative: degree n lists generator i's words, i times the
+        words of degree n - d_i, from column _offsets[n][i] on."""
+        out = []
+        for n in range(self.bound + 1):
+            starts, at = [], 0
+            for d in self.gens.degrees:
+                starts.append(at)
+                if d <= n:
+                    at += self._counts[n - d]
+            out.append(starts)
+        return out
+
+    @cached_property
+    def _terms(self) -> list:
+        """(degree, terms) of every nonzero relation, its nonzero terms as
+        `_relation_rows` reads them: (key, sign mask, coefficient, its
+        negative) in commutative mode and (word, coefficient) in
+        associative mode."""
+        p, out = self.p, []
+        for r, rel in self._relations:
+            terms = [(m, c % p) for m, c in rel.items() if c % p]
+            if self.mode == COMMUTATIVE:
+                terms = [(key, self._sign_mask(key), c, p - c) for key, c
+                         in ((self._key(m), c) for m, c in terms)]
+            out.append((r, terms))
+        return out
+
+    # ------------------------------------------------------ monomials
+
+    def _key(self, m) -> int:
+        """Commutative: the key of the exponent vector m."""
+        return sum(e << s for e, s in zip(m, self._shifts))
+
+    def _sign_mask(self, key: int) -> int:
+        """Commutative: the bits of a left factor's key whose count has the
+        parity of the sign of its product with the monomial `key`: the
+        lowest bit of each exterior field that follows an odd number of
+        exterior factors of `key`.  Zero at p = 2."""
+        mask = parity = 0
+        for s, e in zip(self._shifts, self._ext):
+            if e:
+                mask |= parity << s
+                parity ^= (key >> s) & 1
+        return mask
+
+    def _from_below(self, lists: list, n: int, steps) -> list:
+        """lists[n], filling first, each from the lists below it, every
+        lists[m] with m <= n that is None.  Entry m holds one number per
+        monomial of degree m, in the order of `present.monomials_from_below`:
+        for each generator i of degree d <= m in turn, steps[m][i] plus the
+        number of each monomial of degree m - d that x_i extends, the first
+        _cut[i][m - d] of them.  Degree 0 holds [0]."""
+        if lists[n] is None:
+            for m in range(n + 1):
+                if lists[m] is None:
+                    out = [] if m else [0]
+                    for i, (d, step) in enumerate(zip(self.gens.degrees,
+                                                      steps[m])):
+                        if d <= m:
+                            out += [x + step for x in
+                                    lists[m - d][:self._cut[i][m - d]]]
+                    lists[m] = out
+        return lists[n]
+
+    def _key_list(self, n: int) -> list:
+        """Commutative: the keys of degree n, column by column."""
+        return self._from_below(self._keys, n, self._units)
+
+    def _index(self, n: int) -> dict:
+        """Commutative: degree n's key -> column, built on first use."""
+        got = self._indexes[n]
+        if got is None:
+            keys = self._key_list(n)
+            got = self._indexes[n] = dict(zip(keys, range(len(keys))))
+        return got
+
+    def _factor_counts(self, n: int) -> list:
+        """The number of generator factors of each monomial of degree n."""
+        return self._from_below(self._factors, n, self._ones)
+
+    def _position(self, word, t: int = 0) -> int:
+        """Associative: the column of word·v in degree |word| + t less the
+        column of v in degree t, the same for every word v of degree t;
+        with t = 0, the word's own column."""
+        offsets, degrees, at = self._offsets, self.gens.degrees, 0
+        for i in reversed(word):
+            t += degrees[i]
+            at += offsets[t][i]
+        return at
+
+    def _column(self, n: int, m):
+        """The column of the monomial m, of degree n, or None if m is zero
+        because it squares an exterior generator."""
+        if self.mode != COMMUTATIVE:
+            return self._position(m)
+        key = self._key(m)
+        return None if key & self._guard else self._index(n)[key]
+
+    def _decoded(self, n: int, columns) -> list:
+        """The monomials at the columns of degree n, as tuples."""
+        if self.mode == COMMUTATIVE:
+            keys, field = self._key_list(n), (1 << self._shifts.step) - 1
+            return [tuple((keys[j] >> s) & field for s in self._shifts)
+                    for j in columns]
+        offsets, degrees, counts = (self._offsets, self.gens.degrees,
+                                    self._counts)
+        out = []
+        for j in columns:
+            word, top = [], n
+            while top:
+                # the first block of degree top that ends past column j
+                i = next(i for i, d in enumerate(degrees) if d <= top
+                         and j < offsets[top][i] + counts[top - d])
+                word.append(i)
+                j -= offsets[top][i]
+                top -= degrees[i]
+            out.append(tuple(word))
+        return out
 
     def _monomials(self, n: int) -> list:
-        """The monomials of degree n, in decreasing term order, listed on
-        first use with every degree below it, each from the lists below."""
-        monos = self._monos
-        if monos[n] is None:
-            for m in range(n + 1):
-                if monos[m] is None:
-                    monos[m] = monomials_from_below(
-                        m, monos, self.gens, self.mode, self._ext,
-                        self._prefix)
-        return monos[n]
+        """The monomials of degree n, in decreasing term order."""
+        return self._decoded(n, range(self._counts[n]))
+
+    # ------------------------------------------------------------- build
 
     def _relation_row_count(self, n: int) -> int:
         """Number of cofactor multiples of the relations in degree n, an
@@ -178,49 +356,51 @@ class TruncatedAlgebra:
                              for a in range(n - r + 1))
         return count
 
-    def _relation_rows(self, n: int, index: dict) -> list:
+    def _relation_rows(self, n: int) -> list:
         """The nonzero cofactor multiples of the relations in degree n, as
-        sparse rows: each a tuple of (column, value) pairs, with a column
-        per degree-n monomial at its `index`.  Distinct cofactors give
-        distinct rows in commutative mode; in associative mode a word that
-        holds a relation's monomial twice would repeat a row, so each row
-        is kept once."""
-        monos, p, gens, mode = self._monomials, self.p, self.gens, self.mode
+        sparse rows: each a tuple of (column, value) pairs.  Distinct
+        cofactors give distinct rows in commutative mode; in associative
+        mode a word that holds a relation's monomial twice would repeat a
+        row, so each row is kept once."""
+        if all(r > n for r, _ in self._relations):
+            return []
+        live = [(r, terms) for r, terms in self._terms if r <= n and terms]
         rows: dict = {}   # (column, value) pairs -> None, in first-seen order
-        for r, rel in self._relations:
-            if r > n:
-                continue
-            terms = [(m, c % p) for m, c in rel.items() if c % p]
-            if not terms:
-                continue
-            if mode == COMMUTATIVE:
-                for cof in monos(n - r):
+        if self.mode == COMMUTATIVE:
+            index, guard = self._index(n), self._guard
+            for r, terms in live:
+                for cof in self._key_list(n - r):
                     row = []
-                    for m, c in terms:
-                        sign, mm = mono_mul(cof, m, gens, mode, p, self._ext)
-                        if sign:
-                            row.append((index[mm], (sign * c) % p))
+                    for key, mask, c, neg in terms:
+                        at = cof + key
+                        if not at & guard:
+                            row.append((index[at], neg if (cof & mask)
+                                        .bit_count() & 1 else c))
                     if row:
                         rows[tuple(row)] = None
-            else:
+        else:
+            counts = self._counts
+            heads: dict = {}   # a -> the place of each word u of degree a
+            for r, terms in live:
                 for a in range(n - r + 1):
-                    for u in monos(a):
-                        for v in monos(n - r - a):
-                            rows[tuple((index[u + m + v], c)
-                                       for m, c in terms)] = None
+                    b = n - r - a
+                    if a not in heads:
+                        heads[a] = self._from_below(
+                            [None] * (a + 1), a, self._offsets[n - a:])
+                    tail = [(self._position(m, b), c) for m, c in terms]
+                    for x in heads[a]:
+                        at = [(x + q, c) for q, c in tail]
+                        for v in range(counts[b]):
+                            rows[tuple([(y + v, c) for y, c in at])] = None
         return list(rows)
 
     def _reduce_degree(self, n: int) -> _Degree:
         """Eliminate degree n's sparse relation rows by `gfp.forward`: the
         non-pivot monomials are its basis; normal forms wait for a reader."""
-        monos = self._monomials(n)
-        index = {m: j for j, m in enumerate(monos)}
-        lead = forward(self._relation_rows(n, index), self.p)
-        free = [j for j in range(len(monos)) if j not in lead]
-        factors = np.array([sum(m) if self.mode == COMMUTATIVE else len(m)
-                            for m in monos], dtype=np.int64)
+        lead = forward(self._relation_rows(n), self.p)
         got = self._degrees[n] = _Degree(
-            index, lead, [monos[j] for j in free], free, factors, self.p)
+            lead, [j for j in range(self._counts[n]) if j not in lead],
+            self.p)
         return got
 
     # --------------------------------------------------------- accessors
@@ -233,12 +413,18 @@ class TruncatedAlgebra:
         got = self._degrees[n]
         return self._reduce_degree(n) if got is None else got
 
+    def _basis(self, n: int) -> list:
+        d = self._degree(n)
+        if d.basis is None:
+            d.basis = self._decoded(n, d.free)
+        return d.basis
+
     def dim(self, n: int) -> int:
-        return len(self._degree(n).basis)
+        return len(self._degree(n).free)
 
     def basis(self, n: int) -> list:
         """Standard-monomial basis of the degree-n component."""
-        return list(self._degree(n).basis)
+        return list(self._basis(n))
 
     def dims(self) -> list:
         return [self.dim(n) for n in range(self.bound + 1)]
@@ -248,8 +434,7 @@ class TruncatedAlgebra:
         comps: dict[int, np.ndarray] = {}
         for m, c in f.items():
             n = mono_degree(m, self.gens, self.mode)
-            d = self._degree(n)
-            row = c * d.rows([d.index[m]])[0]
+            row = c * self._degree(n).rows([self._column(n, m)])[0]
             comps[n] = comps[n] + row if n in comps else row
         return {n: v % self.p for n, v in comps.items()}
 
@@ -258,10 +443,15 @@ class TruncatedAlgebra:
         return not any(map(np.count_nonzero, self.reduce_poly(f).values()))
 
     def vanishes(self, m) -> bool:
-        """Is the monomial m zero?  A standard monomial never is."""
-        d = self._degree(mono_degree(m, self.gens, self.mode))
-        j = d.index[m]
-        return j in d.lead and not d.entries(j)
+        """Is the monomial m zero?  A standard monomial never is, and in a
+        degree without pivots every monomial is standard unless it squares
+        an exterior generator, so there m needs no column."""
+        n = mono_degree(m, self.gens, self.mode)
+        d = self._degree(n)
+        if not d.lead:
+            return any(e > 1 for e, x in zip(m, self._ext) if x)
+        j = self._column(n, m)
+        return j is None or (j in d.lead and not d.entries(j))
 
     def element(self, f: dict):
         """Homogeneous polynomial -> (degree, coordinate vector)."""
@@ -274,12 +464,32 @@ class TruncatedAlgebra:
 
     def poly_of_vec(self, n: int, vec) -> dict:
         out = {}
-        for m, c in zip(self._degree(n).basis, np.mod(np.asarray(vec, dtype=np.int64), self.p)):
+        for m, c in zip(self._basis(n), np.mod(np.asarray(vec, dtype=np.int64), self.p)):
             if c:
                 out[m] = int(c)
         return out
 
     # ----------------------------------------------------- multiplication
+
+    def _products(self, a: int, b: int):
+        """(i, j, sign, column) for each nonzero product of basis(a)[i] and
+        basis(b)[j]: its sign and its column in degree a + b."""
+        free = self._degree(b).free
+        if self.mode != COMMUTATIVE:
+            for i, u in enumerate(self._basis(a)):
+                at = self._position(u, b)
+                for j, c in enumerate(free):
+                    yield i, j, 1, at + c
+            return
+        left, right = self._key_list(a), self._key_list(b)
+        right = [(right[c], self._sign_mask(right[c])) for c in free]
+        index, guard = self._index(a + b), self._guard
+        for i, c in enumerate(self._degree(a).free):
+            u = left[c]
+            for j, (v, mask) in enumerate(right):
+                if not (u + v) & guard:
+                    yield (i, j, -1 if (u & mask).bit_count() & 1 else 1,
+                           index[u + v])
 
     def table(self, a: int, b: int) -> np.ndarray:
         """Structure constants basis(a) x basis(b) -> A_{a+b}, cached."""
@@ -287,14 +497,11 @@ class TruncatedAlgebra:
         key = (a, b)
         T = self._tables.get(key)
         if T is None:
-            T = np.zeros((len(A.basis), len(B.basis), len(C.basis)),
+            T = np.zeros((len(A.free), len(B.free), len(C.free)),
                          dtype=np.int64)
-            for i, u in enumerate(A.basis):
-                for j, v in enumerate(B.basis):
-                    sign, m = mono_mul(u, v, self.gens, self.mode, self.p,
-                                       self._ext)
-                    if sign:
-                        T[i, j] = (sign * C.rows([C.index[m]])[0]) % self.p
+            for i, j, sign, c in self._products(a, b):
+                for k, v in C.entries(c):
+                    T[i, j, k] = sign * v % self.p
             self._tables[key] = T
         return T
 
@@ -383,9 +590,8 @@ class TruncatedAlgebra:
         elements: the span of the monomials with at least two factors."""
         got = self._decomposables.get(n)
         if got is None:
-            d = self._degree(n)
-            many = np.flatnonzero(d.factors >= 2).tolist()
-            got = RowSpace.spanned_by(d.rows(many), self.p)
+            many = [j for j, f in enumerate(self._factor_counts(n)) if f >= 2]
+            got = RowSpace.spanned_by(self._degree(n).rows(many), self.p)
             self._decomposables[n] = got
         return got
 
@@ -411,20 +617,25 @@ class TruncatedAlgebra:
         Key the columns by (factor count, column), fewer factors first:
         V^c_n is then a suffix of them, and an echelon form of the degree's
         relations under that key has exactly dim R^c_n pivots in that
-        suffix, for every c at once.  The forward rows are such a form
+        suffix, for every c at once.  With generators of one degree d, a
+        monomial of degree n has n / d factors, so no row mixes factor
+        counts and each pivot is counted there, with no listing.  Otherwise
+        the factor counts are listed, and the forward rows are such a form
         already unless one of them mixes factor counts; then one `forward`
         pass over them, re-keyed, gives one.
         """
         if self._filtration is None:
             m = self.bound + 1
+            degrees = set(self.gens.degrees)
             net = np.zeros(m, dtype=np.int64)   # monomials less pivots
             pivots = []                           # factor count of each pivot
             for n in range(1, m):
-                d = self._degree(n)
-                net += np.bincount(d.factors, minlength=m)
-                if not d.lead:
+                lead = self._degree(n).lead
+                if len(degrees) == 1:
+                    net[n // min(degrees)] += self._counts[n] - len(lead)
                     continue
-                f, lead = d.factors.tolist(), d.lead
+                f = self._factor_counts(n)
+                net += np.bincount(f, minlength=m)
                 if any(f[j] != f[c] for c, row in lead.items() for j in row):
                     w = len(f)
                     lead = forward(({f[j] * w + j: v for j, v in row.items()}

@@ -8,7 +8,7 @@ from finalg import gfp, truncated
 from finalg.errors import ResourceLimitError
 from finalg.gfp import forward
 from finalg.isotest import graded_isomorphism
-from finalg.present import parse
+from finalg.present import COMMUTATIVE, exterior_mask, mono_mul, parse
 from finalg.truncated import TruncatedAlgebra, default_bound, truncation_bound
 from tests.conftest import (brute_basis, free_algebra_dims,
                             random_presentation, walk_monomials)
@@ -352,9 +352,12 @@ def test_forcing_order_does_not_change_the_engine(corpus):
             up.dim(n)
         for n in reversed(range(bound + 1)):
             down.dim(n)
-        # every degree listed on first use, whatever the order
-        assert up._monos == down._monos == [pres.monomials_of_degree(n)
-                                            for n in range(bound + 1)]
+        # the same keys listed on first use, whatever the order, and each
+        # degree's columns are its monomials in term order
+        assert up._keys == down._keys
+        assert ([up._monomials(n) for n in range(bound + 1)]
+                == [down._monomials(n) for n in range(bound + 1)]
+                == [pres.monomials_of_degree(n) for n in range(bound + 1)])
         assert up.dims() == down.dims()
         for n in range(bound + 1):
             assert up.basis(n) == down.basis(n)
@@ -371,16 +374,24 @@ def test_forcing_order_does_not_change_the_engine(corpus):
 
 
 def _listed(T):
-    """The degrees whose monomials T has listed."""
-    return {n for n, monos in enumerate(T._monos) if monos is not None}
+    """The degrees whose monomial keys T has listed."""
+    return {n for n, keys in enumerate(T._keys) if keys is not None}
+
+
+def _reduced(T):
+    """The degrees T has reduced."""
+    return {n for n, d in enumerate(T._degrees) if d is not None}
 
 
 def test_construction_lists_no_monomials(corpus):
     # the limits are checked from counts, so a new engine holds no lists;
-    # reducing degree 3 of c4 (rel x^2) lists degree 3 and, since each
-    # degree is built from the lists below it, every degree under it, and
-    # nothing above
+    # degree 1 of c4 (rel x^2) has no relation row, so reducing it lists
+    # nothing; reducing degree 3 lists degree 3 and, since each degree is
+    # built from the lists below it, every degree under it, and nothing
+    # above
     T = TruncatedAlgebra(corpus["c4"], 10)
+    assert _listed(T) == set()
+    assert T.dim(1) == 1
     assert _listed(T) == set()
     assert T.dim(3) == 1
     assert _listed(T) == {0, 1, 2, 3}
@@ -388,7 +399,9 @@ def test_construction_lists_no_monomials(corpus):
 
 def test_engine_lists_match_the_walks_in_any_reading_order():
     # degrees read ascending, descending or at random give every engine
-    # the one-degree walk's list in each degree it read, and in each below
+    # the one-degree walk's list in each degree it read, and in each below,
+    # as its decoded keys or words and as its factor counts, each listed
+    # from below
     rng = random.Random(2029)
     for pairs, mode, p in (("x:1 y:2 z:3", "commutative", 3),
                            ("x:1 y:1 u:2 w:3", "commutative", 5),
@@ -404,18 +417,27 @@ def test_engine_lists_match_the_walks_in_any_reading_order():
                 for n in range(bound + 1)]
         order = list(range(bound + 1))
         rng.shuffle(order)
+        factors = [[sum(m) if mode == "commutative" else len(m)
+                    for m in monos] for monos in want]
         for degrees in (range(bound + 1), reversed(range(bound + 1)), order):
             T = TruncatedAlgebra(pres, bound)
             for n in degrees:
-                T.dim(n)
-                assert T._monos[:n + 1] == want[:n + 1], (pairs, n)
-            assert T._monos == want
+                assert T._factor_counts(n) == factors[n], (pairs, n)
+                assert T._factors[:n + 1] == factors[:n + 1], (pairs, n)
+                assert T._monomials(n) == want[n], (pairs, n)
+                if mode == "commutative":
+                    assert None not in T._keys[:n + 1], (pairs, n)
+            assert T._factors == factors
+            assert [T._monomials(n) for n in range(bound + 1)] == want
 
 
 def test_dims_refutation_lists_only_the_degrees_compared(corpus,
                                                          monkeypatch):
     # c2 and c2c2 differ in degree 1 and have no relations, so each of the
-    # pair's engines lists degrees 0 and 1 out of 0..10
+    # pair's engines reduces degrees 0 and 1 out of 0..10; a degree without
+    # relation rows needs only its count, and its monomials are standard,
+    # so A's zero flags read no column either, and neither engine lists a
+    # monomial
     engines = []
     original = TruncatedAlgebra.__init__
 
@@ -428,7 +450,8 @@ def test_dims_refutation_lists_only_the_degrees_compared(corpus,
     assert verdict.statistics["bound"] == 10
     assert verdict.statistics["first_dims_difference"] == 1
     assert len(engines) == 2
-    assert [_listed(T) for T in engines] == [{0, 1}, {0, 1}]
+    assert [_reduced(T) for T in engines] == [{0, 1}, {0, 1}]
+    assert [_listed(T) for T in engines] == [set(), set()]
 
 
 def test_associative_relation_rows_are_kept_once():
@@ -437,8 +460,7 @@ def test_associative_relation_rows_are_kept_once():
     T = TruncatedAlgebra(parse("algebra a\nchar 2\nmode associative\n"
                                "gen x 1\ngen y 1\nrel x*y\n"), 10)
     assert T._relation_row_count(10) == 2304
-    rows = T._relation_rows(10, {m: j for j, m
-                                 in enumerate(T._monomials(10))})
+    rows = T._relation_rows(10)
     assert len(rows) == 1013
     assert len({tuple(sorted(dict(r).items())) for r in rows}) == 1013
     assert all(0 <= j < 1024 for r in rows for j in dict(r))
@@ -516,9 +538,13 @@ def test_power_filtration_matches_its_definition(corpus):
 
 def _mixed_degrees(T) -> list:
     """The degrees whose forward rows mix factor counts."""
-    return [n for n in range(1, T.bound + 1)
-            if any(len({_factor_count(T, T._monomials(n)[j]) for j in row}) > 1
-                   for row in T._degree(n).lead.values())]
+    mixed = []
+    for n in range(1, T.bound + 1):
+        monos = T._monomials(n)
+        if any(len({_factor_count(T, monos[j]) for j in row}) > 1
+               for row in T._degree(n).lead.values()):
+            mixed.append(n)
+    return mixed
 
 
 SCREENED = [None, ASSOC_COMM, *MIXED_FILTRATIONS]
@@ -605,21 +631,54 @@ def test_a_reduction_that_raises_leaves_its_degree_unreduced(monkeypatch):
         assert all(np.array_equal(got[m], want[m]) for m in got)
 
 
-def _reference_forms(T, n):
+def _reference_relation_rows(P, n):
+    """Degree n's relation rows built from tuples, the reference of the
+    engine's integer arithmetic: each cofactor multiple of each relation by
+    `mono_mul` in commutative mode and by word concatenation in associative
+    mode, its monomials looked up in a tuple-keyed index of the walk's
+    listing, each row kept once, in the engine's order.  Returns the rows
+    and that listing."""
+    monos = walk_monomials(P.gens, n, P.mode, P.p)
+    index = {m: j for j, m in enumerate(monos)}
+    ext = exterior_mask(P.gens, P.p, P.mode)
+    rows: dict = {}
+    for rel in P.relations:
+        terms = [(m, c % P.p) for m, c in rel.items() if c % P.p]
+        if not terms or P.poly_degree(rel) > n:
+            continue
+        r = P.poly_degree(rel)
+        if P.mode == COMMUTATIVE:
+            for cof in walk_monomials(P.gens, n - r, P.mode, P.p):
+                row = []
+                for m, c in terms:
+                    sign, mm = mono_mul(cof, m, P.gens, P.mode, P.p, ext)
+                    if sign:
+                        row.append((index[mm], (sign * c) % P.p))
+                if row:
+                    rows[tuple(row)] = None
+        else:
+            for a in range(n - r + 1):
+                for u in walk_monomials(P.gens, a, P.mode, P.p):
+                    for v in walk_monomials(P.gens, n - r - a, P.mode, P.p):
+                        rows[tuple((index[u + m + v], c)
+                                   for m, c in terms)] = None
+    return list(rows), monos
+
+
+def _reference_forms(P, n):
     """Degree n's normal forms, one row per monomial in term order, from
-    `_reference_rref` of its relation rows: the identity on the standard
-    monomials, minus the reduced row off the pivot elsewhere.  Returns
-    them and the standard monomials."""
-    monos = T._monomials(n)
-    rows = T._relation_rows(n, {m: j for j, m in enumerate(monos)})
+    `_reference_rref` of its reference relation rows: the identity on the
+    standard monomials, minus the reduced row off the pivot elsewhere.
+    Returns them and the standard monomials."""
+    rows, monos = _reference_relation_rows(P, n)
     mat = np.zeros((len(rows), len(monos)), dtype=np.int64)
     for i, row in enumerate(rows):
         for j, v in row:
             mat[i, j] = v
-    R, pivots = _reference_rref(mat, T.p)
+    R, pivots = _reference_rref(mat, P.p)
     free = [j for j in range(len(monos)) if j not in pivots]
     forms = np.eye(len(monos), dtype=np.int64)[:, free]
-    forms[pivots] = -R[:, free] % T.p
+    forms[pivots] = -R[:, free] % P.p
     return forms, [monos[j] for j in free]
 
 
@@ -633,7 +692,7 @@ def test_normal_forms_read_in_any_order_match_the_reference():
             for _ in range(8):
                 pres = _random_presentation(rng, p, mode)
                 lazy, whole = (TruncatedAlgebra(pres, bound) for _ in "ab")
-                reference = {n: _reference_forms(lazy, n)
+                reference = {n: _reference_forms(pres, n)
                              for n in range(bound + 1)}
                 want = {n: forms for n, (forms, _) in reference.items()}
                 reads = [(n, j, m) for n in want
@@ -648,8 +707,83 @@ def test_normal_forms_read_in_any_order_match_the_reference():
                     for j in early:
                         whole.reduce_poly({monos[j]: 1})
                     d = whole._degree(n)
-                    assert np.array_equal(d.rows(range(len(d.index))), forms)
+                    assert np.array_equal(d.rows(range(len(monos))), forms)
                     for j in range(len(monos)):
                         assert np.array_equal(
                             whole.reduce_poly({monos[j]: 1})[n], forms[j])
                     assert whole.basis(n) == reference[n][1]
+
+
+def _with_exterior_square(p):
+    """x of degree 1 and y of degree 2 at odd p, with the relation
+    x^2 + y, whose first term squares the exterior x and so is zero."""
+    free = parse(LAMBDA_TENSOR.replace("char 3", f"char {p}"))
+    return dataclasses.replace(free, relations=({(2, 0): 1, (0, 1): 1},))
+
+
+def test_rows_and_tables_match_the_tuple_construction():
+    # the engine's relation rows, read as (monomial, value) pairs, and
+    # every multiplication table equal those the tuple construction gives,
+    # at p = 2, 3 and 5 in both modes, with exterior generators and
+    # generators of mixed degrees
+    rng = random.Random(5153)
+    presentations = [_random_presentation(rng, p, mode)
+                     for p in (2, 3, 5)
+                     for mode in ("commutative", "associative")
+                     for _ in range(12)]
+    presentations += [parse(text) for text in MIXED_FILTRATIONS]
+    presentations += [parse(LAMBDA_TENSOR), _with_exterior_square(3),
+                      _with_exterior_square(5)]
+    seen = set()
+    for pres in presentations:
+        bound = 6 if pres.mode == COMMUTATIVE else 5
+        T = TruncatedAlgebra(pres, bound)
+        ext = exterior_mask(pres.gens, pres.p, pres.mode)
+        seen.add((pres.p, pres.mode, any(ext),
+                  len(set(pres.gens.degrees)) > 1))
+        forms = {}
+        for n in range(bound + 1):
+            want, monos = _reference_relation_rows(pres, n)
+            assert T._monomials(n) == monos
+            assert ([{(monos[j], v) for j, v in row}
+                     for row in T._relation_rows(n)]
+                    == [{(monos[j], v) for j, v in row} for row in want])
+            forms[n] = _reference_forms(pres, n)
+            assert T.basis(n) == forms[n][1]
+        for a in range(1, bound):
+            for b in range(1, bound - a + 1):
+                nf, index = forms[a + b][0], {
+                    m: j for j, m in enumerate(T._monomials(a + b))}
+                want = np.zeros((T.dim(a), T.dim(b), T.dim(a + b)),
+                                dtype=np.int64)
+                for i, u in enumerate(forms[a][1]):
+                    for j, v in enumerate(forms[b][1]):
+                        sign, m = mono_mul(u, v, pres.gens, pres.mode,
+                                           pres.p, ext)
+                        if sign:
+                            want[i, j] = sign * nf[index[m]] % pres.p
+                assert np.array_equal(T.table(a, b), want), (pres, a, b)
+    for mode in ("commutative", "associative"):
+        assert {p for p, m, _, _ in seen if m == mode} == {2, 3, 5}
+        assert any(mixed for _, m, _, mixed in seen if m == mode)
+    assert {p for p, _, exterior, _ in seen if exterior} == {3, 5}
+
+
+def test_a_monomial_that_squares_an_exterior_generator_is_zero():
+    # at odd p an odd-degree generator squares to zero, so a monomial that
+    # holds its square, whatever the power, reads as zero and adds nothing
+    # to a polynomial, in degrees with pivots and without
+    for p in (3, 5):
+        free = parse(LAMBDA_TENSOR.replace("char 3", f"char {p}"))
+        for pres in (free, _with_exterior_square(p)):
+            T = TruncatedAlgebra(pres, 10)
+            for m in ((2, 0), (3, 0), (2, 1), (4, 0), (5, 2), (10, 0)):
+                n = m[0] + 2 * m[1]
+                assert T.is_zero({m: 1}), (pres, m)
+                assert T.vanishes(m), (pres, m)
+                assert T.element({m: 1}) is None, (pres, m)
+                assert not T.reduce_poly({m: 2})[n].any(), (pres, m)
+        T = TruncatedAlgebra(free, 10)
+        assert np.array_equal(T.element({(1, 1): 2, (3, 0): 1})[1],
+                              T.element({(1, 1): 2})[1])
+        assert not T.vanishes((1, 4)) and not T.is_zero({(0, 5): 1})

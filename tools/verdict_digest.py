@@ -27,7 +27,8 @@ ROOT/bench/gen.py, writes nothing under ROOT, and decides:
   generator and of the first two generators together;
 - the `engines` group records the dims, the power filtration, the rows
   of `decomposables(n)` for each generator degree n, a sha256 of each
-  degree's normal-form matrix (shape, entries and basis) and of each
+  degree's normal-form matrix (shape, entries and basis, read through
+  `_monomials(n)`, `reduce_poly` and `basis(n)`) and of each
   `table(a, b)` with 1 <= a <= b and a + b <= bound that a
   `TruncatedAlgebra` at the default bound gives for every corpus/div4 and
   corpus/div8 file, 100 presentations from `gen.random_presentation`
@@ -61,6 +62,8 @@ import random
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 
 def _digest(records) -> str:
@@ -220,10 +223,13 @@ def main(argv) -> int:
           for r in random_annihilators(
               k, gen.random_presentation(rng, f"g{k}")))])
 
-    def forms_digest(d):
-        forms = d.rows(range(len(d.index))).astype("<i8")
+    def forms_digest(T, n):
+        monos = T._monomials(n)
+        forms = np.zeros((len(monos), T.dim(n)), dtype="<i8")
+        for j, m in enumerate(monos):
+            forms[j] = T.reduce_poly({m: 1})[n]
         return hashlib.sha256(json.dumps(
-            [forms.shape, repr(d.basis)]).encode()
+            [forms.shape, repr(T.basis(n))]).encode()
             + forms.tobytes()).hexdigest()
 
     def engine(name, P):
@@ -233,7 +239,7 @@ def main(argv) -> int:
             "filtration": T.power_filtration_dims(),
             "decomposables": {n: T.decomposables(n).rows.tolist()
                               for n in sorted(set(P.gens.degrees))},
-            "forms": {n: forms_digest(T._degree(n))
+            "forms": {n: forms_digest(T, n)
                       for n in range(T.bound + 1)},
             "tables": {f"{a} {b}": hashlib.sha256(
                 T.table(a, b).tobytes()).hexdigest()
