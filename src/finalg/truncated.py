@@ -305,6 +305,16 @@ class TruncatedAlgebra:
             at += offsets[t][i]
         return at
 
+    def _monomial_degree(self, m) -> int:
+        """The degree of the monomial m, a tuple: KeyError unless it is an
+        exponent vector with a slot per generator or a word of generator
+        indices, so no malformed tuple reads as another monomial."""
+        k = len(self.gens)
+        if min(m, default=0) < 0 or (len(m) != k if self.mode == COMMUTATIVE
+                                     else max(m, default=0) >= k):
+            raise KeyError(m)
+        return mono_degree(m, self.gens, self.mode)
+
     def _column(self, n: int, m):
         """The column of the monomial m, of degree n, or None if m is zero
         because it squares an exterior generator."""
@@ -433,7 +443,7 @@ class TruncatedAlgebra:
         """Map a polynomial to coordinate vectors, one per occupied degree."""
         comps: dict[int, np.ndarray] = {}
         for m, c in f.items():
-            n = mono_degree(m, self.gens, self.mode)
+            n = self._monomial_degree(m)
             row = c * self._degree(n).rows([self._column(n, m)])[0]
             comps[n] = comps[n] + row if n in comps else row
         return {n: v % self.p for n, v in comps.items()}
@@ -446,7 +456,7 @@ class TruncatedAlgebra:
         """Is the monomial m zero?  A standard monomial never is, and in a
         degree without pivots every monomial is standard unless it squares
         an exterior generator, so there m needs no column."""
-        n = mono_degree(m, self.gens, self.mode)
+        n = self._monomial_degree(m)
         d = self._degree(n)
         if not d.lead:
             return any(e > 1 for e, x in zip(m, self._ext) if x)

@@ -787,3 +787,17 @@ def test_a_monomial_that_squares_an_exterior_generator_is_zero():
         assert np.array_equal(T.element({(1, 1): 2, (3, 0): 1})[1],
                               T.element({(1, 1): 2})[1])
         assert not T.vanishes((1, 4)) and not T.is_zero({(0, 5): 1})
+
+
+def test_a_malformed_monomial_raises():
+    # a tuple that is no monomial of the algebra raises KeyError, in a
+    # degree with pivots and without, so it never reads as another one
+    comm = TruncatedAlgebra(parse(LAMBDA_TENSOR), 10)
+    assoc = TruncatedAlgebra(parse(ASSOC_COMM), 6)
+    for T, bad in ((comm, [(2,), (1, 0, 0), (-1, 1), (3, -1)]),
+                   (assoc, [(-1,), (0, -2), (2,), (0, 2)])):
+        for m in bad:
+            with pytest.raises(KeyError):
+                T.reduce_poly({m: 1})
+            with pytest.raises(KeyError):
+                T.vanishes(m)
