@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import ParseError
 from .gfp import check_prime
@@ -83,8 +84,8 @@ def mono_one(gens: GeneratorSet, mode: str):
 
 def mono_degree(m, gens: GeneratorSet, mode: str) -> int:
     if mode == COMMUTATIVE:
-        return sum(e * d for e, d in zip(m, gens.degrees))
-    return sum(gens.degrees[i] for i in m)
+        return sum(map(mul, m, gens.degrees))
+    return sum(map(gens.degrees.__getitem__, m))
 
 
 def mono_key(m, gens: GeneratorSet, mode: str):

@@ -61,7 +61,7 @@ publishes nothing, and nothing published is changed after.
 
 from __future__ import annotations
 
-from functools import cached_property
+from operator import lshift
 
 import numpy as np
 
@@ -86,6 +86,26 @@ CANDIDATE_LIST_BUDGET = 300_000
 _PRODUCT_CELLS = 1 << 18
 
 
+class _lazy:
+    """A field computed on its first read and then kept in the instance,
+    published by one assignment.  Unlike `functools.cached_property`
+    before Python 3.12 it takes no lock: two threads may compute it twice
+    and keep equal values, and a first read costs about a third of the
+    locked one, which matters since an engine reads several of them."""
+
+    def __init__(self, compute):
+        self.compute, self.__doc__ = compute, compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 class _Degree:
     """One reduced degree (see the module docstring): the forward rows by
     pivot, the free (non-pivot) columns and the reduced rows found so far;
@@ -96,7 +116,7 @@ class _Degree:
         self.lead, self.free, self.p, self.reduced = lead, free, p, {}
         self.basis = None
 
-    @cached_property
+    @_lazy
     def column(self) -> dict:
         return {j: k for k, j in enumerate(self.free)}
 
@@ -176,7 +196,7 @@ class TruncatedAlgebra:
 
     # ----------------------------------------- layout, built on first use
 
-    @cached_property
+    @_lazy
     def _shifts(self) -> range:
         """Commutative: the bit at which each generator's exponent field
         starts in a key.  A field is at least 2 bits wide and holds the
@@ -185,24 +205,24 @@ class TruncatedAlgebra:
         width = max(2, self.bound.bit_length())
         return range(0, width * len(self.gens), width)
 
-    @cached_property
+    @_lazy
     def _guard(self) -> int:
         """Commutative: the bits above the lowest of each exterior field, of
         which a key holds one exactly when it squares that generator."""
         wide = (1 << self._shifts.step) - 2
         return sum(wide << s for s, e in zip(self._shifts, self._ext) if e)
 
-    @cached_property
+    @_lazy
     def _units(self) -> list:
         """Commutative: each generator's key, the steps of `_key_list`."""
         return [[1 << s for s in self._shifts]] * (self.bound + 1)
 
-    @cached_property
+    @_lazy
     def _ones(self) -> list:
         """The steps of `_factor_counts`: one factor per generator."""
         return [[1] * len(self.gens)] * (self.bound + 1)
 
-    @cached_property
+    @_lazy
     def _cut(self) -> list:
         """For `_from_below`, the number of monomials of each degree that
         each generator x_i extends: all of them in associative mode, and in
@@ -213,7 +233,7 @@ class TruncatedAlgebra:
         return [self._prefix[i if e else i + 1]
                 for i, e in enumerate(self._ext)]
 
-    @cached_property
+    @_lazy
     def _offsets(self) -> list:
         """Associative: degree n lists generator i's words, i times the
         words of degree n - d_i, from column _offsets[n][i] on."""
@@ -227,7 +247,7 @@ class TruncatedAlgebra:
             out.append(starts)
         return out
 
-    @cached_property
+    @_lazy
     def _terms(self) -> list:
         """(degree, terms) of every nonzero relation, its nonzero terms as
         `_relation_rows` reads them: (key, sign mask, coefficient, its
@@ -246,7 +266,7 @@ class TruncatedAlgebra:
 
     def _key(self, m) -> int:
         """Commutative: the key of the exponent vector m."""
-        return sum(e << s for e, s in zip(m, self._shifts))
+        return sum(map(lshift, m, self._shifts))
 
     def _sign_mask(self, key: int) -> int:
         """Commutative: the bits of a left factor's key whose count has the
