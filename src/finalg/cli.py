@@ -21,7 +21,7 @@ from .classify import classify_corpus
 from .errors import FinalgError
 from .isotest import fingerprint, graded_isomorphism, verify_certificate
 from .present import parse_file
-from .truncated import DEFAULT_MONOMIAL_CEILING
+from .truncated import DEFAULT_MONOMIAL_CEILING, TruncatedAlgebra
 
 EXIT_OK = 0
 EXIT_NOT_ISOMORPHIC = 1
@@ -139,8 +139,10 @@ def cmd_iso(args) -> int:
                   file=sys.stderr)
             return EXIT_ERROR
     if args.certificate and verdict.certificate is not None:
+        # at the verdict's bound and ceiling, on a fresh engine of B
         payload["certificate_verified"] = verify_certificate(
-            A, B, verdict.certificate)
+            A, B, verdict.certificate, TB=TruncatedAlgebra(
+                B, verdict.statistics["bound"], ceiling))
     indent = 2 if getattr(args, "json", False) else None
     print(json.dumps(payload, indent=indent))
     return _verdict_exit(verdict.outcome)

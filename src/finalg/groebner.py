@@ -29,9 +29,9 @@ from .gfp import forward, inv_mod
 from .hilbert import RationalSeries, quotient_series
 from .present import (COMMUTATIVE, Presentation, elimination_key,
                       exterior_mask, mono_degree, mono_divides, mono_key,
-                      mono_mul, monomials_of_degree, monomials_up_to,
-                      poly_add, poly_canon, poly_degree, poly_scale,
-                      term_mul_poly)
+                      mono_mul, mono_power, monomials_of_degree,
+                      monomials_up_to, poly_add, poly_canon, poly_degree,
+                      poly_scale, term_mul_poly)
 
 DEFAULT_PAIR_CEILING = 100_000
 
@@ -163,8 +163,8 @@ def buchberger(P: Presentation, order=DEGREVLEX,
                 f"Groebner pair ceiling {pair_ceiling} exceeded")
         if kind == 1:
             # implicit exterior square: reduce x_j * g_i
-            step = tuple(1 if v == j else 0 for v in range(len(gens)))
-            spoly = term_mul_poly(1, step, basis[i], gens, COMMUTATIVE, p, ext)
+            spoly = term_mul_poly(1, mono_power(j, 1, gens, COMMUTATIVE),
+                                  basis[i], gens, COMMUTATIVE, p, ext)
         else:
             u, v = leads[i], leads[j]
             w = tuple(max(a, b) for a, b in zip(u, v))

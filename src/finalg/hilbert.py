@@ -27,6 +27,10 @@ from .errors import ParseError
 
 IntPoly = tuple  # tuple[int, ...], coefficient of t^k at index k
 
+# Most degree of a generator, a term or a series exponent that parsing
+# accepts, so that no hostile degree sizes a list or a loop.
+DEGREE_CAP = 100_000
+
 
 # ---------------------------------------------------------------- int polys
 
@@ -147,6 +151,9 @@ def parse_int_poly(text: str, line: int | None = None) -> IntPoly:
         if sign == "-":
             c = -c
         k = 0 if tvar is None else (int(exp) if exp is not None else 1)
+        if k > DEGREE_CAP:
+            raise ParseError(f"series exponent {k} is above {DEGREE_CAP}",
+                             line)
         coeffs[k] = coeffs.get(k, 0) + c
         pos = m.end()
         first = False

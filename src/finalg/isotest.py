@@ -63,7 +63,8 @@ from . import hilbert
 from .errors import FinalgError, MismatchError, ParseError, ResourceLimitError
 from .groebner import groebner_basis, series_of_quotient
 from .hilbert import count_nonzero_vectors
-from .present import COMMUTATIVE, Presentation, exterior_mask, format_poly
+from .present import (COMMUTATIVE, Presentation, exterior_mask, format_poly,
+                      mono_factors, mono_power)
 from .truncated import (CANDIDATE_LIST_BUDGET, DEFAULT_MONOMIAL_CEILING,
                         TruncatedAlgebra, default_bound, truncation_bound)
 
@@ -157,13 +158,6 @@ def _exact_series(P: Presentation, dims, ground):
     return series
 
 
-def _gen_mono(P: Presentation, i: int, e: int = 1):
-    """The monomial of the e-th power of generator i."""
-    if P.mode == COMMUTATIVE:
-        return tuple(e if k == i else 0 for k in range(len(P.gens)))
-    return (i,) * e
-
-
 class _Side:
     """The invariants of one presentation P at one bound and monomial
     ceiling, for the length of one call.
@@ -216,7 +210,8 @@ class _Side:
         sees (those above it count as nonzero)."""
         def compute(P):
             T = self.engine()
-            return tuple(d <= T.bound and T.vanishes(_gen_mono(P, i))
+            return tuple(d <= T.bound
+                         and T.vanishes(mono_power(i, 1, P.gens, P.mode))
                          for i, d in enumerate(P.gens.degrees))
         return self.entry("zero_generators", compute)
 
@@ -230,7 +225,7 @@ class _Side:
             return tuple(
                 0 if ext[i] else next(
                     (m for m in range(2, T.bound // d + 1)
-                     if T.vanishes(_gen_mono(P, i, m))), 0)
+                     if T.vanishes(mono_power(i, m, P.gens, P.mode))), 0)
                 for i, d in enumerate(P.gens.degrees))
         return self.entry("vanishing_powers", compute)
 
@@ -331,7 +326,7 @@ def prune_ladder(A: Presentation, TB: TruncatedAlgebra, cand_lists,
     for i, cands in enumerate(cand_lists):
         keep = cands
         if powers[i]:
-            power = {_gen_mono(A, i, powers[i]): 1}
+            power = {mono_power(i, powers[i], A.gens, A.mode): 1}
             fails = np.zeros(len(cands), dtype=bool)
             for start in range(0, len(cands), _BLOCK_ROWS):
                 rows = slice(start, start + _BLOCK_ROWS)
@@ -374,10 +369,7 @@ def _relation_plans(A: Presentation):
     search depth at which every generator they mention has an image."""
     by_depth: dict[int, list] = {}
     for rel in A.relations:
-        if A.mode == COMMUTATIVE:
-            used = [i for mono in rel for i, e in enumerate(mono) if e]
-        else:
-            used = [i for mono in rel for i in mono]
+        used = [i for mono in rel for i, _ in mono_factors(mono, A.mode)]
         by_depth.setdefault(max(used, default=0) + 1, []).append(rel)
     return by_depth
 

@@ -23,7 +23,8 @@ from operator import mul
 
 from .errors import ParseError
 from .gfp import check_prime
-from .hilbert import RationalSeries, parse_series, format_int_poly
+from .hilbert import (DEGREE_CAP, RationalSeries, format_int_poly,
+                      parse_series)
 
 COMMUTATIVE = "commutative"
 ASSOCIATIVE = "associative"
@@ -148,34 +149,58 @@ def mono_divides(u, w) -> bool:
     return all(a <= b for a, b in zip(u, w))
 
 
-def monomials_from_below(n: int, lists, gens: GeneratorSet, mode: str,
-                         ext, prefix) -> list:
-    """The monomials of degree n in decreasing term order, built from
-    `lists`, whose entry m holds degree m's for every m < n, `ext`, the
-    `exterior_mask`, and `prefix`, the `prefix_counts` of at least
-    degrees 0..n-1.
-
-    Associative: the words of degree n are each generator i put in front
-    of the words of degree n - d_i, taking generators first to last.
-    Commutative: the order compares exponents from the last generator to
-    the first, so the monomials whose last factor is x_i come after those
-    in earlier generators alone, and are x_i times the monomials of degree
-    n - d_i in generators 0..i (0..i-1 for an exterior x_i), in the order
-    of their list, of which they are a prefix as long as its count."""
-    if n == 0:
-        return [mono_one(gens, mode)]
-    out = []
+def mono_power(i: int, e: int, gens: GeneratorSet, mode: str):
+    """The monomial x_i^e."""
     if mode == COMMUTATIVE:
-        for i, d in enumerate(gens.degrees):
-            if d <= n:
-                count = prefix[i if ext[i] else i + 1][n - d]
-                out += [m[:i] + (m[i] + 1,) + m[i + 1:]
-                        for m in lists[n - d][:count]]
-    else:
-        for i, d in enumerate(gens.degrees):
-            if d <= n:
-                out += [(i,) + w for w in lists[n - d]]
-    return out
+        return tuple(e if k == i else 0 for k in range(len(gens)))
+    return (i,) * e
+
+
+def mono_factors(m, mode: str) -> list:
+    """The (generator, exponent) factors of the monomial m: one per
+    nonzero exponent of a vector, one per letter of a word."""
+    if mode == COMMUTATIVE:
+        return [(i, e) for i, e in enumerate(m) if e]
+    return [(i, 1) for i in m]
+
+
+# ---------------------------------------------------------------- listing
+
+def _from_below(lists: list, n: int, degrees, cut, steps, unit) -> list:
+    """The one lister of the term order, of words, keys (`_unpacked`),
+    factor counts and the engine's column offsets: lists[n], filling first
+    every lists[m] with m <= n that is None, those above the highest one
+    filled.  Degree 0 is [unit], and degree m is steps[m][i] + x for each
+    generator i of degree d <= m in turn and each x among the first
+    cut[i][m - d] of degree m - d (`_extended`).  That is decreasing
+    order: words of degree m are each generator in front of those of
+    degree m - d, and the exponent vectors whose last factor is x_i follow
+    those in earlier generators alone, and are x_i times those of degree
+    m - d in generators 0..i (0..i-1 for an exterior x_i)."""
+    low = n
+    while low >= 0 and lists[low] is None:
+        low -= 1
+    for m in range(low + 1, n + 1):
+        out = [] if m else [unit]
+        for i, (d, step) in enumerate(zip(degrees, steps[m])):
+            if d <= m:
+                out += [step + x for x in lists[m - d][:cut[i][m - d]]]
+        lists[m] = out
+    return lists[n]
+
+
+def _extended(prefix: list, ext, mode: str) -> list:
+    """For `_from_below`, from the `prefix_counts` and `exterior_mask`:
+    how many monomials of each degree each generator extends."""
+    if mode != COMMUTATIVE:
+        return [prefix[-1]] * len(ext)
+    return [prefix[i if e else i + 1] for i, e in enumerate(ext)]
+
+
+def _unpacked(keys, shifts: range) -> list:
+    """The exponent vectors of the keys whose fields start at `shifts`."""
+    field = (1 << shifts.step) - 1
+    return [tuple([(key >> s) & field for s in shifts]) for key in keys]
 
 
 def monomials_of_degree(gens: GeneratorSet, n: int, mode: str, p: int):
@@ -184,13 +209,19 @@ def monomials_of_degree(gens: GeneratorSet, n: int, mode: str, p: int):
 
 
 def monomials_up_to(gens: GeneratorSet, top: int, mode: str, p: int) -> list:
-    """`monomials_of_degree` of every degree 0..top, built by
-    `monomials_from_below` from degree 0 up."""
-    ext, prefix = exterior_mask(gens, p, mode), prefix_counts(gens, top, mode, p)
-    lists: list = []
-    for m in range(top + 1):
-        lists.append(monomials_from_below(m, lists, gens, mode, ext, prefix))
-    return lists
+    """`monomials_of_degree` of every degree 0..top."""
+    k, lists = len(gens), [None] * (top + 1)
+    cut = _extended(prefix_counts(gens, top, mode, p),
+                    exterior_mask(gens, p, mode), mode)
+    if mode != COMMUTATIVE:
+        _from_below(lists, top, gens.degrees, cut,
+                    [[(i,) for i in range(k)]] * (top + 1), ())
+        return lists
+    width = max(1, top.bit_length())
+    shifts = range(0, width * k, width)
+    _from_below(lists, top, gens.degrees, cut,
+                [[1 << s for s in shifts]] * (top + 1), 0)
+    return [_unpacked(keys, shifts) for keys in lists]
 
 
 def prefix_counts(gens: GeneratorSet, bound: int, mode: str, p: int) -> list:
@@ -287,11 +318,7 @@ def substitute(f: dict, images: list, gens_in: GeneratorSet, gens_out: Generator
     out: dict = {}
     for m, c in f.items():
         val = dict(one)
-        if mode == COMMUTATIVE:
-            factors = [(i, e) for i, e in enumerate(m) if e]
-        else:
-            factors = [(i, 1) for i in m]
-        for i, e in factors:
+        for i, e in mono_factors(m, mode):
             for _ in range(e):
                 val = poly_mul(val, images[i], gens_out, mode, p)
         for mm, cc in val.items():
@@ -368,7 +395,7 @@ def parse_poly(text: str, gens: GeneratorSet, mode: str, p: int,
     for tsign, term in terms:
         coeff = tsign % p
         mono = one
-        msign = 1
+        msign, degree = 1, 0
         saw_factor = False
         for raw in term.split("*"):
             tok = raw.strip()
@@ -386,18 +413,14 @@ def parse_poly(text: str, gens: GeneratorSet, mode: str, p: int,
             except KeyError:
                 raise ParseError(f"unknown generator {name!r}", line) from None
             saw_factor = True
-            for _ in range(power):
-                if mode == COMMUTATIVE:
-                    step = tuple(1 if k == idx else 0 for k in range(len(gens)))
-                else:
-                    step = (idx,)
-                sg, mono2 = mono_mul(mono, step, gens, mode, p, ext)
-                if sg == 0:
-                    msign = 0
-                    break
-                msign *= sg
-                mono = mono2
-            if msign == 0:
+            degree += gens.degrees[idx] * power
+            if degree > DEGREE_CAP:
+                raise ParseError(f"term {term!r} has a degree above "
+                                 f"{DEGREE_CAP}", line)
+            sg, mono = mono_mul(mono, mono_power(idx, power, gens, mode),
+                                gens, mode, p, ext)
+            msign *= sg
+            if sg == 0:
                 break
         if not saw_factor:
             # a literal zero term is allowed so zero elements round-trip;
@@ -518,8 +541,9 @@ def parse(text: str) -> Presentation:
             gname, gdeg = bits
             if not _IDENT_RE.match(gname):
                 raise ParseError(f"bad generator name {gname!r}", no)
-            if not gdeg.isdigit() or int(gdeg) < 1:
-                raise ParseError(f"generator degree must be a positive integer, got {gdeg!r}", no)
+            if not gdeg.isdigit() or not 1 <= int(gdeg) <= DEGREE_CAP:
+                raise ParseError("generator degree must be a positive integer"
+                                 f" up to {DEGREE_CAP}, got {gdeg!r}", no)
             if gname in seen_names:
                 raise ParseError(f"duplicate generator {gname!r}", no)
             seen_names.add(gname)

@@ -10,21 +10,23 @@ are built as sparse rows, a few (column, value) pairs each, for the forward
 pass of the elimination, `gfp.forward`; no dense relation matrix is formed.
 
 Inside the engine a monomial is a column, its place in its degree's
-listing, which follows `present.monomials_from_below`, and no product of
-monomials is formed.  In commutative mode a monomial is also a key, one
-integer holding each exponent in a bit field at least 2 bits wide and wide
-enough for the bound, so the key of a product is the sum of the keys.  A
-relation row's column is `index[cofactor + term]`; the sum reaches a
-guard bit, above the lowest bit of an exterior generator's field, where
-the product squares that generator, and the sign is the parity of the
-cofactor's bits under the term's sign mask.  Degree n's keys are listed
-from the lists below it, one addition per monomial, as are every degree's
-factor counts.  In associative mode the column of u·m·v is arithmetic on
-the listing: the place of u·m in front of any word of degree |v|, summed
-from the offset at which each letter's block starts in its degree, plus
-the column of v.  Tuples, exponent vectors and words, exist only at the
-edge: a monomial a caller passes is packed or summed into its column, and
-a degree's basis is decoded from its columns on first read.
+listing in that term order, and no product of monomials is formed.  In
+commutative mode a monomial is also a key, one integer holding each
+exponent in a bit field at least 2 bits wide and wide enough for the
+bound, so the key of a product is the sum of the keys.  A relation row's
+column is `index[cofactor + term]`; the sum reaches a guard bit, above
+the lowest bit of an exterior generator's field, where the product
+squares that generator, and the sign is the parity of the cofactor's bits
+under the term's sign mask.  Degree n's keys are listed from the lists
+below it, one addition per monomial, as are every degree's factor counts,
+by `present`'s lister, the one every listing of monomials uses.  In
+associative mode the column of u·m·v is arithmetic on the listing: the
+place of u·m in front of any word of degree |v|, summed from the offset
+at which each letter's block starts in its degree, plus the column of v.
+Tuples, exponent vectors and words, exist only at the edge: a monomial a
+caller passes is packed or summed into its column, and a degree's basis
+is decoded from its columns, or taken from its listed words, on first
+read.
 
 A monomial's normal form, its coordinate vector on that basis, is a unit
 vector for a standard monomial; a pivot's is back-substituted from the
@@ -67,8 +69,10 @@ import numpy as np
 
 from .errors import BoundExceededError, ResourceLimitError
 from .gfp import RowSpace, back_substitute, forward
-from .present import (COMMUTATIVE, Presentation, exterior_mask, mono_degree,
-                      prefix_counts)
+from .hilbert import DEGREE_CAP
+from .present import (COMMUTATIVE, Presentation, _extended, _from_below,
+                      _unpacked, exterior_mask, mono_degree, mono_factors,
+                      monomials_of_degree, prefix_counts)
 
 DEFAULT_MONOMIAL_CEILING = 200_000
 # Most cells (cofactor rows x monomials) one degree's elimination may span.
@@ -162,6 +166,10 @@ class TruncatedAlgebra:
             bound = default_bound(presentation)
         if bound < 1:
             raise ValueError("bound must be at least 1")
+        if bound > 2 * DEGREE_CAP:
+            raise ResourceLimitError(
+                f"bound {bound} is above {2 * DEGREE_CAP}, which no "
+                f"presentation's default bound reaches; lower the bound")
         self.presentation = presentation
         self.bound = bound
         self.p = presentation.p
@@ -224,14 +232,8 @@ class TruncatedAlgebra:
 
     @_lazy
     def _cut(self) -> list:
-        """For `_from_below`, the number of monomials of each degree that
-        each generator x_i extends: all of them in associative mode, and in
-        commutative mode those in generators 0..i (0..i-1 when x_i is
-        exterior), a prefix of each degree's list."""
-        if self.mode != COMMUTATIVE:
-            return [self._counts] * len(self.gens)
-        return [self._prefix[i if e else i + 1]
-                for i, e in enumerate(self._ext)]
+        """`present._extended`, for the engine's calls of `_from_below`."""
+        return _extended(self._prefix, self._ext, self.mode)
 
     @_lazy
     def _offsets(self) -> list:
@@ -280,28 +282,10 @@ class TruncatedAlgebra:
                 parity ^= (key >> s) & 1
         return mask
 
-    def _from_below(self, lists: list, n: int, steps) -> list:
-        """lists[n], filling first, each from the lists below it, every
-        lists[m] with m <= n that is None.  Entry m holds one number per
-        monomial of degree m, in the order of `present.monomials_from_below`:
-        for each generator i of degree d <= m in turn, steps[m][i] plus the
-        number of each monomial of degree m - d that x_i extends, the first
-        _cut[i][m - d] of them.  Degree 0 holds [0]."""
-        if lists[n] is None:
-            for m in range(n + 1):
-                if lists[m] is None:
-                    out = [] if m else [0]
-                    for i, (d, step) in enumerate(zip(self.gens.degrees,
-                                                      steps[m])):
-                        if d <= m:
-                            out += [x + step for x in
-                                    lists[m - d][:self._cut[i][m - d]]]
-                    lists[m] = out
-        return lists[n]
-
     def _key_list(self, n: int) -> list:
         """Commutative: the keys of degree n, column by column."""
-        return self._from_below(self._keys, n, self._units)
+        return _from_below(self._keys, n, self.gens.degrees, self._cut,
+                           self._units, 0)
 
     def _index(self, n: int) -> dict:
         """Commutative: degree n's key -> column, built on first use."""
@@ -313,7 +297,8 @@ class TruncatedAlgebra:
 
     def _factor_counts(self, n: int) -> list:
         """The number of generator factors of each monomial of degree n."""
-        return self._from_below(self._factors, n, self._ones)
+        return _from_below(self._factors, n, self.gens.degrees, self._cut,
+                           self._ones, 0)
 
     def _position(self, word, t: int = 0) -> int:
         """Associative: the column of word·v in degree |word| + t less the
@@ -346,23 +331,10 @@ class TruncatedAlgebra:
     def _decoded(self, n: int, columns) -> list:
         """The monomials at the columns of degree n, as tuples."""
         if self.mode == COMMUTATIVE:
-            keys, field = self._key_list(n), (1 << self._shifts.step) - 1
-            return [tuple((keys[j] >> s) & field for s in self._shifts)
-                    for j in columns]
-        offsets, degrees, counts = (self._offsets, self.gens.degrees,
-                                    self._counts)
-        out = []
-        for j in columns:
-            word, top = [], n
-            while top:
-                # the first block of degree top that ends past column j
-                i = next(i for i, d in enumerate(degrees) if d <= top
-                         and j < offsets[top][i] + counts[top - d])
-                word.append(i)
-                j -= offsets[top][i]
-                top -= degrees[i]
-            out.append(tuple(word))
-        return out
+            keys = self._key_list(n)
+            return _unpacked(map(keys.__getitem__, columns), self._shifts)
+        words = monomials_of_degree(self.gens, n, self.mode, self.p)
+        return [words[j] for j in columns]
 
     def _monomials(self, n: int) -> list:
         """The monomials of degree n, in decreasing term order."""
@@ -388,10 +360,10 @@ class TruncatedAlgebra:
 
     def _relation_rows(self, n: int) -> list:
         """The nonzero cofactor multiples of the relations in degree n, as
-        sparse rows: each a tuple of (column, value) pairs.  Distinct
-        cofactors give distinct rows in commutative mode; in associative
-        mode a word that holds a relation's monomial twice would repeat a
-        row, so each row is kept once."""
+        sparse rows: each a tuple of (column, value) pairs, kept once.
+        Distinct cofactors can give one row: at odd p, a·(ax - bx) and
+        b·(ax - bx) are both -abx, and a word that holds a relation's
+        monomial twice repeats a row."""
         if all(r > n for r, _ in self._relations):
             return []
         live = [(r, terms) for r, terms in self._terms if r <= n and terms]
@@ -415,8 +387,9 @@ class TruncatedAlgebra:
                 for a in range(n - r + 1):
                     b = n - r - a
                     if a not in heads:
-                        heads[a] = self._from_below(
-                            [None] * (a + 1), a, self._offsets[n - a:])
+                        heads[a] = _from_below(
+                            [None] * (a + 1), a, self.gens.degrees,
+                            self._cut, self._offsets[n - a:], 0)
                     tail = [(self._position(m, b), c) for m, c in terms]
                     for x in heads[a]:
                         at = [(x + q, c) for q, c in tail]
@@ -578,12 +551,8 @@ class TruncatedAlgebra:
         out_vec = None
         powers = [dict() for _ in images]
         for m, c in poly.items():
-            if src.mode == COMMUTATIVE:
-                factors = [(i, e) for i, e in enumerate(m) if e]
-            else:
-                factors = [(i, 1) for i in m]
             cur = None
-            for i, e in factors:
+            for i, e in mono_factors(m, src.mode):
                 img = self._image_power(images, powers, i, e)
                 cur = img if cur is None else (
                     cur[0] + img[0], self.multiply_vec(cur[0], cur[1], img[0], img[1]))

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -113,6 +114,19 @@ def test_iso_same_file_identity(capsys):
     payload = json.loads(out)
     assert payload["certificate"] == {"x": "x", "y": "y", "e": "e"}
     assert payload["certificate_verified"] is True
+
+
+def test_iso_certificate_is_verified_at_the_verdicts_bound(capsys,
+                                                         tmp_path):
+    # at the default bound, 10, degree 9 of the free algebra on 4 letters
+    # has 4^9 monomials, past the ceiling; the verdict's bound is 4
+    free = tmp_path / "free.alg"
+    free.write_text("algebra free\nchar 2\nmode associative\ngen x 1\n"
+                    "gen y 1\ngen z 1\ngen w 1\nseries 1 / 1-4t\n")
+    code, out, _ = run(capsys, ["iso", str(free), str(free),
+                                "--max-degree", "4", "--certificate"])
+    assert code == 0
+    assert json.loads(out)["certificate_verified"] is True
 
 
 def test_iso_no_prune(capsys):
@@ -290,3 +304,29 @@ def test_unknown_command_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_hostile_degrees_end_at_once(capsys, tmp_path):
+    # each once hung or ran out of memory: a power parsed one factor at a
+    # time, a word, a series and a quotient series as long as a degree,
+    # and an engine's counts at a bound that no default bound reaches
+    head = "algebra h\nchar 2\nmode {}\ngen x {}\n"
+    runs = []
+    for k, (mode, degree, line) in enumerate([
+            ("commutative", 1, "rel x^3000000"),
+            ("associative", 1, "rel x^300000000"),
+            ("commutative", 1, "series 1 / 1-t^300000000"),
+            ("commutative", 400000000, "")]):
+        path = tmp_path / f"h{k}.alg"
+        path.write_text(head.format(mode, degree) + line + "\n")
+        where = f"line {5 if line else 4}: "
+        runs += [(["hilbert", str(path)], 2, where),
+                 (["iso", str(path), str(path)], 2, where)]
+    big, says = ["--max-degree", "100000000"], "bound 100000000 is above"
+    runs += [(["hilbert", c8("c2")] + big, 2, says),
+             (["iso", c8("c2"), c8("c2")] + big, 3, says)]
+    for argv, want, text in runs:
+        start = time.monotonic()
+        code, out, err = run(capsys, argv)
+        assert time.monotonic() - start < 1, argv
+        assert code == want and text in err + out, (argv, code, err)

@@ -353,11 +353,13 @@ def test_forcing_order_does_not_change_the_engine(corpus):
         for n in reversed(range(bound + 1)):
             down.dim(n)
         # the same keys listed on first use, whatever the order, and each
-        # degree's columns are its monomials in term order
+        # degree's columns are its monomials in term order, as the
+        # one-degree walk lists them
         assert up._keys == down._keys
         assert ([up._monomials(n) for n in range(bound + 1)]
                 == [down._monomials(n) for n in range(bound + 1)]
-                == [pres.monomials_of_degree(n) for n in range(bound + 1)])
+                == [walk_monomials(pres.gens, n, pres.mode, pres.p)
+                    for n in range(bound + 1)])
         assert up.dims() == down.dims()
         for n in range(bound + 1):
             assert up.basis(n) == down.basis(n)
@@ -465,6 +467,17 @@ def test_associative_relation_rows_are_kept_once():
     assert len({tuple(sorted(dict(r).items())) for r in rows}) == 1013
     assert all(0 <= j < 1024 for r in rows for j in dict(r))
     assert T.dim(10) == 11   # the words y^a x^b
+
+
+def test_commutative_cofactors_can_give_one_row():
+    # at p = 3 the exterior a and b anticommute, so the cofactors a and b
+    # of ax - bx both give -abx: two rows built, one kept
+    T = TruncatedAlgebra(parse("algebra e\nchar 3\nmode commutative\n"
+                               "gen a 1\ngen b 1\ngen x 2\nrel a*x - b*x\n"),
+                         4)
+    monos = T._monomials(4)
+    assert [[(monos[j], v) for j, v in row]
+            for row in T._relation_rows(4)] == [[((1, 1, 1), 2)]]
 
 
 # relations whose terms have different factor counts, so normal forms mix
