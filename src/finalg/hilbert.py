@@ -34,6 +34,17 @@ DEGREE_CAP = 100_000
 
 # ---------------------------------------------------------------- int polys
 
+def parse_digits(text: str, line: int | None = None) -> int:
+    """The integer a string of digits spells, or a ParseError naming the
+    line where `int` refuses it: past the digits it converts, or for a
+    digit that is not a decimal one, such as '²'."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = repr(text) if len(text) <= 20 else f"of {len(text)} digits"
+        raise ParseError(f"cannot read the number {shown}", line) from None
+
+
 def _trim(coeffs) -> IntPoly:
     cs = list(coeffs)
     while cs and cs[-1] == 0:
@@ -147,10 +158,11 @@ def parse_int_poly(text: str, line: int | None = None) -> IntPoly:
             raise ParseError(f"missing sign near {s[pos:]!r}", line)
         if exp is not None and tvar is None:
             raise ParseError(f"exponent without t near {s[pos:]!r}", line)
-        c = int(coeff) if coeff is not None else 1
+        c = parse_digits(coeff, line) if coeff is not None else 1
         if sign == "-":
             c = -c
-        k = 0 if tvar is None else (int(exp) if exp is not None else 1)
+        k = 0 if tvar is None else (
+            parse_digits(exp, line) if exp is not None else 1)
         if k > DEGREE_CAP:
             raise ParseError(f"series exponent {k} is above {DEGREE_CAP}",
                              line)

@@ -265,7 +265,13 @@ _DIMS_DIFFER = "dimension sequence differs within the bound"
 
 
 def compare_fingerprints(fa: Fingerprint, fb: Fingerprint):
-    """(equal, reason): the first mismatching invariant field, if any."""
+    """(equal, reason): the first mismatching invariant field, if any.
+    Fingerprints of different characteristics, modes or bounds do not
+    compare: MismatchError."""
+    if fa.p != fb.p:
+        raise MismatchError(f"characteristics differ: {fa.p} vs {fb.p}")
+    if fa.mode != fb.mode:
+        raise MismatchError(f"modes differ: {fa.mode} vs {fb.mode}")
     if fa.bound != fb.bound:
         raise MismatchError("fingerprints computed at different bounds")
     if fa.dims != fb.dims:

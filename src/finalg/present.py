@@ -24,7 +24,7 @@ from operator import mul
 from .errors import ParseError
 from .gfp import check_prime
 from .hilbert import (DEGREE_CAP, RationalSeries, format_int_poly,
-                      parse_series)
+                      parse_digits, parse_series)
 
 COMMUTATIVE = "commutative"
 ASSOCIATIVE = "associative"
@@ -167,22 +167,22 @@ def mono_factors(m, mode: str) -> list:
 # ---------------------------------------------------------------- listing
 
 def _from_below(lists: list, n: int, degrees, cut, steps, unit) -> list:
-    """The one lister of the term order, of words, keys (`_unpacked`),
-    factor counts and the engine's column offsets: lists[n], filling first
-    every lists[m] with m <= n that is None, those above the highest one
-    filled.  Degree 0 is [unit], and degree m is steps[m][i] + x for each
-    generator i of degree d <= m in turn and each x among the first
-    cut[i][m - d] of degree m - d (`_extended`).  That is decreasing
-    order: words of degree m are each generator in front of those of
-    degree m - d, and the exponent vectors whose last factor is x_i follow
-    those in earlier generators alone, and are x_i times those of degree
-    m - d in generators 0..i (0..i-1 for an exterior x_i)."""
+    """The one lister of the term order, of words, keys (`_unpacked`) and
+    factor counts: lists[n], filling first every lists[m] with m <= n that
+    is None, those above the highest one filled.  Degree 0 is [unit], and
+    degree m is steps[i] + x for each generator i of degree d <= m in turn
+    and each x among the first cut[i][m - d] of degree m - d
+    (`_extended`).  That is decreasing order: words of degree m are each
+    generator in front of those of degree m - d, and the exponent vectors
+    whose last factor is x_i follow those in earlier generators alone, and
+    are x_i times those of degree m - d in generators 0..i (0..i-1 for an
+    exterior x_i)."""
     low = n
     while low >= 0 and lists[low] is None:
         low -= 1
     for m in range(low + 1, n + 1):
         out = [] if m else [unit]
-        for i, (d, step) in enumerate(zip(degrees, steps[m])):
+        for i, (d, step) in enumerate(zip(degrees, steps)):
             if d <= m:
                 out += [step + x for x in lists[m - d][:cut[i][m - d]]]
         lists[m] = out
@@ -215,12 +215,11 @@ def monomials_up_to(gens: GeneratorSet, top: int, mode: str, p: int) -> list:
                     exterior_mask(gens, p, mode), mode)
     if mode != COMMUTATIVE:
         _from_below(lists, top, gens.degrees, cut,
-                    [[(i,) for i in range(k)]] * (top + 1), ())
+                    [(i,) for i in range(k)], ())
         return lists
     width = max(1, top.bit_length())
     shifts = range(0, width * k, width)
-    _from_below(lists, top, gens.degrees, cut,
-                [[1 << s for s in shifts]] * (top + 1), 0)
+    _from_below(lists, top, gens.degrees, cut, [1 << s for s in shifts], 0)
     return [_unpacked(keys, shifts) for keys in lists]
 
 
@@ -402,12 +401,12 @@ def parse_poly(text: str, gens: GeneratorSet, mode: str, p: int,
             if not tok:
                 raise ParseError(f"bad term {term!r}", line)
             if tok.isdigit():
-                coeff = (coeff * int(tok)) % p
+                coeff = (coeff * parse_digits(tok, line)) % p
                 continue
             fm = _FACTOR_RE.match(tok)
             if not fm:
                 raise ParseError(f"bad factor {tok!r}", line)
-            name, power = fm.group(1), int(fm.group(2) or 1)
+            name, power = fm.group(1), parse_digits(fm.group(2) or "1", line)
             try:
                 idx = gens.index(name)
             except KeyError:
@@ -521,9 +520,9 @@ def parse(text: str) -> Presentation:
         elif word == "char":
             if p is not None:
                 raise ParseError("duplicate char line", no)
-            if not rest.isdigit() or not 2 <= int(rest) <= 2 ** 16:
+            p = parse_digits(rest, no) if rest.isdigit() else 0
+            if not 2 <= p <= 2 ** 16:
                 raise ParseError(f"char needs a prime in [2, 65536], got {rest!r}", no)
-            p = int(rest)
             try:
                 check_prime(p)
             except ValueError:
@@ -541,13 +540,14 @@ def parse(text: str) -> Presentation:
             gname, gdeg = bits
             if not _IDENT_RE.match(gname):
                 raise ParseError(f"bad generator name {gname!r}", no)
-            if not gdeg.isdigit() or not 1 <= int(gdeg) <= DEGREE_CAP:
+            degree = parse_digits(gdeg, no) if gdeg.isdigit() else 0
+            if not 1 <= degree <= DEGREE_CAP:
                 raise ParseError("generator degree must be a positive integer"
                                  f" up to {DEGREE_CAP}, got {gdeg!r}", no)
             if gname in seen_names:
                 raise ParseError(f"duplicate generator {gname!r}", no)
             seen_names.add(gname)
-            gen_pairs.append((gname, int(gdeg)))
+            gen_pairs.append((gname, degree))
 
     if name is None:
         raise ParseError("missing algebra line")

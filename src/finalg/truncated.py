@@ -9,24 +9,22 @@ term order those are precisely the standard monomials.  The consequences
 are built as sparse rows, a few (column, value) pairs each, for the forward
 pass of the elimination, `gfp.forward`; no dense relation matrix is formed.
 
-Inside the engine a monomial is a column, its place in its degree's
-listing in that term order, and no product of monomials is formed.  In
-commutative mode a monomial is also a key, one integer holding each
-exponent in a bit field at least 2 bits wide and wide enough for the
-bound, so the key of a product is the sum of the keys.  A relation row's
-column is `index[cofactor + term]`; the sum reaches a guard bit, above
-the lowest bit of an exterior generator's field, where the product
-squares that generator, and the sign is the parity of the cofactor's bits
-under the term's sign mask.  Degree n's keys are listed from the lists
-below it, one addition per monomial, as are every degree's factor counts,
-by `present`'s lister, the one every listing of monomials uses.  In
-associative mode the column of u·m·v is arithmetic on the listing: the
-place of u·m in front of any word of degree |v|, summed from the offset
-at which each letter's block starts in its degree, plus the column of v.
-Tuples, exponent vectors and words, exist only at the edge: a monomial a
-caller passes is packed or summed into its column, and a degree's basis
-is decoded from its columns, or taken from its listed words, on first
-read.
+Inside the engine a monomial is a key, of which `+` is the product, and
+a column, its place in its degree's listing in that term order, found
+from its key by the degree's index.  In associative mode the key is the
+word itself, so a relation row's column is `index[u + term + v]` and a
+product's is `index[u + v]`.  In commutative mode the key is one integer
+holding each exponent in a bit field at least 2 bits wide and wide
+enough for the bound, so the key of a product is the sum of the keys.  A
+relation row's column is `index[cofactor + term]`; the sum reaches a
+guard bit, above the lowest bit of an exterior generator's field, where
+the product squares that generator, and the sign is the parity of the
+cofactor's bits under the term's sign mask.  Degree n's keys are listed
+from the lists below it, one addition per monomial, as are every
+degree's factor counts, by `present`'s lister, the one every listing of
+monomials uses.  Exponent vectors exist only at the edge: a vector a
+caller passes is packed into its key, and a degree's basis is unpacked
+from its keys on first read.
 
 A monomial's normal form, its coordinate vector on that basis, is a unit
 vector for a standard monomial; a pivot's is back-substituted from the
@@ -72,7 +70,7 @@ from .gfp import RowSpace, back_substitute, forward
 from .hilbert import DEGREE_CAP
 from .present import (COMMUTATIVE, Presentation, _extended, _from_below,
                       _unpacked, exterior_mask, mono_degree, mono_factors,
-                      monomials_of_degree, prefix_counts)
+                      prefix_counts)
 
 DEFAULT_MONOMIAL_CEILING = 200_000
 # Most cells (cofactor rows x monomials) one degree's elimination may span.
@@ -222,32 +220,16 @@ class TruncatedAlgebra:
 
     @_lazy
     def _units(self) -> list:
-        """Commutative: each generator's key, the steps of `_key_list`."""
-        return [[1 << s for s in self._shifts]] * (self.bound + 1)
-
-    @_lazy
-    def _ones(self) -> list:
-        """The steps of `_factor_counts`: one factor per generator."""
-        return [[1] * len(self.gens)] * (self.bound + 1)
+        """Each generator's key, the steps of `_key_list`: its one-letter
+        word, or in commutative mode the lowest bit of its field."""
+        if self.mode != COMMUTATIVE:
+            return [(i,) for i in range(len(self.gens))]
+        return [1 << s for s in self._shifts]
 
     @_lazy
     def _cut(self) -> list:
         """`present._extended`, for the engine's calls of `_from_below`."""
         return _extended(self._prefix, self._ext, self.mode)
-
-    @_lazy
-    def _offsets(self) -> list:
-        """Associative: degree n lists generator i's words, i times the
-        words of degree n - d_i, from column _offsets[n][i] on."""
-        out = []
-        for n in range(self.bound + 1):
-            starts, at = [], 0
-            for d in self.gens.degrees:
-                starts.append(at)
-                if d <= n:
-                    at += self._counts[n - d]
-            out.append(starts)
-        return out
 
     @_lazy
     def _terms(self) -> list:
@@ -266,8 +248,11 @@ class TruncatedAlgebra:
 
     # ------------------------------------------------------ monomials
 
-    def _key(self, m) -> int:
-        """Commutative: the key of the exponent vector m."""
+    def _key(self, m):
+        """The key of the monomial m: the word itself, or the exponent
+        vector packed into one integer."""
+        if self.mode != COMMUTATIVE:
+            return m
         return sum(map(lshift, m, self._shifts))
 
     def _sign_mask(self, key: int) -> int:
@@ -283,12 +268,12 @@ class TruncatedAlgebra:
         return mask
 
     def _key_list(self, n: int) -> list:
-        """Commutative: the keys of degree n, column by column."""
+        """The keys of degree n, column by column."""
         return _from_below(self._keys, n, self.gens.degrees, self._cut,
-                           self._units, 0)
+                           self._units, 0 if self.mode == COMMUTATIVE else ())
 
     def _index(self, n: int) -> dict:
-        """Commutative: degree n's key -> column, built on first use."""
+        """Degree n's key -> column, built on first use."""
         got = self._indexes[n]
         if got is None:
             keys = self._key_list(n)
@@ -298,17 +283,7 @@ class TruncatedAlgebra:
     def _factor_counts(self, n: int) -> list:
         """The number of generator factors of each monomial of degree n."""
         return _from_below(self._factors, n, self.gens.degrees, self._cut,
-                           self._ones, 0)
-
-    def _position(self, word, t: int = 0) -> int:
-        """Associative: the column of word·v in degree |word| + t less the
-        column of v in degree t, the same for every word v of degree t;
-        with t = 0, the word's own column."""
-        offsets, degrees, at = self._offsets, self.gens.degrees, 0
-        for i in reversed(word):
-            t += degrees[i]
-            at += offsets[t][i]
-        return at
+                           [1] * len(self.gens), 0)
 
     def _monomial_degree(self, m) -> int:
         """The degree of the monomial m, a tuple: KeyError unless it is an
@@ -323,18 +298,17 @@ class TruncatedAlgebra:
     def _column(self, n: int, m):
         """The column of the monomial m, of degree n, or None if m is zero
         because it squares an exterior generator."""
-        if self.mode != COMMUTATIVE:
-            return self._position(m)
         key = self._key(m)
-        return None if key & self._guard else self._index(n)[key]
+        if self._guard and key & self._guard:
+            return None
+        return self._index(n)[key]
 
     def _decoded(self, n: int, columns) -> list:
         """The monomials at the columns of degree n, as tuples."""
-        if self.mode == COMMUTATIVE:
-            keys = self._key_list(n)
-            return _unpacked(map(keys.__getitem__, columns), self._shifts)
-        words = monomials_of_degree(self.gens, n, self.mode, self.p)
-        return [words[j] for j in columns]
+        keys = list(map(self._key_list(n).__getitem__, columns))
+        if self.mode != COMMUTATIVE:
+            return keys
+        return _unpacked(keys, self._shifts)
 
     def _monomials(self, n: int) -> list:
         """The monomials of degree n, in decreasing term order."""
@@ -368,8 +342,9 @@ class TruncatedAlgebra:
             return []
         live = [(r, terms) for r, terms in self._terms if r <= n and terms]
         rows: dict = {}   # (column, value) pairs -> None, in first-seen order
+        index = self._index(n)
         if self.mode == COMMUTATIVE:
-            index, guard = self._index(n), self._guard
+            guard = self._guard
             for r, terms in live:
                 for cof in self._key_list(n - r):
                     row = []
@@ -381,20 +356,14 @@ class TruncatedAlgebra:
                     if row:
                         rows[tuple(row)] = None
         else:
-            counts = self._counts
-            heads: dict = {}   # a -> the place of each word u of degree a
             for r, terms in live:
                 for a in range(n - r + 1):
-                    b = n - r - a
-                    if a not in heads:
-                        heads[a] = _from_below(
-                            [None] * (a + 1), a, self.gens.degrees,
-                            self._cut, self._offsets[n - a:], 0)
-                    tail = [(self._position(m, b), c) for m, c in terms]
-                    for x in heads[a]:
-                        at = [(x + q, c) for q, c in tail]
-                        for v in range(counts[b]):
-                            rows[tuple([(y + v, c) for y, c in at])] = None
+                    tails = self._key_list(n - r - a)
+                    for u in self._key_list(a):
+                        heads = [(u + m, c) for m, c in terms]
+                        for v in tails:
+                            rows[tuple([(index[h + v], c)
+                                        for h, c in heads])] = None
         return list(rows)
 
     def _reduce_degree(self, n: int) -> _Degree:
@@ -477,16 +446,18 @@ class TruncatedAlgebra:
     def _products(self, a: int, b: int):
         """(i, j, sign, column) for each nonzero product of basis(a)[i] and
         basis(b)[j]: its sign and its column in degree a + b."""
+        left, right = self._key_list(a), self._key_list(b)
+        index = self._index(a + b)
         free = self._degree(b).free
         if self.mode != COMMUTATIVE:
-            for i, u in enumerate(self._basis(a)):
-                at = self._position(u, b)
-                for j, c in enumerate(free):
-                    yield i, j, 1, at + c
+            right = [right[c] for c in free]
+            for i, c in enumerate(self._degree(a).free):
+                u = left[c]
+                for j, v in enumerate(right):
+                    yield i, j, 1, index[u + v]
             return
-        left, right = self._key_list(a), self._key_list(b)
         right = [(right[c], self._sign_mask(right[c])) for c in free]
-        index, guard = self._index(a + b), self._guard
+        guard = self._guard
         for i, c in enumerate(self._degree(a).free):
             u = left[c]
             for j, (v, mask) in enumerate(right):

@@ -330,3 +330,25 @@ def test_hostile_degrees_end_at_once(capsys, tmp_path):
         code, out, err = run(capsys, argv)
         assert time.monotonic() - start < 1, argv
         assert code == want and text in err + out, (argv, code, err)
+
+
+def test_unreadable_numbers_are_parse_errors(capsys, tmp_path):
+    # int() refuses more than 4,300 digits, and a digit that is no decimal
+    # one ('²' passes str.isdigit); each once ended in a traceback
+    huge = "9" * 5000
+    head = "algebra h\nchar {}\nmode commutative\ngen x {}\n"
+    for k, (char, degree, line, at) in enumerate([
+            (huge, 1, "", 2),
+            (2, huge, "", 4),
+            (2, 1, f"rel {huge}*x", 5),
+            (2, 1, f"rel x^{huge}", 5),
+            (2, 1, f"series 1 / 1-t^{huge}", 5),
+            (2, 1, f"series {huge} / 1-t", 5),
+            ("²", 1, "", 2),
+            (2, "²", "", 4),
+            (2, 1, "rel ²*x", 5)]):
+        path = tmp_path / f"n{k}.alg"
+        path.write_text(head.format(char, degree) + line + "\n",
+                        encoding="utf-8")
+        code, out, err = run(capsys, ["hilbert", str(path)])
+        assert code == 2 and f"line {at}: " in err + out, (k, code, err)

@@ -58,6 +58,20 @@ def test_fingerprint_dims_mismatch(corpus):
     assert not ok and "dimension" in reason
 
 
+def test_fingerprints_of_different_rings_do_not_compare():
+    # F2[y], F3[y] and the free F2<y>, |y| = 2, share their dims at bound
+    # 10, which once made every pair of them compare equal
+    rings = [parse(f"algebra a\nchar {p}\nmode {mode}\ngen y 2\n")
+             for p, mode in ((2, "commutative"), (3, "commutative"),
+                             (2, "associative"))]
+    prints = [fingerprint(P, bound=10) for P in rings]
+    for fa, fb in itertools.permutations(prints, 2):
+        with pytest.raises(MismatchError):
+            compare_fingerprints(fa, fb)
+    for fa in prints:
+        assert compare_fingerprints(fa, fa) == (True, None)
+
+
 def test_identity_pairs_isomorphic(corpus):
     for name, pres in corpus.items():
         verdict = graded_isomorphism(pres, pres)

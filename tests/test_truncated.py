@@ -402,8 +402,7 @@ def test_construction_lists_no_monomials(corpus):
 def test_engine_lists_match_the_walks_in_any_reading_order():
     # degrees read ascending, descending or at random give every engine
     # the one-degree walk's list in each degree it read, and in each below,
-    # as its decoded keys or words and as its factor counts, each listed
-    # from below
+    # as its decoded keys and as its factor counts, each listed from below
     rng = random.Random(2029)
     for pairs, mode, p in (("x:1 y:2 z:3", "commutative", 3),
                            ("x:1 y:1 u:2 w:3", "commutative", 5),
@@ -427,8 +426,7 @@ def test_engine_lists_match_the_walks_in_any_reading_order():
                 assert T._factor_counts(n) == factors[n], (pairs, n)
                 assert T._factors[:n + 1] == factors[:n + 1], (pairs, n)
                 assert T._monomials(n) == want[n], (pairs, n)
-                if mode == "commutative":
-                    assert None not in T._keys[:n + 1], (pairs, n)
+                assert None not in T._keys[:n + 1], (pairs, n)
             assert T._factors == factors
             assert [T._monomials(n) for n in range(bound + 1)] == want
 
