@@ -189,10 +189,7 @@ def main(argv=None) -> int:
             return cmd_iso(args)
         if args.command == "classify":
             return cmd_classify(args)
-    except FinalgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (FinalgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     parser.error(f"unknown command {args.command!r}")

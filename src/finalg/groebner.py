@@ -17,21 +17,26 @@ Homogeneous input lets pairs be processed in increasing lcm degree, which
 makes a degree cap sound: when the run stops at a cap, leading monomials
 of degree <= cap are final and everything degree-bounded (dimensions,
 normal forms) is exact there.
+
+Reduction works in place on one dict: each step adds a multiple of a
+basis element with `add_multiple`, and term order is applied once, when
+the reduced polynomial is returned.  Every polynomial a basis holds is
+monic and in that order, and its leading monomial is stored next to it.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import MismatchError, ResourceLimitError
 from .gfp import forward, inv_mod
 from .hilbert import RationalSeries, quotient_series
-from .present import (COMMUTATIVE, Presentation, elimination_key,
-                      exterior_mask, mono_degree, mono_divides, mono_key,
-                      mono_mul, mono_power, monomials_of_degree,
-                      monomials_up_to, poly_add, poly_canon, poly_degree,
-                      poly_scale, term_mul_poly)
+from .present import (COMMUTATIVE, Presentation, add_multiple,
+                      elimination_key, exterior_mask, mono_degree,
+                      mono_divides, mono_key, mono_mul, mono_power,
+                      monomials_of_degree, monomials_up_to, poly_canon,
+                      poly_degree)
 
 DEFAULT_PAIR_CEILING = 100_000
 
@@ -47,53 +52,49 @@ def _order_key(order, gens):
     return elimination_key(front, gens)
 
 
-def _lead(poly: dict, key):
-    """Largest monomial and its coefficient."""
-    m = max(poly, key=key)
-    return m, poly[m]
+def _reduce(f: dict, basis, leads, key, gens, p, ext) -> dict:
+    """f fully reduced modulo the monic `basis`, whose leading monomials
+    are `leads`.
+
+    Standard division on one dict: the largest remaining term is cancelled
+    by the first (in basis order) element whose lead divides it, or moved
+    to the output.
+    """
+    work = {m: c % p for m, c in f.items() if c % p}
+    out: dict = {}
+    while work:
+        w = max(work, key=key)
+        for g, lm in zip(basis, leads):
+            if mono_divides(lm, w):
+                q = tuple(a - b for a, b in zip(w, lm))
+                sign, _ = mono_mul(q, lm, gens, COMMUTATIVE, p, ext)
+                add_multiple(work, -work[w] * sign, q, g, gens, COMMUTATIVE,
+                             p, ext)
+                break
+        else:
+            out[w] = work.pop(w)
+    return poly_canon(out, gens, COMMUTATIVE, p)
 
 
 def normal_form(f: dict, basis, P: Presentation, order=DEGREVLEX) -> dict:
-    """Fully reduce f modulo a list of monic polynomials.
-
-    Standard division: peel the largest remaining term, subtract the first
-    (in basis order) matching multiple, park irreducible terms.
-    """
+    """Fully reduce f modulo a list of monic polynomials."""
     if P.mode != COMMUTATIVE:
         raise MismatchError("Groebner reduction needs commutative mode")
     key = _order_key(order, P.gens)
-    leads = [_lead(g, key)[0] for g in basis]
-    gens, p, ext = P.gens, P.p, exterior_mask(P.gens, P.p, P.mode)
-    work = poly_canon(dict(f), gens, P.mode, p)
-    out: dict = {}
-    while work:
-        w, c = _lead(work, key)
-        hit = None
-        for gi, lm in enumerate(leads):
-            if mono_divides(lm, w):
-                hit = gi
-                break
-        if hit is None:
-            out[w] = c
-            del work[w]
-            continue
-        q = tuple(a - b for a, b in zip(w, leads[hit]))
-        sign, _ = mono_mul(q, leads[hit], gens, COMMUTATIVE, p, ext)
-        step = term_mul_poly((-c * sign) % p, q, basis[hit], gens, COMMUTATIVE,
-                             p, ext)
-        work = poly_add(work, step, gens, COMMUTATIVE, p)
-    return poly_canon(out, gens, COMMUTATIVE, p)
+    return _reduce(f, basis, [max(g, key=key) for g in basis], key, P.gens,
+                   P.p, exterior_mask(P.gens, P.p, P.mode))
 
 
 @dataclass
 class GroebnerBasis:
-    """A monic, interreduced basis with its order and truncation status."""
+    """A monic, interreduced basis with its order and truncation status;
+    leads[i] is the leading monomial of polys[i]."""
 
     presentation: Presentation
     polys: tuple
+    leads: tuple
     order: object = DEGREVLEX
     truncated_at: int | None = None
-    _leads: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def complete(self) -> bool:
@@ -102,14 +103,10 @@ class GroebnerBasis:
     def key(self):
         return _order_key(self.order, self.presentation.gens)
 
-    def leads(self) -> tuple:
-        if self._leads is None:
-            key = self.key()
-            self._leads = tuple(_lead(g, key)[0] for g in self.polys)
-        return self._leads
-
     def normal_form(self, f: dict) -> dict:
-        return normal_form(f, list(self.polys), self.presentation, self.order)
+        P = self.presentation
+        return _reduce(f, self.polys, self.leads, self.key(), P.gens, P.p,
+                       exterior_mask(P.gens, P.p, P.mode))
 
 
 def buchberger(P: Presentation, order=DEGREVLEX,
@@ -127,13 +124,16 @@ def buchberger(P: Presentation, order=DEGREVLEX,
     pairs: list[tuple] = []  # (degree, kind, i, j) with kind 0=spair, 1=square
     truncated_at = None
 
-    def push_with_pairs(g: dict):
-        g = poly_canon(g, gens, COMMUTATIVE, p)
-        lm, lc = _lead(g, key)
-        if lc != 1:
-            g = poly_scale(g, inv_mod(lc, p), gens, COMMUTATIVE, p)
+    def push_reduced(f: dict):
+        """Reduce f by the basis so far; a nonzero remainder joins the
+        basis, monic, with its pairs."""
+        h = _reduce(f, basis, leads, key, gens, p, ext)
+        if not h:
+            return
+        lm = max(h, key=key)
+        inv = inv_mod(h[lm], p)
         k = len(basis)
-        basis.append(g)
+        basis.append({m: c * inv % p for m, c in h.items()})
         leads.append(lm)
         for i in range(k):
             w = tuple(max(a, b) for a, b in zip(leads[i], lm))
@@ -145,11 +145,7 @@ def buchberger(P: Presentation, order=DEGREVLEX,
                     (mono_degree(lm, gens, COMMUTATIVE) + gens.degrees[v], 1, k, v))
 
     for g in P.relations:
-        if not g:
-            continue
-        h = normal_form(g, basis, P, order)
-        if h:
-            push_with_pairs(h)
+        push_reduced(g)
 
     processed = 0
     while pairs:
@@ -161,10 +157,11 @@ def buchberger(P: Presentation, order=DEGREVLEX,
         if processed > pair_ceiling:
             raise ResourceLimitError(
                 f"Groebner pair ceiling {pair_ceiling} exceeded")
+        spoly: dict = {}
         if kind == 1:
             # implicit exterior square: reduce x_j * g_i
-            spoly = term_mul_poly(1, mono_power(j, 1, gens, COMMUTATIVE),
-                                  basis[i], gens, COMMUTATIVE, p, ext)
+            add_multiple(spoly, 1, mono_power(j, 1, gens, COMMUTATIVE),
+                         basis[i], gens, COMMUTATIVE, p, ext)
         else:
             u, v = leads[i], leads[j]
             w = tuple(max(a, b) for a, b in zip(u, v))
@@ -177,32 +174,23 @@ def buchberger(P: Presentation, order=DEGREVLEX,
             qj = tuple(a - b for a, b in zip(w, v))
             si, _ = mono_mul(qi, u, gens, COMMUTATIVE, p, ext)
             sj, _ = mono_mul(qj, v, gens, COMMUTATIVE, p, ext)
-            A = term_mul_poly(si % p, qi, basis[i], gens, COMMUTATIVE, p, ext)
-            B = term_mul_poly(sj % p, qj, basis[j], gens, COMMUTATIVE, p, ext)
-            spoly = poly_add(A, poly_scale(B, -1, gens, COMMUTATIVE, p),
-                             gens, COMMUTATIVE, p)
-        if not spoly:
-            continue
-        h = normal_form(spoly, basis, P, order)
-        if h:
-            push_with_pairs(h)
+            add_multiple(spoly, si, qi, basis[i], gens, COMMUTATIVE, p, ext)
+            add_multiple(spoly, -sj, qj, basis[j], gens, COMMUTATIVE, p, ext)
+        push_reduced(spoly)
 
-    # interreduce: minimal leading monomials, reduced tails, sorted
-    order_idx = sorted(range(len(basis)), key=lambda k_: key(leads[k_]))
-    kept: list[dict] = []
-    kept_leads: list[tuple] = []
-    for k_ in order_idx:
-        if any(mono_divides(lm, leads[k_]) for lm in kept_leads):
-            continue
-        kept.append(basis[k_])
-        kept_leads.append(leads[k_])
-    final = []
-    for i, g in enumerate(kept):
-        others = kept[:i] + kept[i + 1:]
-        final.append(normal_form(g, others, P, order) if others else g)
-    final = [g for g in final if g]
-    final.sort(key=lambda g: key(_lead(g, key)[0]))
-    return GroebnerBasis(P, tuple(final), order, truncated_at)
+    # interreduce: keep the minimal leading monomials, in increasing order,
+    # and reduce each tail by the others; a kept lead is divisible by no
+    # other kept lead, so it survives as the reduced element's lead
+    kept: list[int] = []
+    for k_ in sorted(range(len(basis)), key=lambda k_: key(leads[k_])):
+        if not any(mono_divides(leads[i], leads[k_]) for i in kept):
+            kept.append(k_)
+    polys = tuple(
+        _reduce(basis[k_], [basis[i] for i in kept if i != k_],
+                [leads[i] for i in kept if i != k_], key, gens, p, ext)
+        for k_ in kept)
+    return GroebnerBasis(P, polys, tuple(leads[k_] for k_ in kept), order,
+                         truncated_at)
 
 
 def groebner_basis(P: Presentation) -> GroebnerBasis:
@@ -224,7 +212,7 @@ def standard_monomials(G: GroebnerBasis, n: int) -> list:
 
 def _standard(G: GroebnerBasis, monos) -> list:
     """The monomials of `monos` that no leading monomial divides."""
-    leads = G.leads()
+    leads = G.leads
     return [m for m in monos if not any(mono_divides(lm, m) for lm in leads)]
 
 
@@ -237,7 +225,7 @@ def series_of_quotient(G: GroebnerBasis) -> RationalSeries:
             f"a complete basis")
     P = G.presentation
     ext = exterior_mask(P.gens, P.p, P.mode)
-    return quotient_series(G.leads(), P.gens.degrees, ext)
+    return quotient_series(G.leads, P.gens.degrees, ext)
 
 
 def eliminate(P: Presentation, keep, degree_cap=None,
@@ -274,7 +262,7 @@ def annihilator(G: GroebnerBasis, ideal_gens, max_degree: int) -> tuple:
     P = G.presentation
     gens, p = P.gens, P.p
     ext = exterior_mask(gens, p, P.mode)
-    fs = [poly_canon(dict(f), gens, P.mode, p) for f in ideal_gens]
+    fs = [poly_canon(f, gens, P.mode, p) for f in ideal_gens]
     fs = [f for f in fs if f]
     fdegs = [poly_degree(f, gens, P.mode) for f in fs]
     top = max_degree + max(fdegs, default=0)
@@ -287,7 +275,7 @@ def annihilator(G: GroebnerBasis, ideal_gens, max_degree: int) -> tuple:
         sm = _standard(G, monos)
         rows = ({(i, m): c for i, f in enumerate(fs)
                  for m, c in G.normal_form(
-                     term_mul_poly(1, s, f, gens, P.mode, p, ext)).items()}
+                     add_multiple({}, 1, s, f, gens, P.mode, p, ext)).items()}
                 for s in sm)
         dims.append(len(sm) - len(forward(rows, p)))
     return tuple(dims)

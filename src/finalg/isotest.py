@@ -529,14 +529,13 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
         screened = "equal" if equal_fp else f"mismatch: {why}"
     else:
         sa, sb = (side.series() for side in sides)
-        equal_fp, screened = True, "skipped"
+        equal_fp = sa is None or sb is None or hilbert.equal(sa, sb)
+        screened, why = "skipped", "Hilbert series differ"
     exact_series = sa is not None and sb is not None
     stats["exact_series"] = exact_series
     stats["fingerprint"] = screened
     if not equal_fp:
         return done(IsoVerdict("not-isomorphic", why))
-    if exact_series and not hilbert.equal(sa, sb):
-        return done(IsoVerdict("not-isomorphic", "Hilbert series differ"))
     if D < top:
         return done(IsoVerdict(
             "inconclusive", f"bound {D} is below the truncation bound {top}, "

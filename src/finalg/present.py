@@ -253,6 +253,9 @@ def prefix_counts(gens: GeneratorSet, bound: int, mode: str, p: int) -> list:
 #
 # Polynomial: dict monomial -> coefficient in 1..p-1, kept in decreasing
 # term order (insertion order is meaningful for display, not for equality).
+# Arithmetic inside a loop (`add_multiple`, Groebner reduction) works in
+# place on one dict and leaves term order alone; `poly_canon` applies the
+# order once, when the result is returned.
 
 def poly_canon(poly: dict, gens: GeneratorSet, mode: str, p: int) -> dict:
     items = [(m, c % p) for m, c in poly.items() if c % p]
@@ -267,32 +270,31 @@ def poly_add(f: dict, g: dict, gens, mode, p) -> dict:
     return poly_canon(out, gens, mode, p)
 
 
-def poly_scale(f: dict, c: int, gens, mode, p) -> dict:
-    c %= p
-    if c == 0:
-        return {}
-    return poly_canon({m: (co * c) % p for m, co in f.items()}, gens, mode, p)
-
-
-def term_mul_poly(coeff: int, mono, f: dict, gens, mode, p, ext=None) -> dict:
-    out: dict = {}
+def add_multiple(out: dict, coeff: int, mono, f: dict, gens, mode, p,
+                 ext=None) -> dict:
+    """out += coeff * mono * f, in place, and return out.  Terms that
+    cancel are dropped, and a coefficient that is 0 mod p adds nothing.
+    The new terms are not put in term order.  A loop passes in `ext`, the
+    `exterior_mask`."""
+    coeff %= p
+    if not coeff:
+        return out
     for m, c in f.items():
         sign, mm = mono_mul(mono, m, gens, mode, p, ext)
-        if sign == 0:
-            continue
-        out[mm] = (out.get(mm, 0) + coeff * sign * c) % p
-    return poly_canon(out, gens, mode, p)
+        if sign:
+            total = (out.get(mm, 0) + coeff * sign * c) % p
+            if total:
+                out[mm] = total
+            else:
+                out.pop(mm, None)
+    return out
 
 
 def poly_mul(f: dict, g: dict, gens, mode, p) -> dict:
     ext = exterior_mask(gens, p, mode)
     out: dict = {}
-    for mf, cf in f.items():
-        for mg, cg in g.items():
-            sign, mm = mono_mul(mf, mg, gens, mode, p, ext)
-            if sign == 0:
-                continue
-            out[mm] = (out.get(mm, 0) + cf * cg * sign) % p
+    for m, c in f.items():
+        add_multiple(out, c, m, g, gens, mode, p, ext)
     return poly_canon(out, gens, mode, p)
 
 
@@ -304,10 +306,6 @@ def poly_degree(f: dict, gens, mode):
     if len(degs) > 1:
         raise ValueError("polynomial is not homogeneous")
     return degs.pop()
-
-
-def is_homogeneous(f: dict, gens, mode) -> bool:
-    return len({mono_degree(m, gens, mode) for m in f}) <= 1
 
 
 def substitute(f: dict, images: list, gens_in: GeneratorSet, gens_out: GeneratorSet,
@@ -566,11 +564,14 @@ def parse(text: str) -> Presentation:
     for no, word, rest in lines:
         if word in ("rel", "nilradical"):
             poly = parse_poly(rest, gens, mode, p, line=no)
-            if not is_homogeneous(poly, gens, mode):
-                raise ParseError(f"inhomogeneous polynomial {rest!r}", no)
-            if not poly:
+            try:
+                degree = poly_degree(poly, gens, mode)
+            except ValueError:
+                raise ParseError(f"inhomogeneous polynomial {rest!r}",
+                                 no) from None
+            if degree is None:
                 continue  # normalized away (exterior square, coeff multiple of p)
-            if poly_degree(poly, gens, mode) == 0:
+            if degree == 0:
                 raise ParseError("constant relations are not allowed", no)
             (relations if word == "rel" else nilradical).append(poly)
         elif word == "series":

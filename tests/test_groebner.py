@@ -32,16 +32,45 @@ def test_groebner_frozen_example():
     assert equal(series, RationalSeries((1, 2, 1), (1,)))
 
 
+_ODD = ("algebra m\nchar 3\nmode commutative\ngen x 1\ngen y 2\nrel x*y\n",
+        "algebra n\nchar 5\nmode commutative\ngen a 1\ngen b 1\ngen c 2\n"
+        "rel a*b + 2*c\nrel c^2 + a*b*c\n")
+
+
 def test_monic_and_interreduced(corpus):
-    for pres in corpus.values():
+    # default and block orders; each poly is monic, already in poly_canon
+    # order, and G.leads[i] is its leading monomial
+    for pres in [*corpus.values(), *map(parse, _ODD)]:
+        bases = [groebner_basis(pres)] + [
+            eliminate(pres, (i,), degree_cap=8)[1]
+            for i in range(len(pres.gens))]
+        for G in bases:
+            key = G.key()
+            assert len(G.leads) == len(G.polys)
+            for g, lm in zip(G.polys, G.leads):
+                assert lm == max(g, key=key) and g[lm] == 1
+                canon = poly_canon(g, pres.gens, pres.mode, pres.p)
+                assert list(g.items()) == list(canon.items())
+                for other in G.leads:
+                    if other is not lm:
+                        assert not finalg.present.mono_divides(other, lm)
+
+
+def test_normal_form_of_unsorted_unreduced_input(corpus):
+    rng = random.Random(61)
+    for pres in [corpus["q8"], corpus["d8"], *map(parse, _ODD)]:
         G = groebner_basis(pres)
-        key = G.key()
-        leads = [max(g, key=key) for g in G.polys]
-        for g, lm in zip(G.polys, leads):
-            assert g[lm] == 1
-            for other in leads:
-                if other is not lm:
-                    assert not finalg.present.mono_divides(other, lm)
+        for _ in range(10):
+            monos = pres.monomials_of_degree(rng.randint(2, 6))
+            f = {m: rng.randrange(pres.p) for m in monos}
+            canon = poly_canon(f, pres.gens, pres.mode, pres.p)
+            # increasing order, coefficients shifted by multiples of p
+            raw = {m: c + pres.p * rng.randint(1, 3)
+                   for m, c in reversed(list(f.items()))}
+            want = G.normal_form(canon)
+            for got in (G.normal_form(raw),
+                        finalg.groebner.normal_form(raw, list(G.polys), pres)):
+                assert list(got.items()) == list(want.items())
 
 
 def test_standard_monomials_match_truncated_dims(corpus):

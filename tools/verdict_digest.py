@@ -18,13 +18,16 @@ ROOT/bench/gen.py, writes nothing under ROOT, and decides:
 - every ordered pair of corpus/div4 and corpus/div8 files of equal
   characteristic and mode, over presentations parsed once, so later pairs
   read what earlier ones memoized;
-- for each generator x of each commutative corpus/div4 and corpus/div8
-  file P, freshly parsed, the `groebner` group records the annihilator
-  dims of x up to `default_bound(P)` and the kept polynomials of
-  eliminating every other generator with that degree cap; for 40
-  presentations from `gen.random_presentation` (seed 7919, p = 2 and 3)
-  it records the annihilator dims, up to `default_bound(P)`, of each
-  generator and of the first two generators together;
+- for each commutative corpus/div4 and corpus/div8 file P, freshly
+  parsed, the `groebner` group records the degrevlex basis
+  `groebner_basis(P)`, each polynomial through `P.format_poly`, and for
+  each generator x of P the annihilator dims of x up to
+  `default_bound(P)` and the kept polynomials of eliminating every other
+  generator with that degree cap; for 40 presentations from
+  `gen.random_presentation` (seed 7919, p = 2 and 3) it records the
+  formatted degrevlex basis and the annihilator dims, up to
+  `default_bound(P)`, of each generator and of the first two generators
+  together;
 - the `engines` group records the dims, the power filtration, the rows
   of `decomposables(n)` for each generator degree n, a sha256 of each
   degree's normal-form matrix (shape, entries and basis, read through
@@ -39,8 +42,8 @@ A record is the outcome, reason, certificate and statistics of a verdict
 (for a classify run, each evidence record, each entry and each
 `graded_isomorphism` call the run makes; `groebner` and `engines` records
 have no outcome and keep as statistics the file, generator, dims and
-polynomials, the presentation, ideal and dims, or the presentation and
-what its engine gives).  Statistics leave out `wall_time_ms` and every
+polynomials, the file or presentation and its basis, the presentation,
+ideal and dims, or the presentation and what its engine gives).  Statistics leave out `wall_time_ms` and every
 KEY named on the command line.  One line per group and one total give
 the record count and a sha256 over the records; equal lines on two trees
 mean equal verdicts.  A second line per group
@@ -195,7 +198,9 @@ def main(argv) -> int:
             return []
         bound = finalg.default_bound(P)
         G = finalg.groebner_basis(P)
-        out = []
+        out = [record(None, None, None, {
+            "file": f"{path.parent.name}/{path.name}",
+            "basis": [P.format_poly(g) for g in G.polys]})]
         for i, name in enumerate(P.gens.names):
             ann = finalg.annihilator(G, [P.parse_poly(name)], bound)
             kept, _ = finalg.eliminate(P, (i,), degree_cap=bound)
@@ -210,7 +215,10 @@ def main(argv) -> int:
         G = finalg.groebner_basis(P)
         names = list(P.gens.names)
         ideals = [[n] for n in names] + [names[:2]] * (len(names) > 1)
-        return [record(None, None, None, {
+        basis = record(None, None, None, {
+            "presentation": f"random/{k}",
+            "basis": [P.format_poly(g) for g in G.polys]})
+        return [basis] + [record(None, None, None, {
             "presentation": f"random/{k}", "ideal": ideal,
             "annihilator": list(finalg.annihilator(
                 G, [P.parse_poly(n) for n in ideal], bound))})
