@@ -43,8 +43,9 @@ A record is the outcome, reason, certificate and statistics of a verdict
 `graded_isomorphism` call the run makes; `groebner` and `engines` records
 have no outcome and keep as statistics the file, generator, dims and
 polynomials, the file or presentation and its basis, the presentation,
-ideal and dims, or the presentation and what its engine gives).  Statistics leave out `wall_time_ms` and every
-KEY named on the command line.  One line per group and one total give
+ideal and dims, or the presentation and what its engine gives).
+Statistics leave out `wall_time_ms` and every KEY named on the command
+line.  One line per group and one total give
 the record count and a sha256 over the records; equal lines on two trees
 mean equal verdicts.  A second line per group
 and total, tagged `verdicts`, digests the (outcome, certificate) of each
