@@ -107,14 +107,10 @@ def classify_corpus(paths, *, max_degree: int | None = None,
     """Classify the presentations behind `paths` up to graded isomorphism."""
     entries = _load_entries(paths)
     usable = [e for e in entries if e.presentation is not None]
-    if not usable:
-        report = CorpusReport(bound=0, entries=entries)
-        report.totals = {"entries": len(entries), "parsed": 0, "classes": 0,
-                         "pairs_run": 0, "inconclusive_pairs": 0}
-        return report
     bound = max_degree
     if bound is None:
-        bound = max(default_bound(e.presentation) for e in usable)
+        bound = max((default_bound(e.presentation) for e in usable),
+                    default=0)
 
     buckets: dict = {}
     for entry in usable:

@@ -42,7 +42,8 @@ def _positive_int(text: str) -> int:
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     # SUPPRESS keeps subcommand defaults from clobbering values that were
-    # already parsed in the global position
+    # already parsed in the global position; `build_parser` sets the
+    # defaults once, on the top-level parser
     parser.add_argument("--max-degree", type=_positive_int,
                         default=argparse.SUPPRESS,
                         metavar="D", help="working degree bound")
@@ -82,16 +83,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("--out", metavar="REPORT.json",
                      help="write the JSON report to this file")
     _common_flags(p_c)
+    parser.set_defaults(max_degree=None, json=False,
+                        monomial_ceiling=DEFAULT_MONOMIAL_CEILING)
     return parser
 
 
 def cmd_hilbert(args) -> int:
     pres = parse_file(args.file)
-    fp = fingerprint(pres, getattr(args, "max_degree", None),
-                     monomial_ceiling=getattr(args, "monomial_ceiling",
-                                              DEFAULT_MONOMIAL_CEILING))
+    fp = fingerprint(pres, args.max_degree,
+                     monomial_ceiling=args.monomial_ceiling)
     dims, series = list(fp.dims), fp.series
-    if getattr(args, "json", False):
+    if args.json:
         payload = {"algebra": pres.name, "bound": fp.bound, "dims": dims,
                    "series": None}
         if series is not None:
@@ -120,8 +122,7 @@ def _verdict_exit(outcome: str) -> int:
 def cmd_iso(args) -> int:
     A = parse_file(args.file_a)
     B = parse_file(args.file_b)
-    max_degree = getattr(args, "max_degree", None)
-    ceiling = getattr(args, "monomial_ceiling", DEFAULT_MONOMIAL_CEILING)
+    max_degree, ceiling = args.max_degree, args.monomial_ceiling
     verdict = graded_isomorphism(A, B, max_degree=max_degree,
                                  prune=not args.no_prune,
                                  monomial_ceiling=ceiling)
@@ -143,7 +144,7 @@ def cmd_iso(args) -> int:
         payload["certificate_verified"] = verify_certificate(
             A, B, verdict.certificate, TB=TruncatedAlgebra(
                 B, verdict.statistics["bound"], ceiling))
-    indent = 2 if getattr(args, "json", False) else None
+    indent = 2 if args.json else None
     print(json.dumps(payload, indent=indent))
     return _verdict_exit(verdict.outcome)
 
@@ -155,14 +156,12 @@ def cmd_classify(args) -> int:
         return EXIT_ERROR
     paths = sorted(str(p) for p in root.iterdir()
                    if p.is_file() and p.suffix == ".alg")
-    report = classify_corpus(
-        paths, max_degree=getattr(args, "max_degree", None),
-        monomial_ceiling=getattr(args, "monomial_ceiling",
-                                 DEFAULT_MONOMIAL_CEILING))
+    report = classify_corpus(paths, max_degree=args.max_degree,
+                             monomial_ceiling=args.monomial_ceiling)
     payload = report.to_json()
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=2))
     else:
         totals = report.totals
@@ -179,21 +178,16 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"hilbert": cmd_hilbert, "iso": cmd_iso, "classify": cmd_classify}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "hilbert":
-            return cmd_hilbert(args)
-        if args.command == "iso":
-            return cmd_iso(args)
-        if args.command == "classify":
-            return cmd_classify(args)
+        return _COMMANDS[args.command](args)
     except (FinalgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_ERROR
 
 
 if __name__ == "__main__":

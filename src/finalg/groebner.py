@@ -58,9 +58,11 @@ def _reduce(f: dict, basis, leads, key, gens, p, ext) -> dict:
 
     Standard division on one dict: the largest remaining term is cancelled
     by the first (in basis order) element whose lead divides it, or moved
-    to the output.
+    to the output.  A term of f that squares an exterior generator is
+    zero, and is dropped first.
     """
-    work = {m: c % p for m, c in f.items() if c % p}
+    work = {m: c % p for m, c in f.items()
+            if c % p and not any(e and k > 1 for e, k in zip(ext, m))}
     out: dict = {}
     while work:
         w = max(work, key=key)

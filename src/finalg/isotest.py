@@ -47,12 +47,18 @@ verdict stays "inconclusive" since surjectivity alone is certified.  A
 bound below the pair's truncation bound (its largest generator or
 relation degree) keeps the invariants exact but lists no map, so a pair
 they do not refute there is "inconclusive" too.
+
+`_decide` reaches every verdict, and `graded_isomorphism` finishes each
+in one place: it attaches the statistics and the time taken, and turns a
+resource limit hit at any stage (an engine build, a screen, the search)
+into an "inconclusive" verdict that names the limit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -65,8 +71,8 @@ from .groebner import groebner_basis, series_of_quotient
 from .hilbert import count_nonzero_vectors
 from .present import (COMMUTATIVE, Presentation, exterior_mask, format_poly,
                       mono_factors, mono_power)
-from .truncated import (CANDIDATE_LIST_BUDGET, DEFAULT_MONOMIAL_CEILING,
-                        TruncatedAlgebra, default_bound, truncation_bound)
+from .truncated import (DEFAULT_MONOMIAL_CEILING, TruncatedAlgebra,
+                        default_bound, truncation_bound)
 
 __all__ = [
     "Fingerprint", "IsoVerdict", "candidate_space_size", "fingerprint",
@@ -186,24 +192,28 @@ class _Side:
             self.memo[key] = compute(self.P)
         return self.memo[key]
 
-    def dims(self, upto: int) -> tuple:
-        """Graded dims in degrees 0..upto.  The memo keeps the longest
-        prefix read so far, and the engine is read only past it."""
+    def dim(self, n: int) -> int:
+        """Graded dim in degree n.  The memo keeps the longest prefix of
+        dims read so far, and the engine is read only past it."""
         key = ("dims", self.bound, self.ceiling)
         known = self.memo.get(key, ())
-        if len(known) <= upto:
+        if len(known) <= n:
             T = self.engine()
-            known += tuple(T.dim(n) for n in range(len(known), upto + 1))
+            known += tuple(T.dim(k) for k in range(len(known), n + 1))
             self.memo[key] = known
-        return known[:upto + 1]
+        return known[n]
+
+    def dims(self) -> tuple:
+        """Graded dims in degrees 0..bound."""
+        self.dim(self.bound)
+        return self.memo[("dims", self.bound, self.ceiling)]
 
     def series(self):
         """`_exact_series` against all the dims; the ground series in it
         is memoized, the check against the dims is not."""
         if "ground_series" not in self.memo:
             self.memo["ground_series"] = _series_from_basis(self.P)
-        return _exact_series(self.P, self.dims(self.bound),
-                             self.memo["ground_series"])
+        return _exact_series(self.P, self.dims(), self.memo["ground_series"])
 
     def zero_flags(self) -> tuple:
         """Which generators are zero in the algebra, as far as the bound
@@ -240,7 +250,7 @@ class _Side:
                 self.vanishing_powers()
             return Fingerprint(
                 p=P.p, mode=P.mode, bound=self.bound,
-                dims=self.dims(self.bound),
+                dims=self.dims(),
                 filtration_dims=tuple(self.engine().power_filtration_dims()),
                 series=series)
         return self.entry("fingerprint", compute)
@@ -304,6 +314,10 @@ class IsoVerdict:
 # ladder; bounds the temporaries of one evaluation and what the search
 # evaluates past the tuple it finds.
 _BLOCK_ROWS = 4096
+# Most candidate images, summed over a pair's generators, that
+# `graded_isomorphism` lists before it searches; an image is one row of an
+# int64 block, so this also bounds the memory the blocks take.
+CANDIDATE_LIST_BUDGET = 300_000
 
 
 def prune_ladder(A: Presentation, TB: TruncatedAlgebra, cand_lists,
@@ -476,24 +490,26 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
     D = pair_bound(A, B, max_degree)
     stats: dict = {"bound": D, "enumerated": 0, "relation_failures": 0,
                    "generation_failures": 0, "pruned_by_stage": None}
-
-    def done(verdict: IsoVerdict) -> IsoVerdict:
-        verdict.statistics = dict(stats)
-        verdict.statistics["wall_time_ms"] = round(
-            1000 * (time.monotonic() - t0), 3)
-        return verdict
-
     # the brute-force oracle's sides start empty: it reads and fills no memo
     sides = [_Side(P, D, monomial_ceiling, P._memo if use_fingerprints
                    else {}, None) for P in (A, B)]
     try:
-        # A's engine (unless its flags are memoized), then B's, then A's flags
-        if ("zero_generators", D, monomial_ceiling) not in sides[0].memo:
-            sides[0].engine()
-        TB = sides[1].engine()
-        gen_is_zero = sides[0].zero_flags()
+        verdict = _decide(sides, max_degree, prune, use_fingerprints, stats)
     except ResourceLimitError as exc:
-        return done(IsoVerdict("inconclusive", f"resource limit: {exc}"))
+        verdict = IsoVerdict("inconclusive", f"resource limit: {exc}")
+    verdict.statistics = {**stats, "wall_time_ms": round(
+        1000 * (time.monotonic() - t0), 3)}
+    return verdict
+
+
+def _decide(sides, max_degree, prune, use_fingerprints, stats) -> IsoVerdict:
+    """The verdict on the pair behind `sides`, without its statistics,
+    which it records in `stats` as it goes.  A resource limit raises."""
+    a, b = sides
+    A, B, D = a.P, b.P, a.bound
+    # A's engine (unless its flags are memoized), then B's
+    gen_is_zero = a.zero_flags()
+    TB = b.engine()
     # a declared series is checked on every call, against all the dims
     for side in sides:
         if side.P.declared_series is not None:
@@ -510,19 +526,19 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
         # a graded isomorphism is injective, so a generator that is nonzero
         # in A needs a nonzero image, while one that collapses to zero in A
         # (a non-minimal presentation) is forced to the zero image
-        stats["candidate_space"] = candidate_space_size(
-            A.p, [d for d, z in zip(comp_dims, gen_is_zero) if not z])
+        sizes = [1 if zero else count_nonzero_vectors(dim, A.p)
+                 for dim, zero in zip(comp_dims, gen_is_zero)]
+        stats["candidate_space"] = math.prod(sizes)
     if use_fingerprints:
         # dims first, degree by degree up to the first difference; the
         # series and the filtration are computed only when all the dims
         # agree
         for n in range(D + 1):
-            da, db = (side.dims(n)[n] for side in sides)
-            if da != db:
+            if a.dim(n) != b.dim(n):
                 stats["fingerprint"] = f"mismatch: {_DIMS_DIFFER}"
                 stats["first_dims_difference"] = n
-                return done(IsoVerdict("not-isomorphic", _DIMS_DIFFER))
-        fa, fb = (fingerprint(side.P, D, side.T, monomial_ceiling)
+                return IsoVerdict("not-isomorphic", _DIMS_DIFFER)
+        fa, fb = (fingerprint(side.P, D, side.T, side.ceiling)
                   for side in sides)
         sa, sb = fa.series, fb.series
         equal_fp, why = compare_fingerprints(fa, fb)
@@ -535,52 +551,41 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
     stats["exact_series"] = exact_series
     stats["fingerprint"] = screened
     if not equal_fp:
-        return done(IsoVerdict("not-isomorphic", why))
+        return IsoVerdict("not-isomorphic", why)
     if D < top:
-        return done(IsoVerdict(
+        return IsoVerdict(
             "inconclusive", f"bound {D} is below the truncation bound {top}, "
-            f"so no generator map can be checked"))
-
-    if stats["candidate_space"] == 0:
-        empty = next(d for d, dim, z in
-                     zip(degrees, comp_dims, gen_is_zero) if not z and dim == 0)
-        return done(IsoVerdict(
+            f"so no generator map can be checked")
+    if 0 in sizes:
+        return IsoVerdict(
             "not-isomorphic",
-            f"no candidate images: the degree-{empty} component of the "
-            f"target is zero"))
-
+            f"no candidate images: the degree-{degrees[sizes.index(0)]} "
+            f"component of the target is zero")
     # the lists are built whole, so their total length is bounded first
-    sizes = [1 if zero else count_nonzero_vectors(dim, A.p)
-             for dim, zero in zip(comp_dims, gen_is_zero)]
     if sum(sizes) > CANDIDATE_LIST_BUDGET:
         count, name = max(zip(sizes, A.gens.names))
-        return done(IsoVerdict(
+        return IsoVerdict(
             "inconclusive",
             f"resource limit: generator {name} has {count} candidate "
             f"images, {sum(sizes)} in all, more than the candidate budget "
-            f"of {CANDIDATE_LIST_BUDGET}"))
+            f"of {CANDIDATE_LIST_BUDGET}")
 
     cand_lists = _candidates(A.p, comp_dims, gen_is_zero)
-
     if prune and A.mode == COMMUTATIVE:
-        ladder = prune_ladder(A, TB, cand_lists, sides[0].vanishing_powers())
+        ladder = prune_ladder(A, TB, cand_lists, a.vanishing_powers())
         stats["pruned_by_stage"] = ladder.stats
         if ladder.empty_generator is not None:
-            return done(IsoVerdict(
+            return IsoVerdict(
                 "not-isomorphic",
                 "subset admissibility empty for generators "
-                f"({ladder.empty_generator})"))
+                f"({ladder.empty_generator})")
         cand_lists = ladder.survivors
 
-    try:
-        spans = {n: TB.decomposables(n) for n in set(B.gens.degrees)}
-        found = _search(0, A, TB, cand_lists, _relation_plans(A),
-                        [None] * len(degrees), spans, stats)
-    except ResourceLimitError as exc:
-        return done(IsoVerdict("inconclusive", f"resource limit: {exc}"))
-
+    spans = {n: TB.decomposables(n) for n in set(B.gens.degrees)}
+    found = _search(0, A, TB, cand_lists, _relation_plans(A),
+                    [None] * len(degrees), spans, stats)
     if found is None:
-        return done(IsoVerdict("not-isomorphic", "search exhausted"))
+        return IsoVerdict("not-isomorphic", "search exhausted")
 
     cert = {}
     for name, deg, vec in zip(A.gens.names, degrees, found):
@@ -588,11 +593,11 @@ def graded_isomorphism(A: Presentation, B: Presentation, *,
     if not verify_certificate(A, B, cert, TB=TB):
         raise FinalgError("internal error: found tuple failed re-verification")
     if exact_series:
-        return done(IsoVerdict("isomorphic", None, cert))
-    return done(IsoVerdict(
+        return IsoVerdict("isomorphic", None, cert)
+    return IsoVerdict(
         "inconclusive",
         f"surjective graded map certified, series equality only checked to "
-        f"degree {D}", cert))
+        f"degree {D}", cert)
 
 
 def verify_certificate(A: Presentation, B: Presentation, certificate: dict,

@@ -79,10 +79,6 @@ DEFAULT_MONOMIAL_CEILING = 200_000
 # ceiling alone does not: the rows grow with every cofactor of every
 # relation.
 RELATION_CELL_BUDGET = 10_000_000
-# Most candidate images, summed over a pair's generators, that
-# `graded_isomorphism` lists before it searches; an image is one row of an
-# int64 block, so this also bounds the memory the blocks take.
-CANDIDATE_LIST_BUDGET = 300_000
 # Most cells of the temporary that one chunk of a product of two blocks
 # (`multiply_vec`) holds, 2 MB as int64.
 _PRODUCT_CELLS = 1 << 18

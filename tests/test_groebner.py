@@ -1,4 +1,5 @@
 import random
+import signal
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 import finalg
 from finalg.errors import ResourceLimitError
 from finalg.groebner import (annihilator, eliminate, groebner_basis,
-                             series_of_quotient, standard_monomials)
+                             normal_form, series_of_quotient,
+                             standard_monomials)
 from finalg.hilbert import RationalSeries, equal
 from finalg.present import (COMMUTATIVE, GeneratorSet, Presentation, parse,
                             poly_canon)
@@ -105,6 +107,28 @@ def test_odd_characteristic_exterior_squares():
     assert [len(standard_monomials(G, n)) for n in range(4)] == [1, 2, 1, 0]
     series = series_of_quotient(G)
     assert equal(series, RationalSeries((1, 2, 1), (1,)))
+
+
+def test_normal_form_drops_exterior_squares():
+    # at p = 3 a term that squares the degree-1 x is zero: a reduction
+    # that divided it by a lead would add nothing and loop, and one that
+    # kept it would return it; an alarm turns a hang into a failure
+    def hung(signum, frame):
+        raise TimeoutError("normal form did not return")
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        P = parse("algebra e\nchar 3\nmode commutative\ngen x 1\nrel x\n")
+        assert groebner_basis(P).normal_form({(2,): 1}) == {}
+        Q = parse("algebra f\nchar 3\nmode commutative\ngen x 1\ngen y 2\n"
+                  "rel x*y\n")
+        G = groebner_basis(Q)
+        assert normal_form({(2, 0): 1}, G.polys, Q) == {}
+        assert G.normal_form({(2, 0): 1}) == {}
+        assert G.normal_form({(2, 1): 1, (0, 1): 2}) == {(0, 1): 2}
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_odd_characteristic_spair_from_implicit_square():

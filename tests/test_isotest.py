@@ -9,7 +9,7 @@ import pytest
 
 import finalg
 from finalg.classify import classify_corpus
-from finalg.errors import FinalgError, MismatchError
+from finalg.errors import FinalgError, MismatchError, ResourceLimitError
 from finalg.groebner import GroebnerBasis
 from finalg.hilbert import dims_from_series
 from finalg.isotest import (_DIMS_DIFFER, candidate_space_size,
@@ -424,6 +424,24 @@ def test_candidate_budget_makes_the_verdict_inconclusive():
             "resource limit: generator w has 4194303 candidate images, "
             "4194324 in all, more than the candidate budget of 300000")
         assert verdict.statistics["enumerated"] == 0
+
+
+@pytest.mark.parametrize("owner,name", [
+    (TruncatedAlgebra, "power_filtration_dims"),   # a screen
+    (finalg.isotest, "_search"),
+])
+def test_a_limit_at_any_stage_makes_the_verdict_inconclusive(
+        corpus, monkeypatch, owner, name):
+    def over(*args, **kwargs):
+        raise ResourceLimitError(f"{name} is over its budget")
+    monkeypatch.setattr(owner, name, over)
+    verdict = graded_isomorphism(_fresh(corpus["c4"]), _fresh(corpus["c8"]))
+    assert verdict.outcome == "inconclusive"
+    assert verdict.reason == f"resource limit: {name} is over its budget"
+    assert verdict.certificate is None
+    stats = verdict.statistics
+    assert stats["bound"] == 10 and stats["wall_time_ms"] >= 0
+    assert all(stats[key] == 0 for key in SEARCH_COUNTERS)
 
 
 def test_zero_generator_maps_to_zero():

@@ -15,6 +15,13 @@ ROOT/bench/gen.py, writes nothing under ROOT, and decides:
   and B is A disguised by x -> x+z and w -> w + x^d + y^(d-1)*z, so w
   has 2^(2d+2) - 1 candidate images and the search walks 2^(2d+1)
   leaves (32,768 at d = 7);
+- the `limits` group, pruned and by the brute-force oracle: a ring over
+  the relation cell budget against itself and against the associative
+  ring on one degree-1 generator, in both orders; a ring over the
+  candidate budget against itself; c4 against c8 at bound 1, below their
+  truncation bound; associative x (degree 1), y (degree 2) against x
+  with x*x = 0, whose degree-2 component is zero; and the one-generator
+  associative ring against itself, a map certified without exact series;
 - every ordered pair of corpus/div4 and corpus/div8 files of equal
   characteristic and mode, over presentations parsed once, so later pairs
   read what earlier ones memoized;
@@ -187,6 +194,28 @@ def main(argv) -> int:
         B = finalg.parse(f"algebra probe_b{d}\n{gens}rel x*y + y*z\n")
         extend("probe", lambda: [
             verdict(A, B), verdict(A, B, prune=False, use_fingerprints=False)])
+
+    # pairs that end at a limit or at an exit the groups above miss: the
+    # relation cell budget, the candidate budget, a bound below the
+    # truncation bound, a generator with no candidate image (which only
+    # the oracle reaches) and a certified map without exact series
+    def inline(text):
+        return finalg.parse(f"algebra limit\n{text}")
+    line = "char 2\nmode associative\ngen x 1\n"
+    wide = inline(f"{line}gen y 1\ngen z 1\nrel z\nrel x*y\n")
+    probe10 = inline("char 2\nmode commutative\ngen x 1\ngen y 1\n"
+                     "gen z 1\ngen w 10\nrel x*y\n")
+    c4, c8 = (finalg.parse_file(root / "corpus" / "div8" / f"{name}.alg")
+              for name in ("c4", "c8"))
+    for A, B, kwargs in (
+            (wide, wide, {}), (wide, inline(line), {}),
+            (inline(line), wide, {}), (probe10, probe10, {}),
+            (c4, c8, {"max_degree": 1}),
+            (inline(f"{line}gen y 2\n"), inline(f"{line}rel x*x\n"), {}),
+            (inline(line), inline(line), {})):
+        extend("limits", lambda: [
+            verdict(A, B, **kwargs),
+            verdict(A, B, prune=False, use_fingerprints=False, **kwargs)])
 
     files = [finalg.parse_file(path) for d in corpus
              for path in sorted(d.glob("*.alg"))]
