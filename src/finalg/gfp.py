@@ -9,13 +9,18 @@ numpy integer arrays with entries reduced mod p, and a `RowSpace` holds a
 reduced form as one matrix and reduces against it with `residues`.  The
 characteristic is passed explicitly to every operation; nothing here keeps
 global state.
+
+Only `rref` and `RowSpace` load numpy, when first called: the sparse
+kernel, and every caller of only it, runs without numpy.
 """
 
 from __future__ import annotations
 
 import bisect
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def is_prime(p: int) -> bool:
@@ -106,6 +111,7 @@ def rref(mat, p: int):
     and pivots lists the pivot column of each nonzero row in order.  An
     empty list gives a (0, 0) array.
     """
+    import numpy as np
     mat = np.array(mat, dtype=np.int64, ndmin=2) % p
     rows: list = [{} for _ in range(len(mat))]
     i, j = mat.nonzero()
@@ -131,6 +137,7 @@ class RowSpace:
     """
 
     def __init__(self, width: int, p: int):
+        import numpy as np
         self.width = width
         self.p = p
         self.rows = np.zeros((0, width), dtype=np.int64)
@@ -149,11 +156,13 @@ class RowSpace:
 
     def residues(self, block) -> np.ndarray:
         """Every row of a 2-d array reduced against the space."""
+        import numpy as np
         block = np.asarray(block, dtype=np.int64)
         return (block - block.take(self.pivots, axis=1) @ self.rows) % self.p
 
     def add(self, vec) -> bool:
         """Insert a vector; True if it enlarged the space."""
+        import numpy as np
         v = self.residues(np.array(vec, dtype=np.int64, ndmin=2))[0]
         nz = v.nonzero()[0]
         if nz.size == 0:

@@ -52,18 +52,19 @@ they do not refute there is "inconclusive" too.
 in one place: it attaches the statistics and the time taken, and turns a
 resource limit hit at any stage (an engine build, a screen, the search)
 into an "inconclusive" verdict that names the limit.
+
+numpy holds the candidate blocks, so it is loaded by the first pair that
+lists candidates (`_candidates`, `prune_ladder`, `_search`) or re-checks
+a certificate (`verify_certificate`).  The invariants load none, so a pair
+they refute, or a fingerprint alone, runs without it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import time
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-
-import numpy as np
 
 from . import hilbert
 from .errors import FinalgError, MismatchError, ParseError, ResourceLimitError
@@ -116,6 +117,8 @@ class Fingerprint:
         declared series line, or a Groebner basis within reach), so two
         presentations of one algebra could hash apart; where both are
         known, `graded_isomorphism` compares them."""
+        import hashlib
+        import json
         blob = json.dumps({
             "p": self.p, "mode": self.mode, "bound": self.bound,
             "dims": list(self.dims), "filtration": list(self.filtration_dims),
@@ -335,6 +338,7 @@ def prune_ladder(A: Presentation, TB: TruncatedAlgebra, cand_lists,
     take part in an isomorphism.  The screen runs no Groebner basis and
     reads and fills no memo.
     """
+    import numpy as np
     # eliminated_series and eliminated_annihilator are always 0;
     # bench/tracing.py sums them per stage
     stat = {"subsets": 0, "tested": 0, "eliminated_series": 0,
@@ -375,6 +379,7 @@ def _candidates(p: int, dims, zero_flags) -> list:
     tuple is enumerated first when A and B share a presentation.  The
     digits of r < p^dim vanish past column dim, so a smaller dimension's
     block is a corner of a larger one's, and one table serves all."""
+    import numpy as np
     top = max((d for d, zero in zip(dims, zero_flags) if not zero), default=0)
     table = (np.arange(1, p ** top, dtype=np.int64)[:, None]
              // p ** np.arange(top, dtype=np.int64))
@@ -418,6 +423,7 @@ def _search(k: int, A: Presentation, TB: TruncatedAlgebra, cand_lists,
     module-level function rather than a closure, so that a call leaves no
     reference cycle holding the engine.
     """
+    import numpy as np
     deg = A.gens.degrees[k]
     cands = cand_lists[k]
     span = spans.get(deg)
@@ -609,6 +615,7 @@ def verify_certificate(A: Presentation, B: Presentation, certificate: dict,
     an image that is not a string or does not parse fails the check.
     Independent of the search that produced it.
     """
+    import numpy as np
     if A.p != B.p or A.mode != B.mode:
         return False
     if set(certificate) != set(A.gens.names):

@@ -38,6 +38,12 @@ serve only products of coordinate vectors, one at a time or as a block: a
 2-d array of candidate vectors, one per row, which products, evaluation
 and the generation test treat in whole-array steps.
 
+Coordinate vectors, blocks and tables are numpy arrays, and numpy is
+loaded by the first call that builds or reads one: `reduce_poly` and what
+calls it (`is_zero`, `element`), `table`, `multiply_vec`, `evaluate`,
+`decomposables` and `generates`.  Construction, dims, bases, `vanishes`
+and the filtration load no numpy, and `poly_of_vec` takes any sequence.
+
 Construction counts the monomials of every degree, without listing
 them, and checks the resource limits of every degree.  A degree's keys
 are listed on first use, with those of every degree below it not listed
@@ -61,9 +67,10 @@ publishes nothing, and nothing published is changed after.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import accumulate
 from operator import lshift
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BoundExceededError, ResourceLimitError
 from .gfp import RowSpace, back_substitute, forward
@@ -71,6 +78,9 @@ from .hilbert import DEGREE_CAP
 from .present import (COMMUTATIVE, Presentation, _extended, _from_below,
                       _unpacked, exterior_mask, mono_degree, mono_factors,
                       prefix_counts)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MONOMIAL_CEILING = 200_000
 # Most cells (cofactor rows x monomials) one degree's elimination may span.
@@ -128,6 +138,7 @@ class _Degree:
     def rows(self, js) -> np.ndarray:
         """The normal forms of the monomials at rows js, one per row; a
         row None, a monomial that is zero, gives zeros."""
+        import numpy as np
         out = np.zeros((len(js), len(self.free)), dtype=np.int64)
         for i, j in enumerate(js):
             if j is not None:
@@ -399,7 +410,7 @@ class TruncatedAlgebra:
 
     def reduce_poly(self, f: dict) -> dict:
         """Map a polynomial to coordinate vectors, one per occupied degree."""
-        comps: dict[int, np.ndarray] = {}
+        comps: dict = {}
         for m, c in f.items():
             n = self._monomial_degree(m)
             row = c * self._degree(n).rows([self._column(n, m)])[0]
@@ -408,7 +419,7 @@ class TruncatedAlgebra:
 
     def is_zero(self, f: dict) -> bool:
         """Exact word-problem test for elements presented in degrees <= bound."""
-        return not any(map(np.count_nonzero, self.reduce_poly(f).values()))
+        return not any(v.any() for v in self.reduce_poly(f).values())
 
     def vanishes(self, m) -> bool:
         """Is the monomial m zero?  A standard monomial never is, and in a
@@ -432,9 +443,10 @@ class TruncatedAlgebra:
 
     def poly_of_vec(self, n: int, vec) -> dict:
         out = {}
-        for m, c in zip(self._basis(n), np.mod(np.asarray(vec, dtype=np.int64), self.p)):
+        for m, c in zip(self._basis(n), vec):
+            c = int(c) % self.p
             if c:
-                out[m] = int(c)
+                out[m] = c
         return out
 
     # ----------------------------------------------------- multiplication
@@ -463,6 +475,7 @@ class TruncatedAlgebra:
 
     def table(self, a: int, b: int) -> np.ndarray:
         """Structure constants basis(a) x basis(b) -> A_{a+b}, cached."""
+        import numpy as np
         A, B, C = self._degree(a), self._degree(b), self._degree(a + b)
         key = (a, b)
         T = self._tables.get(key)
@@ -481,6 +494,7 @@ class TruncatedAlgebra:
         Either factor may be a block, a 2-d array of one vector per row;
         the product is then a block, row by row, with a 1-d factor shared
         by every row and two blocks multiplied row against row."""
+        import numpy as np
         T = self.table(a, b)
         da, db, dc = T.shape
         va = np.asarray(va, dtype=np.int64)
@@ -514,6 +528,7 @@ class TruncatedAlgebra:
         None for an empty polynomial.  An image may be a block (see
         `multiply_vec`); the value is then a block, one row per row of it,
         wherever a monomial meets that image."""
+        import numpy as np
         out_deg = None
         out_vec = None
         powers = [dict() for _ in images]
@@ -593,22 +608,22 @@ class TruncatedAlgebra:
         if self._filtration is None:
             m = self.bound + 1
             degrees = set(self.gens.degrees)
-            net = np.zeros(m, dtype=np.int64)   # monomials less pivots
-            pivots = []                           # factor count of each pivot
+            net = Counter()   # factor count -> monomials less pivots
             for n in range(1, m):
                 lead = self._degree(n).lead
                 if len(degrees) == 1:
                     net[n // min(degrees)] += self._counts[n] - len(lead)
                     continue
                 f = self._factor_counts(n)
-                net += np.bincount(f, minlength=m)
+                net.update(f)
                 if any(f[j] != f[c] for c, row in lead.items() for j in row):
                     w = len(f)
                     lead = forward(({f[j] * w + j: v for j, v in row.items()}
                                     for row in lead.values()), self.p)
-                    pivots += [k // w for k in lead]
+                    net.subtract(k // w for k in lead)
                 else:
-                    pivots += [f[c] for c in lead]
-            net -= np.bincount(np.array(pivots, dtype=np.int64), minlength=m)
-            self._filtration = net[::-1].cumsum()[::-1][1:].tolist()
+                    net.subtract(f[c] for c in lead)
+            # dim I^c is the sum of net over factor counts c and above
+            self._filtration = list(accumulate(
+                net[c] for c in range(m - 1, 0, -1)))[::-1]
         return list(self._filtration)

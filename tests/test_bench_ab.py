@@ -1,4 +1,5 @@
-"""The gain rule of tools/bench_ab.py, on fixed numbers; no benchmark runs."""
+"""The gain and bound rules of tools/bench_ab.py, on fixed numbers; no
+benchmark runs."""
 
 import importlib.util
 
@@ -47,3 +48,35 @@ def test_a_larger_share_of_failures_does_not_hold():
         10, False)
     assert bench_ab.claim_holds(PARENT, change, "lower", (0.02, 0.01)) == (
         10, True)
+
+
+# ten runs spread wide: median 14.5, quartiles 11.75 and 17.25, an IQR of
+# 38% of the median, wider than a 25% bound
+WIDE = [float(v) for v in range(10, 20)]
+
+
+def test_a_spread_within_the_bound_reads_within_or_over():
+    assert bench_ab.against_bound(PARENT, PARENT, "lower", 0.25) == "within"
+    worse = [v * 1.3 for v in PARENT]
+    assert bench_ab.against_bound(PARENT, worse, "lower", 0.25) == "over"
+    assert bench_ab.against_bound(PARENT, worse, "higher", 0.25) == "within"
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    assert bench_ab.against_bound(WIDE, WIDE, "lower", 0.25) == "unresolved"
+    # either side's spread counts, relative to the parent's median
+    wide_change = [v - 14.5 + 10.45 for v in WIDE]
+    assert bench_ab.against_bound(PARENT, wide_change, "lower",
+                                  0.25) == "unresolved"
+    # an IQR of 5.5 is 53% of 10.45
+    assert bench_ab.against_bound(PARENT, wide_change, "lower",
+                                  0.6) == "within"
+
+
+def test_a_wide_spread_reads_within_when_every_change_run_is_better():
+    below = [v - 10.0 for v in WIDE]     # 0 to 9, all under the parent's 10
+    assert bench_ab.against_bound(WIDE, below, "lower", 0.25) == "within"
+    assert bench_ab.against_bound(WIDE, below[:9] + [10.0], "lower",
+                                  0.25) == "unresolved"
+    above = [v + 10.0 for v in WIDE]
+    assert bench_ab.against_bound(WIDE, above, "higher", 0.25) == "within"

@@ -10,11 +10,11 @@ ones, for the `run_seconds` that PARENT_ROOT/BENCHMARK.json sets.  One
 child process runs at a time.  For every end-to-end metric that
 BENCHMARK.json names, it prints each side's median and quartiles, how
 many pairs the change won (ties count for neither side), the median's
-move against the metric's bound, and whether a gain can be claimed: the
-change wins at least nine tenths of at least ten pairs, and the medians
-differ, in the better direction, by more than the parent's interquartile
-range, with no larger share of failed verdicts than the parent's.  It
-also prints each side's failed verdicts.
+move against the metric's bound (see `against_bound`), and whether a
+gain can be claimed: the change wins at least nine tenths of at least ten
+pairs, and the medians differ, in the better direction, by more than the
+parent's interquartile range, with no larger share of failed verdicts
+than the parent's.  It also prints each side's failed verdicts.
 """
 
 from __future__ import annotations
@@ -41,6 +41,24 @@ def claim_holds(parent, change, better: str, failed: tuple) -> tuple:
     holds = (len(parent) >= 10 and 10 * wins >= 9 * len(parent)
              and gap > q3 - q1 and failed[1] <= failed[0])
     return wins, holds
+
+
+def against_bound(parent, change, better: str, bound: float) -> str:
+    """"over" when the change's median is worse than the parent's by more
+    than `bound`, a share of the parent's median.  Otherwise "within",
+    unless either side's interquartile range, taken relative to the
+    parent's median, is wider than the bound: the runs then spread too
+    widely to tell, and it is "unresolved", except where every run of the
+    change reads better than every run of the parent."""
+    sign = 1 if better == "lower" else -1
+    mp = statistics.median(parent)
+    move = (statistics.median(change) - mp) / mp if mp else 0.0
+    if sign * move > bound:
+        return "over"
+    spread = max(q3 - q1 for q1, _, q3 in (
+        statistics.quantiles(runs, n=4) for runs in (parent, change)))
+    apart = all(sign * (p - c) > 0 for p in parent for c in change)
+    return "unresolved" if spread > bound * abs(mp) and not apart else "within"
 
 
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -97,13 +115,13 @@ def main(argv=None) -> int:
         mp, mc = (statistics.median(values[s]) for s in ("parent", "change"))
         quarts = {s: statistics.quantiles(values[s], n=4) for s in values}
         move = (mc - mp) / mp if mp else 0.0
-        worse = move if metric["better"] == "lower" else -move
+        status = against_bound(values["parent"], values["change"],
+                               metric["better"], metric["bound"])
         print(f"{name} ({metric['unit']}): parent {mp:.6g} "
               f"[{quarts['parent'][0]:.6g}, {quarts['parent'][2]:.6g}]  "
               f"change {mc:.6g} "
               f"[{quarts['change'][0]:.6g}, {quarts['change'][2]:.6g}]  "
-              f"median {move:+.1%} (bound {metric['bound']:.0%}, "
-              f"{'over' if worse > metric['bound'] else 'within'})  "
+              f"median {move:+.1%} (bound {metric['bound']:.0%}, {status})  "
               f"change won {wins} of {args.pairs}  "
               f"gain {'holds' if holds else 'not shown'}")
     return 0
